@@ -52,7 +52,7 @@ def backward(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
     for p in params:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {p.name}", stage="backward")
+            raise NumericError("backward", f"non-finite gradient for {p.name}")
         grads.append(g)
     return grads
 

@@ -6,6 +6,7 @@ import pytest
 
 from cvpe.autodiff import (
     NumericError,
+    _unbroadcast,
     add,
     as_tensor,
     check_finite,
@@ -26,6 +27,7 @@ from cvpe.autodiff import (
     transpose,
     tsum,
 )
+from oracles import gelu_oracle
 
 
 def fd_grad(fn, x, step=1e-6):
@@ -82,6 +84,13 @@ def test_op_gradients_match_finite_differences(name, build):
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
 
+def test_gelu_matches_the_scalar_oracle():
+    x = np.array([0.0, 1e-3, -1e-3, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0, 10.0, -10.0, 30.0, -30.0])
+    got = np.asarray(gelu(as_tensor(x.reshape(1, -1)))).reshape(-1)
+    want = np.array([gelu_oracle(float(v)) for v in x])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 def test_forward_values_match_numpy():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, 4))
@@ -122,6 +131,66 @@ def test_batched_matmul_accumulates_over_leading_axes():
     np.testing.assert_allclose(b.grad, want, rtol=1e-6, atol=1e-8)
 
 
+def _contiguous(shape, seed):
+    return parameter(np.random.default_rng(seed).normal(size=shape), "x")
+
+
+def _swapped_view(shape, seed):
+    # the (.., m, k) operand as a non-contiguous view of a (.., k, m) leaf
+    src = parameter(np.random.default_rng(seed).normal(size=shape[:-2] + shape[:-3:-1]), "x")
+    return swapaxes(src, -1, -2)
+
+
+@pytest.mark.parametrize(
+    "a_shape,make_a",
+    [
+        ((5, 3, 4), _contiguous),
+        ((2, 3, 5, 4), _swapped_view),
+        ((2, 1, 3, 5, 4), _contiguous),
+    ],
+    ids=["3d", "4d-swapaxes-view", "5d"],
+)
+def test_weight_gradient_of_2d_operand_sums_every_leading_axis(a_shape, make_a):
+    rng = np.random.default_rng(len(a_shape))
+    b0 = rng.normal(size=(4, 2))
+    a = make_a(a_shape, seed=len(a_shape))
+    a0 = a.data.copy()
+    if make_a is _swapped_view:
+        assert not a.data.flags.c_contiguous
+    b = parameter(b0.copy(), "b")
+    prod = matmul(a, b)
+    tsum(mul(prod, prod)).backward()
+
+    g = 2.0 * (a0 @ b0)
+    old = _unbroadcast(np.swapaxes(a0, -1, -2) @ g, b0.shape)
+    np.testing.assert_allclose(b.grad, old, rtol=1e-12)
+    want = fd_grad(lambda v: ((a0 @ v) ** 2).sum(), b0)
+    np.testing.assert_allclose(b.grad, want, rtol=1e-6, atol=1e-8)
+
+
+def test_router_table_broadcast_against_batched_keys():
+    # a (P, c, d) router table against (B, P, N, d) keys, as in the CVPE block
+    rng = np.random.default_rng(11)
+    table0 = rng.normal(size=(3, 2, 4))
+    keys0 = rng.normal(size=(2, 3, 5, 4))
+    coeff = rng.normal(size=(2, 3, 2, 5))
+    table = parameter(table0.copy(), "table")
+    keys = parameter(keys0.copy(), "keys")
+    tsum(mul(matmul(table, swapaxes(keys, -1, -2)), coeff)).backward()
+
+    kt = np.swapaxes(keys0, -1, -2)
+    np.testing.assert_allclose(
+        table.grad, _unbroadcast(coeff @ np.swapaxes(kt, -1, -2), table0.shape), rtol=1e-12
+    )
+    np.testing.assert_allclose(
+        keys.grad, np.swapaxes(np.swapaxes(table0, -1, -2) @ coeff, -1, -2), rtol=1e-12
+    )
+    want_table = fd_grad(lambda v: ((v @ kt) * coeff).sum(), table0)
+    want_keys = fd_grad(lambda v: ((table0 @ np.swapaxes(v, -1, -2)) * coeff).sum(), keys0)
+    np.testing.assert_allclose(table.grad, want_table, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(keys.grad, want_keys, rtol=1e-6, atol=1e-8)
+
+
 def test_broadcast_add_unbroadcasts_gradient():
     a = parameter(np.zeros((3, 4)), "a")
     b = parameter(np.zeros(4), "b")
@@ -147,6 +216,42 @@ def test_reused_node_accumulates_both_paths():
     loss = add(tsum(y), tsum(mul(y, 2.0)))
     loss.backward()
     np.testing.assert_allclose(x.grad, [3 * 2 * 1.5])
+
+
+def test_gradients_of_two_add_inputs_do_not_alias():
+    # add hands the same upstream array to both inputs
+    a = parameter(np.zeros(3), "a")
+    b = parameter(np.zeros(3), "b")
+    loss = add(tsum(add(a, b)), tsum(a * 3.0))
+    loss.backward()
+    np.testing.assert_array_equal(a.grad, np.full(3, 4.0))
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_add_of_a_node_to_itself_leaves_the_upstream_gradient_intact():
+    x0 = np.array([0.5, -1.0, 2.0])
+    coeff = np.array([1.0, 2.0, 3.0])
+    x = parameter(x0.copy(), "x")
+    y = add(x, x)
+    loss = add(tsum(mul(y, coeff)), tsum(mul(y, y)))
+    loss.backward()
+    np.testing.assert_allclose(y.grad, coeff + 4.0 * x0, rtol=1e-15)
+    np.testing.assert_allclose(x.grad, 2.0 * (coeff + 4.0 * x0), rtol=1e-15)
+
+
+@pytest.mark.parametrize("reduced_first", [True, False])
+def test_read_only_broadcast_gradient_is_copied_before_accumulating(reduced_first):
+    # tsum over an axis hands back a read-only broadcast view
+    x0 = np.random.default_rng(12).normal(size=(3, 4))
+    w = np.arange(4.0)
+    x = parameter(x0.copy(), "x")
+    terms = [tsum(mul(tsum(x, axis=0), w)), tsum(mul(x, x))]
+    if not reduced_first:
+        terms.reverse()
+    add(*terms).backward()
+    np.testing.assert_allclose(x.grad, w + 2.0 * x0, rtol=1e-15)
+    assert x.grad.flags.writeable
 
 
 def test_no_grad_blocks_tape():

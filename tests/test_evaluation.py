@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cvpe import autodiff
 from cvpe.config import parse_config
 from cvpe.evaluation import (
     MetricPair,
@@ -213,6 +214,22 @@ class TestExperiment:
         # reports still render
         assert "failed" in report.to_text()
         json.loads(report.to_json())
+
+    def test_non_finite_gradient_fails_the_cell(self, monkeypatch):
+        real = autodiff._accumulate
+
+        def poisoned(t, g):
+            real(t, g)
+            if t.name is not None:
+                t.grad = np.full_like(t.grad, np.nan)
+
+        monkeypatch.setattr(autodiff, "_accumulate", poisoned)
+        config = tiny_config()
+        cell = run_cell(prepare_segments(config), config, "cvpe", 3, 0)
+        assert cell.status == "failed"
+        assert cell.mse is None
+        assert cell.error.startswith("NumericError: non-finite value in stage 'backward'")
+        assert "non-finite gradient for" in cell.error
 
     def test_dataset_label_format(self):
         label = dataset_label(tiny_config())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cvpe.autodiff import NumericError, as_tensor, parameter
+from cvpe.autodiff import NumericError, as_tensor, parameter, power, tsum
 from cvpe.data import SyntheticSpec, generate_synthetic
 from cvpe.model import BackboneConfig, ModelParams, forecast_batch
 from cvpe.preprocess import PatchConfig
@@ -65,6 +65,27 @@ class TestLossAndGradients:
         grads = backward(loss, [x, unused])
         np.testing.assert_allclose(grads[0], 2.0 / 3.0 * np.ones(3), atol=1e-12)
         np.testing.assert_array_equal(grads[1], np.zeros(2))
+
+    def test_non_finite_gradient_names_stage_and_parameter(self):
+        # d/dp sqrt(p) is infinite at p = 0 while the loss stays finite
+        p = parameter(np.array([0.0, 1.0]), "p")
+        with np.errstate(divide="ignore"):
+            loss = tsum(power(p, 0.5))
+            with pytest.raises(NumericError) as err:
+                backward(loss, [p])
+        assert err.value.stage == "backward"
+        assert "non-finite gradient for p" in str(err.value)
+
+    @pytest.mark.parametrize("variant", ["vanilla", "cvpe"])
+    def test_model_gradients_are_separate_writeable_arrays(self, variant):
+        (tw, tt), _ = tiny_dataset()
+        params = tiny_model(variant)
+        plist = params.parameters()
+        grads = backward(mse_loss(forecast_batch(tw[:4], params), tt[:4]), plist)
+        assert all(g.flags.writeable for g in grads)
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1 :]:
+                assert not np.shares_memory(gi, gj)
 
     def test_linear_regression_gradient_is_closed_form(self):
         rng = np.random.default_rng(1)
