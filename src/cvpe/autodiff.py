@@ -7,21 +7,36 @@ that central finite differences can be used as a correctness oracle for every
 op (see ``train.grad_check``).
 
 Only the operations the forecasting stack actually needs are implemented:
-elementwise arithmetic, batched matmul with broadcasting leading dimensions,
-reductions, shape moves, ``exp``/``tanh``/``gelu`` and a numerically stable
-``softmax``.
+elementwise ``add``/``sub``/``mul``/``power``, batched ``matmul`` with
+broadcasting leading dimensions, the reductions ``tsum``/``tmean``, the shape
+moves ``reshape``/``swapaxes``, ``gelu`` and a numerically stable ``softmax``.
 
-``gelu`` writes its cube as ``x * x * x`` (and the square in its backward as
-``x * x``): numpy sends a float power such as ``x**3`` down a general ``pow``
-path that is about fifty times slower on the model's activations, while the
-products differ from it by at most one unit in the last place.
+Three fused ops each record a single tape node with a closed-form backward,
+so the model's hot layers keep one saved output and one gradient per call
+instead of one per elementary step:
+
+* ``affine(x, w, b)``: ``x @ w + b``; the weight gradient is one GEMM over
+  the flattened rows and the bias gradient a row sum.
+* ``layer_norm(x, gain, bias, eps)``: normalisation over the last axis; the
+  node saves only the normalised input and ``1/sqrt(var + eps)``.
+* ``attention(q, k, v, heads)``: head split, scaled scores, max-shifted
+  softmax, the weighted sum of values and the head merge; the backward reuses
+  the saved probabilities.
+
+``gelu`` is computed in the logistic form ``x / (1 + exp(-2u))`` with
+``u = sqrt(2/pi) * (x + 0.044715 x^3)``, equal to the tanh form
+``0.5 x (1 + tanh(u))`` but without its cancellation on the negative tail.
+Cubes and squares are written as products (``x * x * x``): numpy sends a float
+power such as ``x**3`` down a general ``pow`` path that is about fifty times
+slower on the model's activations, while the products differ from it by at
+most one unit in the last place.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,18 +48,17 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "matmul",
     "power",
-    "exp",
-    "tanh",
     "gelu",
     "softmax",
     "tsum",
     "tmean",
     "reshape",
     "swapaxes",
-    "transpose",
+    "affine",
+    "layer_norm",
+    "attention",
     "NumericError",
 ]
 
@@ -136,12 +150,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -179,9 +187,6 @@ class Tensor:
             if node.grad is None:
                 continue
             node._backward(node.grad)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -286,19 +291,6 @@ def mul(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
 def power(a, exponent: float) -> Tensor:
     """Elementwise ``a ** exponent`` for a scalar exponent."""
     a = as_tensor(a)
@@ -343,44 +335,41 @@ def matmul(a, b) -> Tensor:
 # -- nonlinearities ----------------------------------------------------------
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), backward)
-
-
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(a) -> Tensor:
-    """Smooth GELU (tanh form)."""
+    """Smooth GELU, ``x * sigmoid(2u)`` in the logistic form (see the module
+    docstring)."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out_data = 0.5 * x * (1.0 + t)
+    # den = 1 + exp(-2u); it overflows to inf below x of about -21, where the
+    # quotient is -0.0 and the true value underflows anyway
+    den = x * x
+    den *= x
+    den *= 0.044715
+    den += x
+    den *= -2.0 * _GELU_C
+    with np.errstate(over="ignore"):
+        np.exp(den, out=den)
+    den += 1.0
+    out_data = x / den
 
     def backward(g):
         if a.requires_grad:
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-            da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-            _accumulate(a, g * da)
+            # d/dx x*s(2u) = s * (1 + 2 x u' (1 - s)) for s = 1/den; 1 - s
+            # loses digits only where s is near 1, where its term is small
+            s = 1.0 / den
+            da = x * x
+            da *= 3 * 0.044715
+            da += 1.0
+            da *= 2.0 * _GELU_C
+            da *= x
+            da *= 1.0 - s
+            da += 1.0
+            da *= s
+            da *= g
+            _accumulate(a, da)
 
     return _make(out_data, (a,), backward)
 
@@ -462,17 +451,117 @@ def swapaxes(a, axis1: int, axis2: int) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def transpose(a, axes: Iterable[int]) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    out_data = a.data.transpose(axes)
-    inverse = np.argsort(axes)
+# -- fused nodes -----------------------------------------------------------------
+
+
+def affine(x, w, b) -> Tensor:
+    """``x @ w + b`` as one node: ``w`` is (k, n), ``b`` is (n,), ``x`` is
+    (..., k); every leading axis of ``x`` is a batch axis."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.ndim != 2 or b.shape != w.shape[-1:] or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ValueError(f"affine needs (..., k) @ (k, n) + (n,), got {x.shape}, {w.shape}, {b.shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g.transpose(inverse))
+        k, n = w.data.shape
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        rows = g.reshape(-1, n)
+        if w.requires_grad:
+            _accumulate(w, x.data.reshape(-1, k).T @ rows)
+        if b.requires_grad:
+            _accumulate(b, rows.sum(axis=0))
 
-    return _make(out_data, (a,), backward)
+    return _make(out_data, (x, w, b), backward)
+
+
+def layer_norm(x, gain, bias, eps: float) -> Tensor:
+    """Normalise the last axis to zero mean and unit variance, then scale by
+    ``gain`` and shift by ``bias`` (both of the last axis' length)."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    var += eps
+    rstd = 1.0 / np.sqrt(var)
+    xhat *= rstd
+    out_data = xhat * gain.data
+    out_data += bias.data
+
+    def backward(g):
+        d = xhat.shape[-1]
+        rows = g.reshape(-1, d)
+        if gain.requires_grad:
+            _accumulate(gain, np.einsum("ij,ij->j", rows, xhat.reshape(-1, d)))
+        if bias.requires_grad:
+            _accumulate(bias, rows.sum(axis=0))
+        if x.requires_grad:
+            # rstd * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gain
+            gx = g * gain.data
+            dot = np.einsum("...i,...i->...", gx, xhat)[..., None]
+            dot /= d
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= xhat * dot
+            gx *= rstd
+            _accumulate(x, gx)
+
+    return _make(out_data, (x, gain, bias), backward)
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., n, d) -> (..., heads, n, d // heads) view, contiguous feature slices."""
+    *lead, n, d = a.shape
+    return np.swapaxes(a.reshape(*lead, n, heads, d // heads), -3, -2)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., heads, n, hd) -> (..., n, heads * hd)."""
+    *lead, heads, n, hd = a.shape
+    return np.swapaxes(a, -3, -2).reshape(*lead, n, heads * hd)
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over the last two axes.
+
+    ``q`` is (..., n_q, d), ``k`` and ``v`` are (..., n_k, d); heads are
+    contiguous slices of the feature axis and leading axes broadcast.  The
+    output is (..., n_q, d) with the heads merged back; no projections.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if min(q.ndim, k.ndim, v.ndim) < 2:
+        raise ValueError(f"attention operands need ndim >= 2, got {q.ndim}, {k.ndim}, {v.ndim}")
+    d = q.shape[-1]
+    if k.shape[-1] != d or v.shape[-1] != d or k.shape[-2] != v.shape[-2] or d % heads:
+        raise ValueError(f"attention cannot split {q.shape}, {k.shape}, {v.shape} into {heads} heads")
+    scale = 1.0 / np.sqrt(d // heads)
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    probs = qh @ np.swapaxes(kh, -1, -2)
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out_data = _merge_heads(probs @ vh)
+
+    def backward(g):
+        gh = _split_heads(g, heads)
+        if v.requires_grad:
+            gv = _merge_heads(np.swapaxes(probs, -1, -2) @ gh)
+            _accumulate(v, _unbroadcast(gv, v.data.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        # softmax backward on the probabilities, then the score scale
+        gs = gh @ np.swapaxes(vh, -1, -2)
+        dot = np.einsum("...i,...i->...", gs, probs)[..., None]
+        gs -= dot
+        gs *= probs
+        gs *= scale
+        if q.requires_grad:
+            _accumulate(q, _unbroadcast(_merge_heads(gs @ kh), q.data.shape))
+        if k.requires_grad:
+            gk = _merge_heads(np.swapaxes(gs, -1, -2) @ qh)
+            _accumulate(k, _unbroadcast(gk, k.data.shape))
+
+    return _make(out_data, (q, k, v), backward)
 
 
 def check_finite(t: Tensor | np.ndarray, stage: str) -> None:

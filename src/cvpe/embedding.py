@@ -13,17 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    add,
-    as_tensor,
-    check_finite,
-    matmul,
-    parameter,
-    reshape,
-    softmax,
-    swapaxes,
-)
+from .autodiff import Tensor, add, as_tensor, attention, check_finite, parameter, swapaxes
 from .layers import Affine, LayerNorm, Mlp, rng_from
 
 TABLE_INIT_STD = 0.02
@@ -60,19 +50,6 @@ class AttentionConfig:
         return model_dim // self.heads
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., n, d) -> (..., heads, n, d // heads), contiguous feature slices."""
-    *lead, n, d = x.shape
-    hd = d // heads
-    return swapaxes(reshape(x, (*lead, n, heads, hd)), -3, -2)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    """(..., heads, n, hd) -> (..., n, heads * hd)."""
-    *lead, heads, n, hd = x.shape
-    return reshape(swapaxes(x, -3, -2), (*lead, n, heads * hd))
-
-
 def multi_head_attention(
     query,
     key,
@@ -94,15 +71,12 @@ def multi_head_attention(
         raise ValueError("query, key and value must share the feature dim")
     if key.shape[-2] != value.shape[-2]:
         raise ValueError("key and value must agree on sequence length")
-    hd = cfg.head_dim(d)
-    qh = _split_heads(query, cfg.heads)
-    kh = _split_heads(key, cfg.heads)
-    vh = _split_heads(value, cfg.heads)
-    scores = matmul(qh, swapaxes(kh, -1, -2)) * (1.0 / np.sqrt(hd))
+    cfg.head_dim(d)
     if counter is not None:
-        counter.add(scores.size)
-    attended = matmul(softmax(scores), vh)
-    return out_proj.apply(_merge_heads(attended))
+        # one score per head and query-key pair over the broadcast batch
+        lead = np.broadcast_shapes(query.shape[:-2], key.shape[:-2])
+        counter.add(cfg.heads * int(np.prod(lead)) * query.shape[-2] * key.shape[-2])
+    return out_proj.apply(attention(query, key, value, cfg.heads))
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, add, gelu, matmul, mul, parameter, power, sub, tmean
+from .autodiff import Tensor, affine, gelu, layer_norm, matmul, parameter
 
 
 def rng_from(seed: int, stream: int) -> np.random.Generator:
@@ -50,7 +50,7 @@ class Affine:
         )
 
     def apply(self, x) -> Tensor:
-        return add(matmul(x, self.w), self.b)
+        return affine(x, self.w, self.b)
 
     def parameters(self) -> list[Tensor]:
         return [self.w, self.b]
@@ -104,11 +104,7 @@ class LayerNorm:
     def apply(self, x) -> Tensor:
         if not self.active:
             return x
-        mu = tmean(x, axis=-1, keepdims=True)
-        centered = sub(x, mu)
-        var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-        inv = power(add(var, self.eps), -0.5)
-        return add(mul(mul(centered, inv), self.gain), self.bias)
+        return layer_norm(x, self.gain, self.bias, self.eps)
 
     def parameters(self) -> list[Tensor]:
         return [self.gain, self.bias]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul
+from .autodiff import Tensor, add, affine
 
 REVIN_EPS = 1e-5
 
@@ -102,4 +102,4 @@ def project_patches(patches: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor
         raise ValueError(
             f"patch length {patches.shape[-1]} does not match projection fan-in {weight.shape[0]}"
         )
-    return add(matmul(patches, weight), bias)
+    return affine(patches, weight, bias)

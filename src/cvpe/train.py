@@ -21,10 +21,14 @@ _SHUFFLE_STREAM = 100
 
 
 class TrainingDiverged(ArithmeticError):
-    """Raised when a training loss stops being finite."""
+    """Raised when a training loss, or with ``batch`` -1 the epoch's
+    validation loss, stops being finite."""
 
     def __init__(self, epoch: int, batch: int):
-        super().__init__(f"non-finite training loss at epoch {epoch}, batch {batch}")
+        where = f"training loss at epoch {epoch}, batch {batch}"
+        if batch == -1:
+            where = f"validation loss at epoch {epoch}"
+        super().__init__(f"non-finite {where}")
         self.epoch = epoch
         self.batch = batch
 

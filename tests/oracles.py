@@ -116,8 +116,14 @@ def mae_oracle(pred, target):
 
 
 def gelu_oracle(v):
+    """Tanh-form GELU 0.5 v (1 + tanh(u)) written as v * sigmoid(2u), with the
+    sigmoid split on the sign of u so neither branch cancels."""
     c = math.sqrt(2.0 / math.pi)
-    return 0.5 * v * (1.0 + math.tanh(c * (v + 0.044715 * v**3)))
+    u = c * (v + 0.044715 * (v * v * v))
+    if u >= 0.0:
+        return v / (1.0 + math.exp(-2.0 * u))
+    e = math.exp(2.0 * u)
+    return v * e / (1.0 + e)
 
 
 def layer_norm_oracle(row, gain, bias, eps):

@@ -8,11 +8,12 @@ from cvpe.autodiff import (
     NumericError,
     _unbroadcast,
     add,
+    affine,
     as_tensor,
+    attention,
     check_finite,
-    div,
-    exp,
     gelu,
+    layer_norm,
     matmul,
     mul,
     no_grad,
@@ -22,12 +23,10 @@ from cvpe.autodiff import (
     softmax,
     sub,
     swapaxes,
-    tanh,
     tmean,
-    transpose,
     tsum,
 )
-from oracles import gelu_oracle
+from oracles import gelu_oracle, layer_norm_oracle, mha_oracle
 
 
 def fd_grad(fn, x, step=1e-6):
@@ -61,10 +60,7 @@ CASES = [
     ("add", lambda t: tsum(add(t, 2.0) * 3.0)),
     ("sub", lambda t: tsum(sub(2.0, t) * sub(t, 0.5))),
     ("mul", lambda t: tsum(mul(t, t))),
-    ("div", lambda t: tsum(div(1.0, add(t * t, 1.0)))),
     ("power", lambda t: tsum(power(add(t * t, 1.0), 1.5))),
-    ("exp", lambda t: tsum(exp(t * 0.3))),
-    ("tanh", lambda t: tsum(tanh(t))),
     ("gelu", lambda t: tsum(gelu(t))),
     ("softmax", lambda t: tsum(mul(softmax(t), as_tensor(WEIGHT)))),
     ("mean", lambda t: tmean(mul(t, t))),
@@ -85,17 +81,19 @@ def test_op_gradients_match_finite_differences(name, build):
 
 
 def test_gelu_matches_the_scalar_oracle():
-    x = np.array([0.0, 1e-3, -1e-3, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0, 10.0, -10.0, 30.0, -30.0])
+    # the sweep covers the negative tail, where the result falls through the
+    # subnormal range (x near -21.2 to -21.5) and relative precision ends:
+    # the absolute tolerance is the smallest normal float
+    x = np.linspace(-30.0, 30.0, 2001)
     got = np.asarray(gelu(as_tensor(x.reshape(1, -1)))).reshape(-1)
     want = np.array([gelu_oracle(float(v)) for v in x])
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=np.finfo(float).tiny)
+    assert gelu_oracle(-7.2) < 0.0 and got[np.argmin(np.abs(x + 7.2))] < 0.0
 
 
 def test_forward_values_match_numpy():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, 4))
-    np.testing.assert_allclose(np.asarray(exp(as_tensor(x))), np.exp(x), rtol=1e-15)
-    np.testing.assert_allclose(np.asarray(tanh(as_tensor(x))), np.tanh(x), rtol=1e-15)
     s = np.asarray(softmax(as_tensor(x)))
     np.testing.assert_allclose(s.sum(axis=-1), np.ones(3), rtol=1e-13)
     np.testing.assert_allclose(
@@ -204,7 +202,7 @@ def test_broadcast_add_unbroadcasts_gradient():
 def test_shape_ops_round_trip_gradients():
     x0 = np.random.default_rng(9).normal(size=(2, 3, 4))
     x = parameter(x0.copy(), "x")
-    y = transpose(swapaxes(reshape(x, (6, 4)), 0, 1), (1, 0))
+    y = swapaxes(reshape(x, (6, 4)), 0, 1)
     loss = tsum(mul(y, y))
     loss.backward()
     np.testing.assert_allclose(x.grad, 2 * x0, rtol=1e-12)
@@ -286,3 +284,105 @@ def test_mean_with_axis_and_keepdims():
     loss.backward()
     want = fd_grad(lambda v: ((v.mean(axis=-1, keepdims=True)) ** 2).sum(), x0)
     np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-9)
+
+
+# -- fused nodes ----------------------------------------------------------------
+
+
+def _fd_check(build, inputs, rtol=1e-6, atol=1e-8):
+    """Gradients of ``sum(build(*tensors) * coeff)`` for every input against
+    central differences of the same op evaluated without the tape."""
+    leaves = {name: parameter(v.copy(), name) for name, v in inputs.items()}
+    out = build(**leaves)
+    coeff = np.random.default_rng(99).normal(size=out.shape)
+    tsum(mul(out, coeff)).backward()
+    for name, v in inputs.items():
+        def scalar(arr, name=name):
+            args = {n: as_tensor(arr if n == name else x) for n, x in inputs.items()}
+            return float((np.asarray(build(**args)) * coeff).sum())
+
+        want = fd_grad(scalar, v)
+        np.testing.assert_allclose(leaves[name].grad, want, rtol=rtol, atol=atol, err_msg=name)
+
+
+def test_affine_is_one_node_equal_to_matmul_plus_bias():
+    rng = np.random.default_rng(20)
+    x0, w0, b0 = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    x, w, b = parameter(x0, "x"), parameter(w0, "w"), parameter(b0, "b")
+    out = affine(x, w, b)
+    np.testing.assert_array_equal(out.data, x0 @ w0 + b0)
+    assert out._parents == (x, w, b)
+    _fd_check(lambda x, w, b: affine(x, w, b), {"x": x0, "w": w0, "b": b0})
+
+
+def test_affine_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        affine(np.ones((2, 3)), np.ones((4, 5)), np.ones(5))
+    with pytest.raises(ValueError):
+        affine(np.ones((2, 4)), np.ones((4, 5)), np.ones(4))
+
+
+def test_layer_norm_matches_the_row_oracle():
+    rng = np.random.default_rng(21)
+    x0 = rng.normal(2.0, 3.0, size=(3, 4, 6))
+    gain, bias = rng.normal(size=6), rng.normal(size=6)
+    got = np.asarray(layer_norm(as_tensor(x0), as_tensor(gain), as_tensor(bias), 1e-5))
+    for idx in np.ndindex(x0.shape[:-1]):
+        want = layer_norm_oracle(x0[idx], gain, bias, 1e-5)
+        np.testing.assert_allclose(got[idx], want, rtol=1e-12, atol=1e-13)
+
+
+def test_layer_norm_gradients_match_finite_differences():
+    rng = np.random.default_rng(22)
+    inputs = {
+        "x": rng.normal(0.5, 2.0, size=(2, 3, 5)),
+        "gain": rng.normal(size=5),
+        "bias": rng.normal(size=5),
+    }
+    _fd_check(lambda x, gain, bias: layer_norm(x, gain, bias, 1e-5), inputs)
+
+
+def _attention_cases():
+    rng = np.random.default_rng(23)
+    return {
+        # the backbone's self-attention: every operand batched alike
+        "same-lead": (rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 5, 4)), 2),
+        "one-head": (rng.normal(size=(3, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), 1),
+        # router table (P, c, d) against (B, P, N, d) keys and values
+        "router-table": (rng.normal(size=(3, 2, 4)), rng.normal(size=(2, 3, 5, 4)), None, 2),
+        # (B, N, P, d) queries against a (prototypes, d) bank
+        "prototype-keys": (rng.normal(size=(2, 2, 3, 6)), rng.normal(size=(4, 6)), rng.normal(size=(4, 6)), 3),
+    }
+
+
+@pytest.mark.parametrize("case", list(_attention_cases()))
+def test_attention_matches_the_multi_head_oracle(case):
+    q, k, v, heads = _attention_cases()[case]
+    v = k if v is None else v
+    got = np.asarray(attention(q, k, v, heads))
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    assert got.shape == (*lead, q.shape[-2], q.shape[-1])
+    d = q.shape[-1]
+    for idx in np.ndindex(lead):
+        def at(a):
+            return np.broadcast_to(a, (*lead, *a.shape[-2:]))[idx]
+
+        want = mha_oracle(at(q), at(k), at(v), heads, np.eye(d), np.zeros(d))
+        np.testing.assert_allclose(got[idx], want, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("case", list(_attention_cases()))
+def test_attention_gradients_match_finite_differences(case):
+    q, k, v, heads = _attention_cases()[case]
+    if v is None:
+        # keys and values are one tensor, as in the router collect hop
+        _fd_check(lambda q, kv: attention(q, kv, kv, heads), {"q": q, "kv": k})
+    else:
+        _fd_check(lambda q, k, v: attention(q, k, v, heads), {"q": q, "k": k, "v": v})
+
+
+def test_attention_rejects_unsplittable_features():
+    with pytest.raises(ValueError):
+        attention(np.ones((2, 6)), np.ones((3, 6)), np.ones((3, 6)), 4)
+    with pytest.raises(ValueError):
+        attention(np.ones((2, 6)), np.ones((3, 6)), np.ones((4, 6)), 2)

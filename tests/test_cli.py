@@ -1,10 +1,12 @@
 """Command line entry points, exit codes, and output files."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cvpe import evaluation
 from cvpe.cli import OUTPUT_DIR_ENV, main
 
 
@@ -254,3 +256,30 @@ class TestExperiment:
         assert "cell failed" in captured.err
         # the report still lands on disk for post-mortems
         assert (outdir / "report.json").exists()
+
+    def test_validation_divergence_exits_two(self, config_file, tmp_path, capsys, monkeypatch):
+        real = evaluation.prepare_segments
+
+        def blown(config):
+            # the last step is only a target; its squared error overflows
+            train_s, val_s, test_s = real(config)
+            values = val_s.values.copy()
+            values[:, -1] = 1e200
+            return train_s, replace(val_s, values=values), test_s
+
+        monkeypatch.setattr(evaluation, "prepare_segments", blown)
+        with np.errstate(over="ignore"):
+            code = main(["experiment", "--config", config_file(), "--out", str(tmp_path / "val")])
+        assert code == 2
+        assert "non-finite validation loss at epoch 0" in capsys.readouterr().err
+
+    def test_parallel_grid_writes_the_same_bytes_as_serial(self, config_file, tmp_path, capsys):
+        cfg = config_file(seeds=[0, 1])
+        dirs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+        for jobs, outdir in dirs.items():
+            assert main(["experiment", "--config", cfg, "--out", str(outdir), "--jobs", str(jobs)]) == 0
+        names = sorted(p.name for p in dirs[1].iterdir())
+        assert names == sorted(p.name for p in dirs[2].iterdir())
+        assert len(names) == 7  # config, two reports, four loss curves
+        for name in names:
+            assert (dirs[1] / name).read_bytes() == (dirs[2] / name).read_bytes(), name

@@ -119,6 +119,25 @@ class TestMultiHeadAttention:
         counter.reset()
         assert counter.count == 0
 
+    @pytest.mark.parametrize(
+        "q_shape,kv_shape",
+        [((3, 2, 4), (2, 3, 5, 4)), ((2, 5, 3, 4), (6, 4)), ((2, 3, 4), (2, 5, 4))],
+        ids=["router-table", "prototype-keys", "same-lead"],
+    )
+    def test_counter_equals_the_size_of_the_score_array(self, q_shape, kv_shape):
+        # the count the unfused path took from its materialised scores
+        rng = np.random.default_rng(7)
+        heads, d = 2, q_shape[-1]
+        q, kv = rng.normal(size=q_shape), rng.normal(size=kv_shape)
+
+        def split(a):
+            return np.swapaxes(a.reshape(*a.shape[:-1], heads, d // heads), -3, -2)
+
+        scores = split(q) @ np.swapaxes(split(kv), -1, -2)
+        counter = ScoreCounter()
+        multi_head_attention(q, kv, kv, AttentionConfig(heads), Affine.identity(d, "o"), counter)
+        assert counter.count == scores.size
+
     def test_shape_errors(self):
         rng = np.random.default_rng(7)
         out = Affine.identity(4, "o")

@@ -1,6 +1,7 @@
 """Metrics, the A/B experiment grid, and report emission."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,6 +231,20 @@ class TestExperiment:
         assert cell.mse is None
         assert cell.error.startswith("NumericError: non-finite value in stage 'backward'")
         assert "non-finite gradient for" in cell.error
+
+    def test_validation_divergence_fails_the_cell(self):
+        config = tiny_config()
+        train_s, val_s, test_s = prepare_segments(config)
+        # the last step is only ever a target: a finite value whose squared
+        # error overflows makes the validation MSE, and nothing else, inf
+        values = val_s.values.copy()
+        values[:, -1] = 1e200
+        blown = replace(val_s, values=values)
+        with np.errstate(over="ignore"):
+            cell = run_cell((train_s, blown, test_s), config, "cvpe", 3, 0)
+        assert cell.status == "failed"
+        assert cell.mse is None and cell.history == []
+        assert cell.error == "TrainingDiverged: non-finite validation loss at epoch 0"
 
     def test_dataset_label_format(self):
         label = dataset_label(tiny_config())

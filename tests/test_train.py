@@ -271,6 +271,18 @@ class TestTrainLoop:
         with pytest.raises((TrainingDiverged, NumericError)):
             train_loop(params, tw, tt, vw, vt, TrainConfig(epochs=1, batch_size=16, seed=7))
 
+    def test_non_finite_validation_loss_raises_at_batch_minus_one(self):
+        (tw, tt), (vw, vt) = tiny_dataset()
+        params = tiny_model("vanilla", seed=7)
+        # a finite target whose squared error overflows: the forecasts and the
+        # training loss stay finite, the validation MSE does not
+        vt = vt.copy()
+        vt[-1, :, -1] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as err:
+            train_loop(params, tw, tt, vw, vt, TrainConfig(epochs=2, batch_size=16, seed=7))
+        assert (err.value.epoch, err.value.batch) == (0, -1)
+        assert str(err.value) == "non-finite validation loss at epoch 0"
+
     def test_empty_window_sets_are_rejected(self):
         (tw, tt), (vw, vt) = tiny_dataset()
         params = tiny_model("vanilla")
