@@ -23,6 +23,22 @@ instead of one per elementary step:
   softmax, the weighted sum of values and the head merge; the backward reuses
   the saved probabilities.
 
+Attention stores its scores in a ``(n_k, ..., heads, n_q)`` buffer, key axis
+first, because the model's key axes are short (4 routers, 5 patches, 8 to 32
+variates, 16 prototypes): a numpy max, sum or dot over a last axis that
+short runs a slow inner loop per row, while the same reduction over an outer
+axis is a few passes of elementwise work over contiguous rows (numpy 2.4 on
+a 2-vCPU x86-64 machine: the max of a (64, 32, 4, 5, 5) score array over its
+last axis took 3.3 ms, over an outer axis 0.08 ms). The batched matmul
+writes the scores through ``out=`` into a transposed view of that buffer, so
+the softmax and its backward reduce over axis 0, and every product is
+written into a head-split view of a fresh ``(..., n, d)`` array, which
+merges the heads without a copy. When keys and values are 2-D, as the shared
+prototype bank of the reprogramming layer, the query rows are flattened
+first: the batched products become one GEMM per head over all R rows, and
+the key and value gradients are GEMMs over those rows, with no per-row
+gradient to reduce.
+
 ``gelu`` is computed in the logistic form ``x / (1 + exp(-2u))`` with
 ``u = sqrt(2/pi) * (x + 0.044715 x^3)``, equal to the tanh form
 ``0.5 x (1 + tanh(u))`` but without its cancellation on the negative tail.
@@ -353,7 +369,10 @@ def gelu(a) -> Tensor:
     with np.errstate(over="ignore"):
         np.exp(den, out=den)
     den += 1.0
-    out_data = x / den
+    # without a tape no backward reads den, so the quotient overwrites it:
+    # one activation-sized buffer fewer at the widest layer of an inference
+    taped = _GRAD_ENABLED.get() and a.requires_grad
+    out_data = np.divide(x, den, out=None if taped else den)
 
     def backward(g):
         if a.requires_grad:
@@ -509,15 +528,13 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """(..., n, d) -> (..., heads, n, d // heads) view, contiguous feature slices."""
+    """(..., n, d) -> (..., heads, n, d // heads) view, contiguous feature slices.
+
+    On a fresh contiguous buffer the view is writable, so a product written
+    into it with ``out=`` lands with its heads already merged.
+    """
     *lead, n, d = a.shape
     return np.swapaxes(a.reshape(*lead, n, heads, d // heads), -3, -2)
-
-
-def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """(..., heads, n, hd) -> (..., n, heads * hd)."""
-    *lead, heads, n, hd = a.shape
-    return np.swapaxes(a, -3, -2).reshape(*lead, n, heads * hd)
 
 
 def attention(q, k, v, heads: int) -> Tensor:
@@ -526,6 +543,8 @@ def attention(q, k, v, heads: int) -> Tensor:
     ``q`` is (..., n_q, d), ``k`` and ``v`` are (..., n_k, d); heads are
     contiguous slices of the feature axis and leading axes broadcast.  The
     output is (..., n_q, d) with the heads merged back; no projections.
+    Scores are stored with the key axis first, and 2-D keys and values see
+    every query row at once (see the module docstring).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if min(q.ndim, k.ndim, v.ndim) < 2:
@@ -533,35 +552,56 @@ def attention(q, k, v, heads: int) -> Tensor:
     d = q.shape[-1]
     if k.shape[-1] != d or v.shape[-1] != d or k.shape[-2] != v.shape[-2] or d % heads:
         raise ValueError(f"attention cannot split {q.shape}, {k.shape}, {v.shape} into {heads} heads")
+    if k.ndim == 2 and v.ndim == 2:
+        # keys and values shared by every query row: the rows are flattened,
+        # so each head's products are one GEMM
+        qd, lead, out_shape = q.data.reshape(-1, d), (), q.shape
+    else:
+        qd, lead = q.data, np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+        out_shape = (*lead, *q.shape[-2:])
+    n_q, n_k = qd.shape[-2], k.shape[-2]
     scale = 1.0 / np.sqrt(d // heads)
-    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
-    probs = qh @ np.swapaxes(kh, -1, -2)
+    qh, kh, vh = (_split_heads(a, heads) for a in (qd, k.data, v.data))
+    # the (n_k, *lead, heads, n_q) score buffer: the softmax reduces over its
+    # outer axis, and the products read and write it through this view
+    probs = np.empty((n_k, *lead, heads, n_q))
+    rows = np.moveaxis(probs, 0, -1)
+    np.matmul(qh, np.swapaxes(kh, -1, -2), out=rows)
     probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= probs.max(axis=0)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    out_data = _merge_heads(probs @ vh)
+    probs /= probs.sum(axis=0)
+    out_data = np.empty((*lead, n_q, d))
+    np.matmul(rows, vh, out=_split_heads(out_data, heads))
 
     def backward(g):
-        gh = _split_heads(g, heads)
+        gh = _split_heads(g.reshape(*lead, n_q, d), heads)
         if v.requires_grad:
-            gv = _merge_heads(np.swapaxes(probs, -1, -2) @ gh)
-            _accumulate(v, _unbroadcast(gv, v.data.shape))
+            gv = np.empty((*lead, n_k, d))
+            np.matmul(np.swapaxes(rows, -1, -2), gh, out=_split_heads(gv, heads))
+            _accumulate(v, _unbroadcast(gv, v.shape))
         if not (q.requires_grad or k.requires_grad):
             return
-        # softmax backward on the probabilities, then the score scale
-        gs = gh @ np.swapaxes(vh, -1, -2)
-        dot = np.einsum("...i,...i->...", gs, probs)[..., None]
-        gs -= dot
+        # softmax backward in place: gs <- p * (gs - sum_j gs * p)
+        gs = np.empty_like(probs)
+        gs_rows = np.moveaxis(gs, 0, -1)
+        np.matmul(gh, np.swapaxes(vh, -1, -2), out=gs_rows)
+        gs -= np.einsum("j...,j...->...", gs, probs)
         gs *= probs
-        gs *= scale
         if q.requires_grad:
-            _accumulate(q, _unbroadcast(_merge_heads(gs @ kh), q.data.shape))
+            gq = np.empty((*lead, n_q, d))
+            np.matmul(gs_rows, kh, out=_split_heads(gq, heads))
+            gq = _unbroadcast(gq.reshape(out_shape), q.shape)
+            gq *= scale
+            _accumulate(q, gq)
         if k.requires_grad:
-            gk = _merge_heads(np.swapaxes(gs, -1, -2) @ qh)
-            _accumulate(k, _unbroadcast(gk, k.data.shape))
+            gk = np.empty((*lead, n_k, d))
+            np.matmul(np.swapaxes(gs_rows, -1, -2), qh, out=_split_heads(gk, heads))
+            gk = _unbroadcast(gk, k.shape)
+            gk *= scale
+            _accumulate(k, gk)
 
-    return _make(out_data, (q, k, v), backward)
+    return _make(out_data.reshape(out_shape), (q, k, v), backward)
 
 
 def check_finite(t: Tensor | np.ndarray, stage: str) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +35,9 @@ from .evaluation import (
     prepare_segments,
     run_experiment,
     write_experiment,
+    write_loss_curve,
 )
-from .model import ModelParams, load_checkpoint, save_checkpoint
+from .model import build_model, load_checkpoint, save_checkpoint
 from .train import TrainConfig, TrainingDiverged, grad_check, make_windows, train_loop
 
 OUTPUT_DIR_ENV = "CVPE_OUTPUT_DIR"
@@ -99,18 +101,7 @@ def cmd_train(args) -> int:
     train_s, val_s, _ = segments
     tw, tt = make_windows(train_s.values, config.context, horizon)
     vw, vt = make_windows(val_s.values, config.context, horizon)
-    params = ModelParams.build(
-        variant=variant,
-        context=config.context,
-        horizon=horizon,
-        patch_cfg=config.patch,
-        model_dim=config.model_dim,
-        heads=config.heads,
-        n_prototypes=config.n_prototypes,
-        n_routers=config.n_routers,
-        backbone_cfg=config.backbone,
-        seed=seed,
-    )
+    params = build_model(config, variant, horizon, seed)
     outdir = _outdir(config, args.out)
     ckpt = outdir / f"model_{variant}_h{horizon}_seed{seed}.npz"
     if ckpt.exists() and not args.overwrite:
@@ -130,11 +121,7 @@ def cmd_train(args) -> int:
         ),
     )
     save_checkpoint(ckpt, params)
-    curve = outdir / f"loss_{variant}_h{horizon}_seed{seed}.csv"
-    lines = ["epoch,train_mse,val_mse"]
-    for rec in result.history:
-        lines.append(f"{rec.epoch},{rec.train_mse!r},{rec.val_mse!r}")
-    curve.write_text("\n".join(lines) + "\n")
+    write_loss_curve(outdir, variant, horizon, seed, [asdict(rec) for rec in result.history])
     print(f"trained {variant} (horizon {horizon}, seed {seed})")
     print(f"epochs run: {len(result.history)}  best epoch: {result.best_epoch}")
     print(f"best val mse: {result.best_val_mse:.6f}")
@@ -168,18 +155,7 @@ def cmd_gradcheck(args) -> int:
     train_s, _, _ = prepare_segments(config)
     tw, tt = make_windows(train_s.values, config.context, horizon)
     take = min(args.batch, tw.shape[0])
-    params = ModelParams.build(
-        variant=variant,
-        context=config.context,
-        horizon=horizon,
-        patch_cfg=config.patch,
-        model_dim=config.model_dim,
-        heads=config.heads,
-        n_prototypes=config.n_prototypes,
-        n_routers=config.n_routers,
-        backbone_cfg=config.backbone,
-        seed=seed,
-    )
+    params = build_model(config, variant, horizon, seed)
     report = grad_check(
         params,
         tw[:take],

@@ -26,7 +26,7 @@ from .data import (
     load_csv,
     select_top_k,
 )
-from .model import ModelParams, forecast_batch
+from .model import ModelParams, build_model, forecast_batch
 from .train import TrainConfig, TrainingDiverged, make_windows, train_loop
 
 EVAL_BATCH = 64
@@ -242,18 +242,7 @@ def run_cell(
         tw, tt = make_windows(train_s.values, config.context, horizon)
         vw, vt = make_windows(val_s.values, config.context, horizon)
         sw, st = make_windows(test_s.values, config.context, horizon)
-        params = ModelParams.build(
-            variant=variant,
-            context=config.context,
-            horizon=horizon,
-            patch_cfg=config.patch,
-            model_dim=config.model_dim,
-            heads=config.heads,
-            n_prototypes=config.n_prototypes,
-            n_routers=config.n_routers,
-            backbone_cfg=config.backbone,
-            seed=seed,
-        )
+        params = build_model(config, variant, horizon, seed)
         result = train_loop(
             params,
             tw,
@@ -393,10 +382,18 @@ def write_experiment(report: ExperimentReport, outdir: str | Path, overwrite: bo
     (outdir / "report.json").write_text(report.to_json())
     (outdir / "report.txt").write_text(report.to_text())
     for row in report.rows:
-        if not row.history:
-            continue
-        lines = ["epoch,train_mse,val_mse"]
-        for rec in row.history:
-            lines.append(f"{rec['epoch']},{rec['train_mse']!r},{rec['val_mse']!r}")
-        name = f"loss_{row.variant}_h{row.horizon}_seed{row.seed}.csv"
-        (outdir / name).write_text("\n".join(lines) + "\n")
+        if row.history:
+            write_loss_curve(outdir, row.variant, row.horizon, row.seed, row.history)
+
+
+def write_loss_curve(outdir: Path, variant: str, horizon: int, seed: int, history: list[dict]) -> None:
+    """Write one cell's per-epoch losses as ``loss_<variant>_h<H>_seed<S>.csv``.
+
+    ``history`` holds ``EpochRecord`` fields as dicts; floats are written in
+    ``repr`` form, so the file round-trips them exactly.
+    """
+    lines = ["epoch,train_mse,val_mse"]
+    for rec in history:
+        lines.append(f"{rec['epoch']},{rec['train_mse']!r},{rec['val_mse']!r}")
+    name = f"loss_{variant}_h{horizon}_seed{seed}.csv"
+    (Path(outdir) / name).write_text("\n".join(lines) + "\n")

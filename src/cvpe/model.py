@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .preprocess import (
     project_patches,
     revin_normalize,
 )
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 VARIANTS = ("vanilla", "cvpe")
 
@@ -321,6 +325,22 @@ class ModelParams:
                 hidden=struct["backbone_hidden"],
             ),
         )
+
+
+def build_model(config: RunConfig, variant: str, horizon: int, seed: int) -> ModelParams:
+    """The model a run config describes, for one variant, horizon and seed."""
+    return ModelParams.build(
+        variant=variant,
+        context=config.context,
+        horizon=horizon,
+        patch_cfg=config.patch,
+        model_dim=config.model_dim,
+        heads=config.heads,
+        n_prototypes=config.n_prototypes,
+        n_routers=config.n_routers,
+        backbone_cfg=config.backbone,
+        seed=seed,
+    )
 
 
 def forecast_batch(

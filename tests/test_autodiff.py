@@ -80,6 +80,14 @@ def test_op_gradients_match_finite_differences(name, build):
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
 
+def test_gelu_without_a_tape_returns_the_same_bits():
+    x = parameter(np.linspace(-30.0, 30.0, 2001), "x")
+    taped = gelu(x).data
+    with no_grad():
+        untaped = gelu(x).data
+    np.testing.assert_array_equal(untaped, taped)
+
+
 def test_gelu_matches_the_scalar_oracle():
     # the sweep covers the negative tail, where the result falls through the
     # subnormal range (x near -21.2 to -21.5) and relative precision ends:
@@ -355,20 +363,25 @@ def _attention_cases():
     }
 
 
+def _attention_oracle(q, k, v, heads):
+    """``mha_oracle`` (identity output map) at every broadcast leading index."""
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    d = q.shape[-1]
+    out = np.empty((*lead, q.shape[-2], d))
+    for idx in np.ndindex(lead):
+        def at(a):
+            return np.broadcast_to(a, (*lead, *a.shape[-2:]))[idx]
+
+        out[idx] = mha_oracle(at(q), at(k), at(v), heads, np.eye(d), np.zeros(d))
+    return out
+
+
 @pytest.mark.parametrize("case", list(_attention_cases()))
 def test_attention_matches_the_multi_head_oracle(case):
     q, k, v, heads = _attention_cases()[case]
     v = k if v is None else v
     got = np.asarray(attention(q, k, v, heads))
-    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-    assert got.shape == (*lead, q.shape[-2], q.shape[-1])
-    d = q.shape[-1]
-    for idx in np.ndindex(lead):
-        def at(a):
-            return np.broadcast_to(a, (*lead, *a.shape[-2:]))[idx]
-
-        want = mha_oracle(at(q), at(k), at(v), heads, np.eye(d), np.zeros(d))
-        np.testing.assert_allclose(got[idx], want, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(got, _attention_oracle(q, k, v, heads), rtol=1e-12, atol=1e-13)
 
 
 @pytest.mark.parametrize("case", list(_attention_cases()))
@@ -386,3 +399,89 @@ def test_attention_rejects_unsplittable_features():
         attention(np.ones((2, 6)), np.ones((3, 6)), np.ones((3, 6)), 4)
     with pytest.raises(ValueError):
         attention(np.ones((2, 6)), np.ones((3, 6)), np.ones((4, 6)), 2)
+
+
+@pytest.mark.parametrize("hop", ["collect", "dispatch"])
+def test_attention_on_swapped_axes_views_as_the_router_hops_pass_them(hop):
+    # router_attention hands both hops the (B, P, N, d) swapaxes view of the
+    # (B, N, P, d) embeddings: keys and values when the (P, c, d) router
+    # table collects, queries when the variates read the (B, P, c, d)
+    # collected routers back
+    rng = np.random.default_rng(24)
+    x0 = rng.normal(size=(2, 5, 3, 4))
+    other0 = rng.normal(size=(3, 2, 4) if hop == "collect" else (2, 3, 2, 4))
+
+    def build(x, other):
+        by_pos = swapaxes(x, -3, -2)
+        assert not by_pos.data.flags.c_contiguous
+        if hop == "collect":
+            return attention(other, by_pos, by_pos, 2)
+        return attention(by_pos, other, other, 2)
+
+    by_pos0 = np.swapaxes(x0, -3, -2)
+    if hop == "collect":
+        want = _attention_oracle(other0, by_pos0, by_pos0, 2)
+    else:
+        want = _attention_oracle(by_pos0, other0, other0, 2)
+    got = build(as_tensor(x0), as_tensor(other0)).data
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+    _fd_check(build, {"x": x0, "other": other0})
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["batched-keys", "shared-keys"])
+def test_attention_shifts_scores_near_800_before_the_exponential(shared):
+    # |q.k| / sqrt(hd) near 800 with O(1) differences between keys: exp of
+    # the raw scores overflows (above 709.8) or underflows to 0 in every row
+    rng = np.random.default_rng(25)
+    heads, d = 2, 4
+    sign = np.array([[1.0], [-1.0], [1.0]])  # per query row
+    q = sign * 24.0 + rng.normal(0.0, 0.02, size=(2, 3, d))
+    k = 24.0 + rng.normal(0.0, 0.02, size=(5, d) if shared else (2, 5, d))
+    v = rng.normal(size=k.shape)
+    hd = d // heads
+    raw = np.einsum("...qf,...kf->...qk", q[..., :hd], k[..., :hd]) / np.sqrt(hd)
+    assert raw.max() > 780 and raw.min() < -780
+    got = attention(q, k, v, heads).data
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, _attention_oracle(q, k, v, heads), rtol=1e-9, atol=1e-12)
+    _fd_check(lambda q, k, v: attention(q, k, v, heads), {"q": q, "k": k, "v": v}, rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "k_shape,v_shape", [((5, 4), (2, 5, 4)), ((1, 5, 4), (1, 5, 4))], ids=["2d-key-3d-value", "unit-lead-key"]
+)
+def test_attention_with_keys_or_values_of_three_axes_matches_the_oracle(k_shape, v_shape):
+    # only 2-D keys with 2-D values have their query rows flattened
+    rng = np.random.default_rng(26)
+    inputs = {"q": rng.normal(size=(2, 3, 4)), "k": rng.normal(size=k_shape), "v": rng.normal(size=v_shape)}
+    got = attention(inputs["q"], inputs["k"], inputs["v"], 2).data
+    np.testing.assert_allclose(got, _attention_oracle(*inputs.values(), 2), rtol=1e-12, atol=1e-13)
+    _fd_check(lambda q, k, v: attention(q, k, v, 2), inputs)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (5, 4)], ids=["batched", "shared"])
+def test_attention_of_one_tensor_with_itself_sums_its_three_gradients(shape):
+    # q, k and v are one leaf: the node stores its first gradient and adds
+    # the other two into it
+    x0 = np.random.default_rng(27).normal(size=shape)
+    _fd_check(lambda x: attention(x, x, x, 2), {"x": x0})
+
+
+@pytest.mark.parametrize("case", list(_attention_cases()))
+def test_attention_leaves_inputs_output_and_upstream_gradient_unmodified(case):
+    q0, k0, v0, heads = _attention_cases()[case]
+    v0 = k0 if v0 is None else v0
+    q, k, v = parameter(q0, "q"), parameter(k0, "k"), parameter(v0, "v")
+    out = attention(q, k, v, heads)
+    out0 = out.data.copy()
+    g = np.random.default_rng(28).normal(size=out.shape)
+    g0 = g.copy()
+    out._backward(g)
+    first = [t.grad.copy() for t in (q, k, v)]
+    # a second walk over the same node sees the same saved probabilities
+    out._backward(g)
+    for t, want in zip((q, k, v), first):
+        np.testing.assert_allclose(t.grad, 2 * want, rtol=1e-14, atol=0)
+    for t, t0 in zip((q, k, v, out), (q0, k0, v0, out0)):
+        np.testing.assert_array_equal(t.data, t0)
+    np.testing.assert_array_equal(g, g0)

@@ -146,6 +146,13 @@ class TestTrainAndEvaluate:
             == 0
         )
 
+    def test_train_writes_the_same_loss_curve_bytes_as_the_experiment(self, config_file, tmp_path, capsys):
+        cfg = config_file()
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "cell")]) == 0
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "grid")]) == 0
+        name = "loss_vanilla_h3_seed0.csv"
+        assert (tmp_path / "cell" / name).read_bytes() == (tmp_path / "grid" / name).read_bytes()
+
     def test_evaluate_scores_a_checkpoint(self, config_file, tmp_path, capsys):
         outdir = tmp_path / "cell"
         assert main(["train", "--config", config_file(), "--out", str(outdir)]) == 0

@@ -1,8 +1,11 @@
 """Full forecaster: reprogramming, backbone, variants, checkpoints."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cvpe.config import load_config
 from cvpe.embedding import AttentionConfig, ScoreCounter
 from cvpe.layers import rng_from
 from cvpe.model import (
@@ -12,6 +15,7 @@ from cvpe.model import (
     PrototypeBank,
     ReprogramParams,
     backbone_forward,
+    build_model,
     forecast,
     forecast_batch,
     load_checkpoint,
@@ -295,3 +299,17 @@ class TestCheckpoints:
         assert [p.name for p in rebuilt.parameters()] == [
             p.name for p in params.parameters()
         ]
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "cvpe"])
+def test_build_model_takes_every_structural_field_from_the_config(variant):
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "gradcheck_tiny.json")
+    got = build_model(config, variant, horizon=3, seed=5)
+    assert (got.variant, got.context, got.horizon, got.patch_cfg) == (variant, config.context, 3, config.patch)
+    assert (got.model_dim, got.attn_cfg.heads) == (config.model_dim, config.heads)
+    assert (got.n_prototypes, got.n_routers, got.backbone_cfg) == (
+        config.n_prototypes, config.n_routers, config.backbone,
+    )
+    same, other = build_model(config, variant, 3, 5), build_model(config, variant, 3, 6)
+    np.testing.assert_array_equal(got.head.w.data, same.head.w.data)
+    assert not np.array_equal(got.head.w.data, other.head.w.data)
