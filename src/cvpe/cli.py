@@ -53,6 +53,15 @@ def _outdir(config: RunConfig, flag: str | None) -> Path:
     return Path(config.output_dir)
 
 
+def _make_outdir(outdir: Path) -> None:
+    """Create the output directory before any training, so a path that cannot
+    be one (under a file, say) fails at once."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot use {outdir} as the output directory: {exc.strerror or exc}") from None
+
+
 def _cell_args(config: RunConfig, args) -> tuple[str, int, int]:
     variant = args.variant or config.variants[0]
     horizon = args.horizon if args.horizon is not None else config.horizons[0]
@@ -103,6 +112,7 @@ def cmd_train(args) -> int:
     vw, vt = make_windows(val_s.values, config.context, horizon)
     params = build_model(config, variant, horizon, seed)
     outdir = _outdir(config, args.out)
+    _make_outdir(outdir)
     ckpt = outdir / f"model_{variant}_h{horizon}_seed{seed}.npz"
     if ckpt.exists() and not args.overwrite:
         raise OutputDirectoryExists(f"{ckpt} already exists; pass --overwrite to replace")
@@ -176,7 +186,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_experiment(args) -> int:
     config = load_config(args.config)
     outdir = _outdir(config, args.out)
-    if outdir.exists() and any(outdir.iterdir()) and not args.overwrite:
+    _make_outdir(outdir)
+    if any(outdir.iterdir()) and not args.overwrite:
         # refuse before burning compute on the grid
         raise OutputDirectoryExists(
             f"output directory {outdir} already has contents; pass --overwrite to replace"

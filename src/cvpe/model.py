@@ -8,6 +8,7 @@ channel's forecast depends on that channel's history alone.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -412,12 +413,27 @@ def save_checkpoint(path: str | Path, params: ModelParams):
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """Rebuild a saved model; a checkpoint that cannot be one raises ``ValueError``."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such checkpoint: {path}")
-    with np.load(path) as bundle:
+    if path.is_dir():
+        raise ValueError(f"checkpoint {path} is a directory, not a saved .npz file")
+    try:
+        bundle = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        # empty, a broken zip, or no numpy format (numpy refuses it as a pickle)
+        bundle = None
+    if not isinstance(bundle, np.lib.npyio.NpzFile):
+        raise ValueError(f"checkpoint {path} is not a saved .npz archive")
+    with bundle:
+        if "__structure__" not in bundle:
+            raise ValueError(f"checkpoint {path} has no __structure__ entry")
         struct = json.loads(bundle["__structure__"].tobytes().decode())
-        params = ModelParams.from_structure(struct)
+        try:
+            params = ModelParams.from_structure(struct)
+        except KeyError as exc:
+            raise ValueError(f"checkpoint {path} structure lacks field {exc.args[0]!r}") from None
         for p in params.parameters():
             if p.name not in bundle:
                 raise ValueError(f"checkpoint missing parameter {p.name!r}")

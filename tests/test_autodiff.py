@@ -4,6 +4,7 @@ central finite differences, and the bookkeeping around both."""
 import numpy as np
 import pytest
 
+from cvpe import autodiff
 from cvpe.autodiff import (
     NumericError,
     _unbroadcast,
@@ -86,6 +87,32 @@ def test_gelu_without_a_tape_returns_the_same_bits():
     with no_grad():
         untaped = gelu(x).data
     np.testing.assert_array_equal(untaped, taped)
+
+
+def _gelu_unblocked(x):
+    den = x * x
+    den *= x
+    den *= 0.044715
+    den += x
+    den *= -2.0 * np.sqrt(2.0 / np.pi)
+    with np.errstate(over="ignore"):
+        np.exp(den, out=den)
+    den += 1.0
+    return x / den
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_gelu_in_blocks_returns_the_unblocked_bits(transposed):
+    # two full blocks and a partial one, with and without a tape; the
+    # transposed input is not contiguous
+    rows = 2 * autodiff._GELU_BLOCK // 16 + 37
+    x = np.random.default_rng(7).normal(scale=4.0, size=(rows, 16))
+    if transposed:
+        x = x.T
+    want = _gelu_unblocked(x)
+    np.testing.assert_array_equal(gelu(parameter(x, "x")).data, want)
+    with no_grad():
+        np.testing.assert_array_equal(gelu(as_tensor(x)).data, want)
 
 
 def test_gelu_matches_the_scalar_oracle():

@@ -1,13 +1,21 @@
 """Command line entry points, exit codes, and output files."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cvpe import evaluation
 from cvpe.cli import OUTPUT_DIR_ENV, main
+from cvpe.config import parse_config
+from cvpe.model import build_model, save_checkpoint
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def base_config(**overrides):
@@ -290,3 +298,89 @@ class TestExperiment:
         assert len(names) == 7  # config, two reports, four loss curves
         for name in names:
             assert (dirs[1] / name).read_bytes() == (dirs[2] / name).read_bytes(), name
+
+
+def _checkpoint(tmp_path, entry=None, field=None):
+    """A saved model's path, without the archive entry ``entry`` or the
+    structure field ``field``."""
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, build_model(parse_config(base_config()), "vanilla", 3, 0))
+    with np.load(path) as bundle:
+        arrays = {k: bundle[k] for k in bundle.files if k != entry}
+    if field:
+        struct = json.loads(arrays["__structure__"].tobytes().decode())
+        del struct[field]
+        arrays["__structure__"] = np.frombuffer(json.dumps(struct).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return str(path)
+
+
+def _csv_config(tmp_path, cell):
+    csv = tmp_path / "data.csv"
+    rows = "".join(f"t{i},{i},1\n" for i in range(50))
+    csv.write_text(f"date,a,OT\n{rows}t50,{cell},1\n")
+    return json.dumps(base_config(dataset={"kind": "csv", "path": str(csv)}))
+
+
+def _not_an_archive(tmp_path, content):
+    path = tmp_path / "model.npz"
+    if content == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+def _under_a_file(tmp_path):
+    (tmp_path / "file").touch()
+    return str(tmp_path / "file" / "sub")
+
+
+# case: (builder of (config text or bytes, subcommand and flags), text stderr
+# must show)
+_GOOD = json.dumps(base_config())
+_INPUT_FAILURES = {
+    "bad_json": (lambda t: ("{not json", ["prepare"]), "not valid JSON"),
+    "binary_config": (lambda t: (b"\xff\xfe\x00{", ["prepare"]), "can't decode"),
+    "nan_csv_cell": (lambda t: (_csv_config(t, "nan"), ["prepare"]), "non-finite value 'nan'"),
+    "text_csv_cell": (lambda t: (_csv_config(t, "oops"), ["prepare"]), "'oops'"),
+    "jobs_zero": (lambda t: (_GOOD, ["experiment", "--jobs", "0"]), "jobs must be positive"),
+    "checkpoint_is_a_directory": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint", str(t)]), "is a directory"),
+    "checkpoint_without_structure": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint", _checkpoint(t, entry="__structure__")]),
+        "no __structure__"),
+    "checkpoint_is_an_npy_array": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint", _not_an_archive(t, "npy")]),
+        "not a saved .npz archive"),
+    "checkpoint_is_text": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint", _not_an_archive(t, "weights")]),
+        "not a saved .npz archive"),
+    "checkpoint_structure_lacks_a_field": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint", _checkpoint(t, field="context")]),
+        "lacks field 'context'"),
+    "experiment_out_under_a_file": (
+        lambda t: (_GOOD, ["experiment", "--out", _under_a_file(t)]), "cannot use"),
+    "train_out_under_a_file": (
+        lambda t: (_GOOD, ["train", "--out", _under_a_file(t)]), "cannot use"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_FAILURES))
+def test_input_problems_exit_one_without_a_traceback(case, tmp_path):
+    # a fresh interpreter, so a traceback would reach stderr as a user sees it
+    build, expected = _INPUT_FAILURES[case]
+    text, argv = build(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "cvpe", argv[0], "--config", str(cfg), *argv[1:]],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert expected in done.stderr, done.stderr

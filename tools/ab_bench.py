@@ -1,6 +1,7 @@
 """Paired A/B runs of the repository benchmark: a parent commit against the working tree.
 
-    python3 tools/ab_bench.py --parent HEAD --pairs 10 --seeds 3 [--workloads infer_wide]
+    python3 tools/ab_bench.py --parent HEAD --pairs 10 --seeds 3 [--workloads infer_wide] \
+        [--json BENCH.json]
 
 The committed files of ``--parent`` are exported (``git archive``) into a
 temporary directory, so the repository's own state is left untouched.  Then,
@@ -12,7 +13,10 @@ finishes.  At the end, for each workload and end-to-end metric, the table
 gives each side's median and quartiles, the share of pairs the change won
 (ties count for neither), and whether a gain may be claimed: at least ten
 pairs ran, the change won at least nine tenths of them, and the medians
-differ by more than the distance between the parent's quartiles.
+differ by more than the distance between the parent's quartiles.  With
+``--json PATH`` the same table, each run's values, the failure counts, the
+command, the parent commit and the benchmark's environment line are also
+written to ``PATH``.
 
 Nothing under ``perfbench/`` or in ``BENCHMARK.json`` is written, except the
 result files the benchmark itself leaves in ``perfbench/out/``.
@@ -34,6 +38,14 @@ CLAIM_WIN_SHARE = 0.9
 CLAIM_MIN_PAIRS = 10
 
 
+def resolve_commit(ref: str) -> str:
+    """The full hash of the commit ``ref`` names."""
+    return subprocess.run(
+        ["git", "rev-parse", "--verify", f"{ref}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
 def export_tree(ref: str, dest: Path) -> None:
     """Write the committed files of ``ref`` into ``dest``."""
     archive = subprocess.run(
@@ -43,7 +55,8 @@ def export_tree(ref: str, dest: Path) -> None:
 
 
 def run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; returns its final JSON line."""
+    """One benchmark run; returns its final JSON line, with its environment
+    line under ``env`` (None if it printed none)."""
     args = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(args, cwd=tree, capture_output=True, text=True,
@@ -51,7 +64,9 @@ def run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: 
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{workload} seed {seed} in {tree} printed nothing: {done.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    env_tag = f"{workload}  env "
+    env = next((json.loads(l[len(env_tag):]) for l in lines if l.startswith(env_tag)), None)
+    return json.loads(lines[-1]) | {"env": env}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -60,18 +75,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarise(name: str, better: str, parent: list[float], change: list[float]) -> str:
+def compare(better: str, parent: list[float], change: list[float]) -> dict:
+    """One metric's pairs: each side's quartiles, the wins and the claim verdict."""
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     share = wins / len(parent)
-    p1, pm, p3 = quartiles(parent)
-    c1, cm, c3 = quartiles(change)
+    sides = {}
+    for side, values in zip(SIDES, (parent, change)):
+        q1, median, q3 = quartiles(values)
+        sides[side] = {"median": median, "q1": q1, "q3": q3, "values": values}
+    pm, cm = sides["parent"]["median"], sides["change"]["median"]
     claim = (len(parent) >= CLAIM_MIN_PAIRS and share >= CLAIM_WIN_SHARE
-             and sign * (cm - pm) > p3 - p1)
-    return (f"  {name:<14} parent {pm:>10.4g} [{p1:.4g}, {p3:.4g}]   "
-            f"change {cm:>10.4g} [{c1:.4g}, {c3:.4g}]   "
-            f"{(cm - pm) / pm:+7.1%}   won {wins}/{len(parent)}   "
-            f"gain claimable: {'yes' if claim else 'no'}")
+             and sign * (cm - pm) > sides["parent"]["q3"] - sides["parent"]["q1"])
+    return sides | {"better": better, "relative_change": (cm - pm) / pm, "won": wins,
+                    "pairs": len(parent), "won_share": share, "gain_claimable": claim}
+
+
+def summarise(name: str, row: dict) -> str:
+    """``compare``'s result as one line of the printed table."""
+    p, c = row["parent"], row["change"]
+    return (f"  {name:<14} parent {p['median']:>10.4g} [{p['q1']:.4g}, {p['q3']:.4g}]   "
+            f"change {c['median']:>10.4g} [{c['q1']:.4g}, {c['q3']:.4g}]   "
+            f"{row['relative_change']:+7.1%}   won {row['won']}/{row['pairs']}   "
+            f"gain claimable: {'yes' if row['gain_claimable'] else 'no'}")
 
 
 def main(argv=None) -> int:
@@ -81,15 +107,17 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="pairs per seed and workload")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]])
+    parser.add_argument("--json", type=Path, metavar="PATH", help="also write the table here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
 
     metrics = bench["end_to_end"]
+    parent_commit = resolve_commit(args.parent)
     runs = {(w, side): [] for w in args.workloads for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="ab_parent_") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
-        export_tree(args.parent, trees["parent"])
+        export_tree(parent_commit, trees["parent"])
         turn = 0
         for pair in range(args.pairs):
             for seed in args.seeds:
@@ -105,14 +133,19 @@ def main(argv=None) -> int:
                         print(f"pair {pair} seed {seed} {workload} {side}: "
                               f"failed {result['failed']}/{result['attempted']} {values}", flush=True)
 
-    print(f"\nparent {args.parent} vs working tree; {args.pairs} pairs x seeds {args.seeds}; "
-          f"median [q1, q3]")
+    env = next((r["env"] for r in runs[(args.workloads[0], "change")] if r["env"]), None)
+    print(f"\nparent {args.parent} ({parent_commit[:12]}) vs working tree; {args.pairs} pairs "
+          f"x seeds {args.seeds}; median [q1, q3]")
+    print(f"env {json.dumps(env, sort_keys=True)}")
+    table = {}
     for workload in args.workloads:
         parent_runs, change_runs = runs[(workload, "parent")], runs[(workload, "change")]
-        failed = {side: (sum(r["failed"] for r in runs[(workload, side)]),
-                         sum(r["attempted"] for r in runs[(workload, side)])) for side in SIDES}
-        print(f"{workload}: failed parent {failed['parent'][0]}/{failed['parent'][1]}, "
-              f"change {failed['change'][0]}/{failed['change'][1]}")
+        failed = {side: {"failed": sum(r["failed"] for r in runs[(workload, side)]),
+                         "attempted": sum(r["attempted"] for r in runs[(workload, side)])}
+                  for side in SIDES}
+        print(f"{workload}: failed parent {failed['parent']['failed']}/{failed['parent']['attempted']}, "
+              f"change {failed['change']['failed']}/{failed['change']['attempted']}")
+        rows = {}
         for m in metrics:
             name = m["name"]
             pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -120,7 +153,23 @@ def main(argv=None) -> int:
                      if name in p["metrics"] and name in c["metrics"]]
             if pairs:
                 parent_values, change_values = map(list, zip(*pairs))
-                print(summarise(name, m["better"], parent_values, change_values))
+                rows[name] = compare(m["better"], parent_values, change_values)
+                print(summarise(name, rows[name]))
+        table[workload] = {"failed": failed, "metrics": rows}
+
+    if args.json:
+        args.json.write_text(json.dumps({
+            "command": " ".join(["python3", "tools/ab_bench.py", *(argv if argv is not None else sys.argv[1:])]),
+            "parent": {"ref": args.parent, "commit": parent_commit},
+            "pairs": args.pairs,
+            "seeds": args.seeds,
+            "benchmark": {"command": bench["command"], "run_seconds": bench["run_seconds"], "trace": 0},
+            "claim_rule": {"min_pairs": CLAIM_MIN_PAIRS, "min_won_share": CLAIM_WIN_SHARE,
+                           "median_shift_beyond": "parent q3 - q1"},
+            "environment": env,
+            "workloads": table,
+        }, indent=2) + "\n")
+        print(f"table written to {args.json}")
     return 0
 
 
