@@ -17,6 +17,7 @@ directory; an explicit ``--out`` flag overrides both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import asdict
@@ -53,13 +54,25 @@ def _outdir(config: RunConfig, flag: str | None) -> Path:
     return Path(config.output_dir)
 
 
-def _make_outdir(outdir: Path) -> None:
+@contextlib.contextmanager
+def _output_directory(outdir: Path):
     """Create the output directory before any training, so a path that cannot
-    be one (under a file, say) fails at once."""
+    be one (under a file, say) fails at once.  The directories this call
+    created are removed again on the way out if they are still empty, as
+    when the command fails before writing anything."""
+    created = [p for p in (outdir, *outdir.parents) if not p.exists()]
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot use {outdir} as the output directory: {exc.strerror or exc}") from None
+    try:
+        yield
+    finally:
+        for path in created:
+            try:
+                path.rmdir()  # refused unless empty
+            except OSError:
+                break
 
 
 def _cell_args(config: RunConfig, args) -> tuple[str, int, int]:
@@ -112,32 +125,32 @@ def cmd_train(args) -> int:
     vw, vt = make_windows(val_s.values, config.context, horizon)
     params = build_model(config, variant, horizon, seed)
     outdir = _outdir(config, args.out)
-    _make_outdir(outdir)
-    ckpt = outdir / f"model_{variant}_h{horizon}_seed{seed}.npz"
-    if ckpt.exists() and not args.overwrite:
-        raise OutputDirectoryExists(f"{ckpt} already exists; pass --overwrite to replace")
-    result = train_loop(
-        params,
-        tw,
-        tt,
-        vw,
-        vt,
-        TrainConfig(
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            lr=config.lr,
-            patience=config.patience,
-            seed=seed,
-        ),
-    )
-    save_checkpoint(ckpt, params)
-    write_loss_curve(outdir, variant, horizon, seed, [asdict(rec) for rec in result.history])
-    print(f"trained {variant} (horizon {horizon}, seed {seed})")
-    print(f"epochs run: {len(result.history)}  best epoch: {result.best_epoch}")
-    print(f"best val mse: {result.best_val_mse:.6f}")
-    print(f"window order digest: {result.window_order_digest}")
-    print(f"checkpoint: {ckpt}")
-    return 0
+    with _output_directory(outdir):
+        ckpt = outdir / f"model_{variant}_h{horizon}_seed{seed}.npz"
+        if ckpt.exists() and not args.overwrite:
+            raise OutputDirectoryExists(f"{ckpt} already exists; pass --overwrite to replace")
+        result = train_loop(
+            params,
+            tw,
+            tt,
+            vw,
+            vt,
+            TrainConfig(
+                epochs=config.epochs,
+                batch_size=config.batch_size,
+                lr=config.lr,
+                patience=config.patience,
+                seed=seed,
+            ),
+        )
+        save_checkpoint(ckpt, params)
+        write_loss_curve(outdir, variant, horizon, seed, [asdict(rec) for rec in result.history])
+        print(f"trained {variant} (horizon {horizon}, seed {seed})")
+        print(f"epochs run: {len(result.history)}  best epoch: {result.best_epoch}")
+        print(f"best val mse: {result.best_val_mse:.6f}")
+        print(f"window order digest: {result.window_order_digest}")
+        print(f"checkpoint: {ckpt}")
+        return 0
 
 
 def cmd_evaluate(args) -> int:
@@ -186,25 +199,25 @@ def cmd_gradcheck(args) -> int:
 def cmd_experiment(args) -> int:
     config = load_config(args.config)
     outdir = _outdir(config, args.out)
-    _make_outdir(outdir)
-    if any(outdir.iterdir()) and not args.overwrite:
-        # refuse before burning compute on the grid
-        raise OutputDirectoryExists(
-            f"output directory {outdir} already has contents; pass --overwrite to replace"
-        )
-    report = run_experiment(config, jobs=args.jobs)
-    write_experiment(report, outdir, overwrite=True)
-    sys.stdout.write(report.to_text())
-    print(f"report written to {outdir}")
-    if report.any_failed:
-        failed = [r for r in report.rows if r.status != "ok"]
-        for r in failed:
-            print(
-                f"cell failed: {r.variant} h={r.horizon} seed={r.seed}: {r.error}",
-                file=sys.stderr,
+    with _output_directory(outdir):
+        if any(outdir.iterdir()) and not args.overwrite:
+            # refuse before burning compute on the grid
+            raise OutputDirectoryExists(
+                f"output directory {outdir} already has contents; pass --overwrite to replace"
             )
-        return 2
-    return 0
+        report = run_experiment(config, jobs=args.jobs)
+        write_experiment(report, outdir, overwrite=True)
+        sys.stdout.write(report.to_text())
+        print(f"report written to {outdir}")
+        if report.any_failed:
+            failed = [r for r in report.rows if r.status != "ok"]
+            for r in failed:
+                print(
+                    f"cell failed: {r.variant} h={r.horizon} seed={r.seed}: {r.error}",
+                    file=sys.stderr,
+                )
+            return 2
+        return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -167,15 +167,18 @@ def grad_check(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the parameter list."""
+    """First/second moment accumulators over the parameters laid end to end:
+    parameter ``i`` owns ``m[bounds[i]:bounds[i + 1]]`` and the same slice of
+    ``v``."""
 
     lr: float
     beta1: float
     beta2: float
     eps: float
     step_count: int
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    bounds: np.ndarray
 
     @classmethod
     def init(
@@ -186,33 +189,45 @@ class AdamState:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> "AdamState":
+        bounds = np.cumsum([0] + [p.data.size for p in params])
         return cls(
             lr=lr,
             beta1=beta1,
             beta2=beta2,
             eps=eps,
             step_count=0,
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
+            m=np.zeros(bounds[-1]),
+            v=np.zeros(bounds[-1]),
+            bounds=bounds,
         )
 
 
 def adam_step(state: AdamState, params: list[Tensor], grads: list[np.ndarray]):
-    """One bias-corrected Adam update, in place."""
-    if not (len(params) == len(grads) == len(state.m)):
+    """One bias-corrected Adam update.
+
+    The gradients and parameters are concatenated, so the update runs once
+    over one flat vector; each ``p.data`` is then rebound to its slice of the
+    result.  The moments are updated in place.
+    """
+    if not (len(params) == len(grads) == len(state.bounds) - 1):
         raise ValueError("parameter, gradient and accumulator counts must match")
+    for p, g in zip(params, grads):
+        if g.shape != p.data.shape:
+            raise ValueError(f"gradient shape {g.shape} mismatches {p.name} {p.data.shape}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} mismatches {p.name} {p.data.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    g = np.concatenate([g.reshape(-1) for g in grads])
+    data = np.concatenate([p.data.reshape(-1) for p in params])
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    data = data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    for p, lo, hi in zip(params, state.bounds, state.bounds[1:]):
+        p.data = data[lo:hi].reshape(p.data.shape)
 
 
 @dataclass(frozen=True)

@@ -377,6 +377,71 @@ def test_layer_norm_gradients_match_finite_differences():
     _fd_check(lambda x, gain, bias: layer_norm(x, gain, bias, 1e-5), inputs)
 
 
+# leaf shape and the view of it the op sees; "router-view" is the (B, P, N, d)
+# swapaxes view of (B, N, P, d) embeddings that the router block normalises
+_ROW_LAYOUTS = {
+    "one-row": ((1, 4), lambda t: t),
+    "2d": ((5, 4), lambda t: t),
+    "3d": ((2, 3, 4), lambda t: t),
+    "router-view": ((2, 3, 5, 4), lambda t: swapaxes(t, -3, -2)),
+}
+_DENSE_OPS = {
+    "affine": lambda x, w, b: affine(x, w, b),
+    "matmul": lambda x, w, b=None: matmul(x, w),
+    "layer_norm": lambda x, w, b: layer_norm(x, w, b, 1e-5),
+}
+
+
+def _row_sum(rows):
+    """Sum of a sequence of rows, one at a time."""
+    total = np.zeros_like(rows[0])
+    for row in rows:
+        total = total + row
+    return total
+
+
+@pytest.mark.parametrize("layout", list(_ROW_LAYOUTS))
+@pytest.mark.parametrize("op", list(_DENSE_OPS))
+def test_dense_ops_on_every_row_layout_match_the_oracles(op, layout):
+    # affine, matmul and layer_norm flatten their input to (rows, features):
+    # one row, 2-D and 3-D inputs and a non-contiguous view all give the row
+    # oracles' values, finite-difference gradients and row-sum parameter
+    # gradients
+    shape, view = _ROW_LAYOUTS[layout]
+    rng = np.random.default_rng(25)
+    x0 = rng.normal(0.5, 2.0, size=shape)
+    w0 = rng.normal(size=(4, 3) if op != "layer_norm" else 4)
+    b0 = rng.normal(size=w0.shape[-1])
+    xv = np.asarray(view(as_tensor(x0)))
+    assert layout != "router-view" or not xv.flags.c_contiguous
+    rows = xv.reshape(-1, 4)
+
+    got = _DENSE_OPS[op](view(as_tensor(x0)), as_tensor(w0), as_tensor(b0)).data
+    assert got.shape == xv.shape[:-1] + b0.shape
+    if op == "layer_norm":
+        want = np.array([layer_norm_oracle(r, w0, b0, 1e-5) for r in rows])
+    else:
+        want = np.array([[sum(r[i] * w0[i, j] for i in range(4)) for j in range(3)] for r in rows])
+        want += b0 if op == "affine" else 0.0
+    np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-12, atol=1e-13)
+
+    inputs = {"x": x0, "w": w0} if op == "matmul" else {"x": x0, "w": w0, "b": b0}
+    _fd_check(lambda x, **params: _DENSE_OPS[op](view(x), **params), inputs)
+    if op == "matmul":
+        return
+
+    leaves = {name: parameter(v.copy(), name) for name, v in inputs.items()}
+    out = _DENSE_OPS[op](view(leaves["x"]), leaves["w"], leaves["b"])
+    coeff = np.random.default_rng(99).normal(size=out.shape)
+    tsum(mul(out, coeff)).backward()
+    coeff = coeff.reshape(-1, b0.size)
+    np.testing.assert_allclose(leaves["b"].grad, _row_sum(coeff), rtol=1e-12, atol=1e-14)
+    if op == "layer_norm":
+        xhat = [np.array(layer_norm_oracle(r, np.ones(4), np.zeros(4), 1e-5)) for r in rows]
+        gain_rows = [c * h for c, h in zip(coeff, xhat)]
+        np.testing.assert_allclose(leaves["w"].grad, _row_sum(gain_rows), rtol=1e-12, atol=1e-14)
+
+
 def _attention_cases():
     rng = np.random.default_rng(23)
     return {

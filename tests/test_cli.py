@@ -365,6 +365,13 @@ _INPUT_FAILURES = {
         lambda t: (_GOOD, ["experiment", "--out", _under_a_file(t)]), "cannot use"),
     "train_out_under_a_file": (
         lambda t: (_GOOD, ["train", "--out", _under_a_file(t)]), "cannot use"),
+    # the data error comes after the output directory was made
+    "experiment_nan_csv_cell_new_out": (
+        lambda t: (_csv_config(t, "nan"), ["experiment", "--out", "new/out"]),
+        "non-finite value 'nan'"),
+    "train_nan_csv_cell_new_out": (
+        lambda t: (_csv_config(t, "nan"), ["train", "--out", "new/out"]),
+        "non-finite value 'nan'"),
 }
 
 
@@ -384,3 +391,5 @@ def test_input_problems_exit_one_without_a_traceback(case, tmp_path):
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr
     assert expected in done.stderr, done.stderr
+    # a failed command leaves no output directory of its own making behind
+    assert not (tmp_path / "new").exists()

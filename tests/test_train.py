@@ -132,6 +132,28 @@ class TestAdam:
         assert final < 1e-3
         np.testing.assert_allclose(np.asarray(w), np.eye(2), atol=0.05)
 
+    def test_flat_update_gives_the_per_parameter_bits(self):
+        # the update runs over all parameters laid end to end; each element
+        # sees the same expression as a per-parameter update
+        rng = np.random.default_rng(5)
+        shapes = [(3, 4), (4,), (2, 1, 3), ()]
+        params = [parameter(rng.normal(size=s), f"p{i}") for i, s in enumerate(shapes)]
+        want = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        state = AdamState.init(params, lr=0.03)
+        for t in range(1, 6):
+            grads = [rng.normal(size=s) for s in shapes]
+            adam_step(state, params, grads)
+            for i, g in enumerate(grads):
+                m[i] = m[i] * 0.9 + (1.0 - 0.9) * g
+                v[i] = v[i] * 0.999 + (1.0 - 0.999) * g * g
+                step = 0.03 * (m[i] / (1.0 - 0.9**t)) / (np.sqrt(v[i] / (1.0 - 0.999**t)) + 1e-8)
+                want[i] = want[i] - step
+            for p, w in zip(params, want):
+                assert p.data.shape == w.shape
+                np.testing.assert_array_equal(p.data, w)
+
     def test_mismatched_lengths_and_shapes(self):
         p = parameter(np.zeros(2), "p")
         state = AdamState.init([p])
