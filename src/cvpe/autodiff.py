@@ -9,13 +9,17 @@ op (see ``train.grad_check``).
 Only the operations the forecasting stack actually needs are implemented:
 elementwise ``add``/``sub``/``mul``/``power``, batched ``matmul`` with
 broadcasting leading dimensions, the reductions ``tsum``/``tmean``, the shape
-moves ``reshape``/``swapaxes``, ``gelu`` and a numerically stable ``softmax``.
+moves ``reshape``/``swapaxes``, ``gelu`` and a numerically stable ``softmax``
+(the model calls neither: ``mlp`` runs the GELU's blocks itself, and
+``attention`` has its own softmax).
 
-Three fused ops each record a single tape node with a closed-form backward,
+Four fused ops each record a single tape node with a closed-form backward,
 so the model's hot layers keep one saved output and one gradient per call
 instead of one per elementary step:
 
 * ``affine(x, w, b)``: ``x @ w + b``.
+* ``mlp(x, w1, b1, w2, b2)``: the feed-forward ``gelu(x @ w1 + b1) @ w2 +
+  b2``, run in cache-sized blocks of rows (below).
 * ``layer_norm(x, gain, bias, eps)``: normalisation over the last axis; the
   node saves only the normalised input and ``1/sqrt(var + eps)``.
 * ``attention(q, k, v, heads)``: head split, scaled scores, max-shifted
@@ -65,7 +69,36 @@ slower on the model's activations, while the products differ from it by at
 most one unit in the last place. The forward runs its eight elementwise
 passes block by block (512 KiB each), so a block stays in cache from the
 first pass to the last: on a (64, 5, 32, 64) activation that took 15 to 20%
-off a call, with the same bits.
+off a call, with the same bits. The backward's ten passes run over the same
+blocks, and ``gelu`` and ``mlp`` share the per-block forward and derivative.
+
+The feed-forward is the model's widest layer: its hidden size is four times
+the block's width, so at the benchmark's wide no-grad evaluation (batch 64,
+32 variates) the hidden activation is a (10240, 64) array of 5.2 MB, and a
+chain ``affine -> gelu -> affine`` held two of them at once. ``mlp`` walks
+the input rows in blocks of ``_GELU_BLOCK // hidden``: per block it runs the
+first GEMM into a block buffer, adds the bias, runs the GELU passes and
+writes the second GEMM into that block's rows of the output; the second bias
+is added once at the end. Without a tape two block buffers serve every
+block and no hidden-size array is allocated: the ``tracemalloc`` peak of
+the cvpe block's no-grad forward at those shapes fell from 14.6 to 8.3 MB,
+and the benchmark's peak resident memory with it. With a
+tape the pre-activation, the GELU's ``den`` and the activation are written
+into full arrays for the backward, which computes the second layer's
+gradients and ``g @ w2.T`` as whole GEMMs, applies the GELU derivative to
+that product in place block by block, and computes the first layer's
+gradients as whole GEMMs. At the model's shapes (hidden 32 and 64) the
+blocked GEMMs give the bits of whole ones, so the node equals the chain bit
+for bit; at hidden sizes of 512 and more OpenBLAS may round a block of rows
+differently from the whole matrix in the last digits.
+
+``_accumulate`` copies a first gradient, because the array may be a
+read-only broadcast view or be handed to another input as well (``add``).
+The fused nodes' input gradients are fresh arrays that nothing else holds,
+so ``_hand_over`` gives an intermediate tensor (one with a backward) its
+first such gradient as is; leaf and parameter gradients still go through
+``_accumulate``. A cvpe training step at ``synthetic_ab`` shapes made 77
+first-gradient copies (6.1 MB) before.
 
 Importing this module pins two of glibc's malloc thresholds for the whole
 process: ``M_MMAP_THRESHOLD`` at glibc's maximum (32 MiB on 64-bit) and
@@ -127,6 +160,7 @@ __all__ = [
     "reshape",
     "swapaxes",
     "affine",
+    "mlp",
     "layer_norm",
     "attention",
     "NumericError",
@@ -360,6 +394,19 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _hand_over(t: Tensor, g: np.ndarray) -> None:
+    """Accumulate ``g``, a fresh array that the calling node made and keeps no
+    reference to: an intermediate's first gradient takes it as is.
+
+    No copy is needed there, because nothing else holds ``g`` and no caller
+    outside the tape reads an intermediate's gradient before the walk ends.
+    Leaf and parameter gradients still go through ``_accumulate``."""
+    if t.grad is None and t._backward is not None:
+        t.grad = g
+    else:
+        _accumulate(t, g)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     tracked = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=tracked)
@@ -464,56 +511,82 @@ def matmul(a, b) -> Tensor:
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
-# elements per block of the forward: 512 KiB, which stays in a core's cache
-# through the eight passes (see ``gelu``)
+# elements per block of GELU work: 512 KiB, which stays in a core's cache
+# through the passes over it (see ``gelu`` and ``mlp``)
 _GELU_BLOCK = 1 << 16
+
+
+def _gelu_block(x: np.ndarray, den: np.ndarray, out: np.ndarray) -> None:
+    """GELU of the block ``x`` into ``out``, leaving ``den = 1 + exp(-2u)`` in
+    ``den``; ``out`` may be ``den``.
+
+    ``den`` overflows to inf below x of about -21, where the quotient is -0.0
+    and the true value underflows anyway."""
+    np.multiply(x, x, out=den)
+    den *= x
+    den *= 0.044715
+    den += x
+    den *= -2.0 * _GELU_C
+    with np.errstate(over="ignore"):
+        np.exp(den, out=den)
+    den += 1.0
+    np.divide(x, den, out=out)
+
+
+def _gelu_grad_block(
+    x: np.ndarray, den: np.ndarray, out: np.ndarray, s: np.ndarray, t: np.ndarray
+) -> None:
+    """The GELU derivative at the block ``x`` into ``out``, from the forward's
+    ``den``; ``s`` and ``t`` are scratch blocks of the same size.
+
+    d/dx x*s(2u) = s * (1 + 2 x u' (1 - s)) for s = 1/den; 1 - s loses digits
+    only where s is near 1, where its term is small."""
+    np.divide(1.0, den, out=s)
+    np.multiply(x, x, out=out)
+    out *= 3 * 0.044715
+    out += 1.0
+    out *= 2.0 * _GELU_C
+    out *= x
+    np.subtract(1.0, s, out=t)
+    out *= t
+    out += 1.0
+    out *= s
+
+
+def _blocks(size: int, step: int):
+    """``(lo, hi)`` bounds of consecutive blocks of ``step`` over ``size``."""
+    for lo in range(0, size, step):
+        yield lo, min(lo + step, size)
 
 
 def gelu(a) -> Tensor:
     """Smooth GELU, ``x * sigmoid(2u)`` in the logistic form (see the module
     docstring)."""
     a = as_tensor(a)
-    x = a.data
-    # den = 1 + exp(-2u); it overflows to inf below x of about -21, where the
-    # quotient is -0.0 and the true value underflows anyway
-    den = np.empty(x.shape)
+    # the forward's eight passes and the backward's ten run block by block
+    # over the flattened array, so each block stays in cache between them;
+    # the arithmetic is elementwise, so the bits are those of whole-array
+    # passes
+    xf = a.data.reshape(-1)
+    den = np.empty(xf.size)
     # without a tape no backward reads den, so the quotient overwrites it:
     # one activation-sized buffer fewer at the widest layer of an inference
     taped = _GRAD_ENABLED.get() and a.requires_grad
-    out_data = np.empty(x.shape) if taped else den
-    # the eight passes run block by block over the flattened array, so each
-    # block stays in cache between them; the arithmetic is elementwise, so
-    # the bits are those of eight whole-array passes
-    xf, df, of = x.reshape(-1), den.reshape(-1), out_data.reshape(-1)
-    for lo in range(0, xf.size, _GELU_BLOCK):
-        xb, db = xf[lo : lo + _GELU_BLOCK], df[lo : lo + _GELU_BLOCK]
-        np.multiply(xb, xb, out=db)
-        db *= xb
-        db *= 0.044715
-        db += xb
-        db *= -2.0 * _GELU_C
-        with np.errstate(over="ignore"):
-            np.exp(db, out=db)
-        db += 1.0
-        np.divide(xb, db, out=of[lo : lo + _GELU_BLOCK])
+    out_data = np.empty(xf.size) if taped else den
+    for lo, hi in _blocks(xf.size, _GELU_BLOCK):
+        _gelu_block(xf[lo:hi], den[lo:hi], out_data[lo:hi])
 
     def backward(g):
         if a.requires_grad:
-            # d/dx x*s(2u) = s * (1 + 2 x u' (1 - s)) for s = 1/den; 1 - s
-            # loses digits only where s is near 1, where its term is small
-            s = 1.0 / den
-            da = x * x
-            da *= 3 * 0.044715
-            da += 1.0
-            da *= 2.0 * _GELU_C
-            da *= x
-            da *= 1.0 - s
-            da += 1.0
-            da *= s
-            da *= g
-            _accumulate(a, da)
+            gf = g.reshape(-1)
+            da = np.empty(xf.size)
+            s, t = np.empty(min(xf.size, _GELU_BLOCK)), np.empty(min(xf.size, _GELU_BLOCK))
+            for lo, hi in _blocks(xf.size, _GELU_BLOCK):
+                _gelu_grad_block(xf[lo:hi], den[lo:hi], da[lo:hi], s[: hi - lo], t[: hi - lo])
+                da[lo:hi] *= gf[lo:hi]
+            _accumulate(a, da.reshape(a.shape))
 
-    return _make(out_data, (a,), backward)
+    return _make(out_data.reshape(a.shape), (a,), backward)
 
 
 def softmax(a) -> Tensor:
@@ -629,7 +702,7 @@ def _dense(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
     def backward(g):
         g_rows = g.reshape(-1, n)
         if x.requires_grad:
-            _accumulate(x, (g_rows @ w.data.T).reshape(x.shape))
+            _hand_over(x, (g_rows @ w.data.T).reshape(x.shape))
         if w.requires_grad:
             _accumulate(w, rows.T @ g_rows)
         if b is not None and b.requires_grad:
@@ -646,6 +719,75 @@ def affine(x, w, b) -> Tensor:
     if w.ndim != 2 or b.shape != w.shape[-1:] or x.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise ValueError(f"affine needs (..., k) @ (k, n) + (n,), got {x.shape}, {w.shape}, {b.shape}")
     return _dense(x, w, b)
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """The feed-forward ``gelu(x @ w1 + b1) @ w2 + b2`` as one node: ``w1`` is
+    (k, hidden), ``w2`` is (hidden, n), ``x`` is (..., k).
+
+    The rows of ``x`` run in blocks of ``_GELU_BLOCK // hidden``: each block's
+    first GEMM, bias, GELU passes and second GEMM run while its hidden-size
+    slice is still in cache. Without a tape two block buffers serve every
+    block, so no hidden-size array is allocated; with one, the
+    pre-activation, the GELU's ``den`` and the activation are written into
+    full arrays that the backward keeps (see the module docstring)."""
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if (
+        w1.ndim != 2 or w2.ndim != 2 or b1.shape != w1.shape[-1:] or b2.shape != w2.shape[-1:]
+        or w2.shape[0] != w1.shape[1] or x.ndim < 1 or x.shape[-1] != w1.shape[0]
+    ):
+        raise ValueError(
+            f"mlp needs (..., k) @ (k, h) + (h,) then @ (h, n) + (n,), got "
+            f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}"
+        )
+    parents = (x, w1, b1, w2, b2)
+    (k, hidden), n = w1.shape, w2.shape[1]
+    rows = x.data.reshape(-1, k)
+    m = len(rows)
+    step = max(1, _GELU_BLOCK // hidden)
+    taped = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+    if taped:
+        pre, den, act = np.empty((m, hidden)), np.empty((m, hidden)), np.empty((m, hidden))
+    else:
+        # the activation overwrites den, as in a no-tape ``gelu``
+        pre, den = np.empty((min(m, step), hidden)), np.empty((min(m, step), hidden))
+        act = den
+    out_data = np.empty((m, n))
+    for lo, hi in _blocks(m, step):
+        # a taped block is its slice of the full arrays, an untaped one the
+        # head of the block buffers
+        at = slice(lo, hi) if taped else slice(0, hi - lo)
+        np.matmul(rows[lo:hi], w1.data, out=pre[at])
+        pre[at] += b1.data
+        _gelu_block(pre[at], den[at], act[at])
+        np.matmul(act[at], w2.data, out=out_data[lo:hi])
+    out_data += b2.data
+
+    def backward(g):
+        g_rows = g.reshape(-1, n)
+        ones = _ones(m)
+        if b2.requires_grad:
+            _accumulate(b2, ones @ g_rows)
+        if w2.requires_grad:
+            _accumulate(w2, act.T @ g_rows)
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        # the GELU derivative multiplies the activation gradient in place,
+        # block by block
+        g_pre = g_rows @ w2.data.T
+        d, s, t = (np.empty((min(m, step), hidden)) for _ in range(3))
+        for lo, hi in _blocks(m, step):
+            at = slice(0, hi - lo)
+            _gelu_grad_block(pre[lo:hi], den[lo:hi], d[at], s[at], t[at])
+            g_pre[lo:hi] *= d[at]
+        if b1.requires_grad:
+            _accumulate(b1, ones @ g_pre)
+        if w1.requires_grad:
+            _accumulate(w1, rows.T @ g_pre)
+        if x.requires_grad:
+            _hand_over(x, (g_pre @ w1.data.T).reshape(x.shape))
+
+    return _make(out_data.reshape(*x.shape[:-1], n), parents, backward)
 
 
 def layer_norm(x, gain, bias, eps: float) -> Tensor:
@@ -683,7 +825,7 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
             gx = g_rows @ (gain.data[:, None] * centring)
             gx *= rstd[:, None]
             gx -= xhat * dot[:, None]
-            _accumulate(x, gx.reshape(x.shape))
+            _hand_over(x, gx.reshape(x.shape))
 
     return _make(out_data.reshape(x.shape), (x, gain, bias), backward)
 
@@ -740,7 +882,7 @@ def attention(q, k, v, heads: int) -> Tensor:
         if v.requires_grad:
             gv = np.empty((*lead, n_k, d))
             np.matmul(np.swapaxes(rows, -1, -2), gh, out=_split_heads(gv, heads))
-            _accumulate(v, _unbroadcast(gv, v.shape))
+            _hand_over(v, _unbroadcast(gv, v.shape))
         if not (q.requires_grad or k.requires_grad):
             return
         # softmax backward in place: gs <- p * (gs - sum_j gs * p)
@@ -754,13 +896,13 @@ def attention(q, k, v, heads: int) -> Tensor:
             np.matmul(gs_rows, kh, out=_split_heads(gq, heads))
             gq = _unbroadcast(gq.reshape(out_shape), q.shape)
             gq *= scale
-            _accumulate(q, gq)
+            _hand_over(q, gq)
         if k.requires_grad:
             gk = np.empty((*lead, n_k, d))
             np.matmul(np.swapaxes(gs_rows, -1, -2), qh, out=_split_heads(gk, heads))
             gk = _unbroadcast(gk, k.shape)
             gk *= scale
-            _accumulate(k, gk)
+            _hand_over(k, gk)
 
     return _make(out_data.reshape(out_shape), (q, k, v), backward)
 

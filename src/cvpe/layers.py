@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, affine, gelu, layer_norm, matmul, parameter
+from .autodiff import Tensor, affine, layer_norm, matmul, mlp, parameter
 
 
 def rng_from(seed: int, stream: int) -> np.random.Generator:
@@ -112,7 +112,7 @@ class LayerNorm:
 
 @dataclass
 class Mlp:
-    """Two affine maps around a GELU."""
+    """Two affine maps around a GELU, applied as one fused node."""
 
     fc1: Affine
     fc2: Affine
@@ -132,7 +132,7 @@ class Mlp:
         )
 
     def apply(self, x) -> Tensor:
-        return self.fc2.apply(gelu(self.fc1.apply(x)))
+        return mlp(x, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
 
     def parameters(self) -> list[Tensor]:
         return self.fc1.parameters() + self.fc2.parameters()

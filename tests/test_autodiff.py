@@ -1,6 +1,8 @@
 """Reverse-mode engine checks: values against numpy, gradients against
 central finite differences, and the bookkeeping around both."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from cvpe.autodiff import (
     gelu,
     layer_norm,
     matmul,
+    mlp,
     mul,
     no_grad,
     parameter,
@@ -56,6 +59,12 @@ def ad_grad(build, x):
 
 
 WEIGHT = np.arange(12, dtype=float).reshape(3, 4) / 7.0
+MLP_PARAMS = (
+    np.linspace(-1.0, 1.0, 20).reshape(4, 5),
+    np.linspace(-0.5, 0.5, 5),
+    np.linspace(1.0, -1.0, 15).reshape(5, 3),
+    np.linspace(0.2, -0.2, 3),
+)
 
 CASES = [
     ("add", lambda t: tsum(add(t, 2.0) * 3.0)),
@@ -63,6 +72,7 @@ CASES = [
     ("mul", lambda t: tsum(mul(t, t))),
     ("power", lambda t: tsum(power(add(t * t, 1.0), 1.5))),
     ("gelu", lambda t: tsum(gelu(t))),
+    ("mlp", lambda t: tsum(mul(mlp(t, *MLP_PARAMS), as_tensor(WEIGHT[:, :3])))),
     ("softmax", lambda t: tsum(mul(softmax(t), as_tensor(WEIGHT)))),
     ("mean", lambda t: tmean(mul(t, t))),
 ]
@@ -113,6 +123,35 @@ def test_gelu_in_blocks_returns_the_unblocked_bits(transposed):
     np.testing.assert_array_equal(gelu(parameter(x, "x")).data, want)
     with no_grad():
         np.testing.assert_array_equal(gelu(as_tensor(x)).data, want)
+
+
+def _gelu_grad_unblocked(x, g):
+    s = 1.0 / (1.0 + np.exp(-2.0 * np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+    da = x * x
+    da *= 3 * 0.044715
+    da += 1.0
+    da *= 2.0 * np.sqrt(2.0 / np.pi)
+    da *= x
+    da *= 1.0 - s
+    da += 1.0
+    da *= s
+    da *= g
+    return da
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_gelu_backward_in_blocks_returns_the_unblocked_bits(transposed):
+    rows = 2 * autodiff._GELU_BLOCK // 16 + 37
+    rng = np.random.default_rng(8)
+    x0 = rng.normal(scale=4.0, size=(rows, 16))
+    g = rng.normal(size=(16, rows) if transposed else (rows, 16))
+    if transposed:
+        x0 = x0.T
+    x = parameter(x0, "x")
+    gelu(x)._backward(g)
+    with np.errstate(over="ignore"):
+        want = _gelu_grad_unblocked(x0, g)
+    np.testing.assert_array_equal(x.grad, want)
 
 
 def test_gelu_matches_the_scalar_oracle():
@@ -577,3 +616,160 @@ def test_attention_leaves_inputs_output_and_upstream_gradient_unmodified(case):
     for t, t0 in zip((q, k, v, out), (q0, k0, v0, out0)):
         np.testing.assert_array_equal(t.data, t0)
     np.testing.assert_array_equal(g, g0)
+
+
+def _mlp_chain(x, w1, b1, w2, b2):
+    return affine(gelu(affine(x, w1, b1)), w2, b2)
+
+
+# leaf shape and the view of it the feed-forward node sees, at the model's
+# width 16 and hidden size 64: a block is _GELU_BLOCK // 64 rows
+_MLP_BLOCK_ROWS = autodiff._GELU_BLOCK // 64
+_MLP_LAYOUTS = {
+    "one-row": ((1, 16), lambda t: t),
+    "one-block": ((_MLP_BLOCK_ROWS, 16), lambda t: t),
+    "ragged": ((2 * _MLP_BLOCK_ROWS + 37, 16), lambda t: t),
+    "router-view": ((6, 7, 5, 16), lambda t: swapaxes(t, -3, -2)),
+}
+
+
+def _mlp_leaves(shape, seed=30):
+    rng = np.random.default_rng(seed)
+    return [
+        parameter(rng.normal(0.0, 2.0, size=shape), "x"),
+        parameter(rng.uniform(-0.25, 0.25, size=(16, 64)), "w1"),
+        parameter(rng.uniform(-0.25, 0.25, size=64), "b1"),
+        parameter(rng.uniform(-0.125, 0.125, size=(64, 16)), "w2"),
+        parameter(rng.uniform(-0.125, 0.125, size=16), "b2"),
+    ]
+
+
+@pytest.mark.parametrize("layout", list(_MLP_LAYOUTS))
+def test_mlp_equals_the_affine_gelu_affine_chain_bit_for_bit(layout):
+    # one node, whose blocked forward and backward give the chain's output
+    # and all five gradients, with and without a tape
+    shape, view = _MLP_LAYOUTS[layout]
+    results = {}
+    for name, fn in (("chain", _mlp_chain), ("fused", mlp)):
+        leaves = _mlp_leaves(shape)
+        x, *params = leaves
+        with no_grad():
+            untaped = fn(view(x), *params).data
+        out = fn(view(x), *params)
+        g = np.random.default_rng(31).normal(size=out.shape)
+        tsum(mul(out, g)).backward()
+        results[name] = [untaped, out.data] + [t.grad for t in leaves]
+        if name == "fused":
+            assert out._parents[1:] == tuple(params)
+    for got, want in zip(results["fused"], results["chain"]):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_mlp_gradients_of_every_input_match_finite_differences():
+    rng = np.random.default_rng(32)
+    inputs = {
+        "x": rng.normal(size=(2, 3, 4)),
+        "w1": rng.normal(size=(4, 6)),
+        "b1": rng.normal(size=6),
+        "w2": rng.normal(size=(6, 5)),
+        "b2": rng.normal(size=5),
+    }
+    _fd_check(lambda x, w1, b1, w2, b2: mlp(x, w1, b1, w2, b2), inputs)
+
+
+def test_mlp_rejects_mismatched_shapes():
+    x, w1, b1, w2, b2 = np.ones((2, 4)), np.ones((4, 6)), np.ones(6), np.ones((6, 5)), np.ones(5)
+    for args in (
+        (np.ones((2, 3)), w1, b1, w2, b2),
+        (x, w1, np.ones(5), w2, b2),
+        (x, w1, b1, np.ones((5, 5)), b2),
+        (x, w1, b1, w2, np.ones(6)),
+    ):
+        with pytest.raises(ValueError):
+            mlp(*args)
+
+
+def test_mlp_without_a_tape_allocates_no_hidden_size_array():
+    # the cvpe block's feed-forward at the wide inference shapes: (64, 5, 32)
+    # rows of width 16, hidden 64; one hidden-size array is 5.2 MB
+    from cvpe.layers import Mlp, rng_from
+
+    layer = Mlp.init(16, 64, rng_from(0, 1), "m")
+    x = np.random.default_rng(33).normal(size=(64, 5, 32, 16))
+    hidden_bytes = x.size // 16 * 64 * x.itemsize
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = layer.apply(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == x.shape
+    assert peak < hidden_bytes, f"peak {peak / 1e6:.2f} MB, one hidden-size array {hidden_bytes / 1e6:.2f} MB"
+
+
+def test_fused_nodes_hand_over_fresh_gradients_to_intermediates():
+    # an intermediate fed back by four fused nodes takes the first gradient
+    # as is and adds the other three into it, and shares no gradient memory
+    # with the leaf it came from
+    rng = np.random.default_rng(34)
+    x0 = rng.normal(size=(3, 2, 4))
+    w, b = rng.normal(size=(4, 4)), rng.normal(size=4)
+    ops = [
+        lambda y: affine(y, w, b),
+        lambda y: layer_norm(y, w[0], b, 1e-5),
+        lambda y: attention(y, y, y, 2),
+        lambda y: mlp(y, *MLP_PARAMS[:2], MLP_PARAMS[2][:, :2], MLP_PARAMS[3][:2]),
+    ]
+    coeffs = [rng.normal(size=(2, 3, n)) for n in (4, 4, 4, 2)]
+
+    def loss_of(x, terms):
+        y = swapaxes(x, 0, 1)
+        total = tsum(mul(ops[terms[0]](y), coeffs[terms[0]]))
+        for i in terms[1:]:
+            total = add(total, tsum(mul(ops[i](y), coeffs[i])))
+        return y, total
+
+    want = np.zeros_like(x0)
+    for i in range(len(ops)):
+        x = parameter(x0, "x")
+        loss_of(x, [i])[1].backward()
+        want += x.grad
+    x = parameter(x0, "x")
+    y, loss = loss_of(x, list(range(len(ops))))
+    loss.backward()
+    np.testing.assert_allclose(x.grad, want, rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(y.grad, np.swapaxes(want, 0, 1), rtol=1e-13, atol=1e-14)
+    assert y.grad.flags.writeable
+    assert not np.shares_memory(x.grad, y.grad)
+
+
+@pytest.mark.parametrize("op", ["affine", "layer_norm", "attention", "mlp"])
+def test_fused_node_gives_an_intermediate_its_gradient_without_accumulate(op, monkeypatch):
+    # the first gradient of an intermediate skips _accumulate's copy; leaf
+    # and parameter gradients still go through it
+    rng = np.random.default_rng(35)
+    x = parameter(rng.normal(size=(3, 2, 4)), "x")
+    w, b = parameter(rng.normal(size=(4, 4)), "w"), parameter(rng.normal(size=4), "b")
+    build = {
+        "affine": lambda y: affine(y, w, b),
+        "layer_norm": lambda y: layer_norm(y, b, b, 1e-5),
+        "attention": lambda y: attention(y, y, y, 2),
+        "mlp": lambda y: mlp(y, w, b, w, b),
+    }[op]
+    y = swapaxes(x, 0, 1)
+    loss = tsum(mul(build(y), rng.normal(size=(2, 3, 4))))
+    seen = []
+    real = autodiff._accumulate
+
+    def recording(t, g):
+        seen.append(t)
+        real(t, g)
+
+    monkeypatch.setattr(autodiff, "_accumulate", recording)
+    loss.backward()
+    # attention hands over its value gradient and adds the query and key
+    # gradients of the same tensor into it
+    assert sum(t is y for t in seen) == (2 if op == "attention" else 0)
+    assert any(t is x for t in seen)
+    assert op == "attention" or any(t is b for t in seen)
