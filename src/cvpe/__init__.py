@@ -34,8 +34,6 @@ from .embedding import (
 )
 from .evaluation import (
     ExperimentReport,
-    MetricPair,
-    evaluate,
     mae,
     mse,
     run_experiment,
@@ -47,7 +45,6 @@ from .model import (
     PrototypeBank,
     ReprogramParams,
     backbone_forward,
-    forecast,
     forecast_batch,
     load_checkpoint,
     reprogram,
@@ -64,11 +61,13 @@ from .preprocess import (
 from .train import (
     AdamState,
     GradCheckReport,
+    MetricPair,
     TrainConfig,
     TrainingDiverged,
     TrainResult,
     adam_step,
     backward,
+    evaluate,
     grad_check,
     make_windows,
     mse_loss,

@@ -345,6 +345,10 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
         order = _topo_order(self)
+        # an intermediate's gradient belongs to one walk; only leaves accumulate
+        for node in order:
+            if node._backward is not None:
+                node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is None:

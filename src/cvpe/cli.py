@@ -31,15 +31,15 @@ from .data import CsvFormatError, lagged_driver_mean, pearson, rank_channels
 from .evaluation import (
     OutputDirectoryExists,
     dataset_label,
-    evaluate,
-    model_forecast_fn,
     prepare_segments,
     run_experiment,
+    score,
+    train_cell,
     write_experiment,
     write_loss_curve,
 )
 from .model import build_model, load_checkpoint, save_checkpoint
-from .train import TrainConfig, TrainingDiverged, grad_check, make_windows, train_loop
+from .train import TrainingDiverged, grad_check, make_windows
 
 OUTPUT_DIR_ENV = "CVPE_OUTPUT_DIR"
 DEFAULT_FAULT_TARGET = "head.b"
@@ -120,29 +120,12 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     variant, horizon, seed = _cell_args(config, args)
     segments = prepare_segments(config)
-    train_s, val_s, _ = segments
-    tw, tt = make_windows(train_s.values, config.context, horizon)
-    vw, vt = make_windows(val_s.values, config.context, horizon)
-    params = build_model(config, variant, horizon, seed)
     outdir = _outdir(config, args.out)
     with _output_directory(outdir):
         ckpt = outdir / f"model_{variant}_h{horizon}_seed{seed}.npz"
         if ckpt.exists() and not args.overwrite:
             raise OutputDirectoryExists(f"{ckpt} already exists; pass --overwrite to replace")
-        result = train_loop(
-            params,
-            tw,
-            tt,
-            vw,
-            vt,
-            TrainConfig(
-                epochs=config.epochs,
-                batch_size=config.batch_size,
-                lr=config.lr,
-                patience=config.patience,
-                seed=seed,
-            ),
-        )
+        params, result = train_cell(segments, config, variant, horizon, seed)
         save_checkpoint(ckpt, params)
         write_loss_curve(outdir, variant, horizon, seed, [asdict(rec) for rec in result.history])
         print(f"trained {variant} (horizon {horizon}, seed {seed})")
@@ -164,8 +147,7 @@ def cmd_evaluate(args) -> int:
             ]
         )
     _, _, test_s = prepare_segments(config)
-    sw, st = make_windows(test_s.values, params.context, params.horizon)
-    metrics = evaluate(model_forecast_fn(params), sw, st)
+    metrics = score(params, make_windows(test_s.values, params.context, params.horizon))
     print(f"variant: {params.variant}  horizon: {params.horizon}")
     print(f"test mse: {metrics.mse:.6f}")
     print(f"test mae: {metrics.mae:.6f}")

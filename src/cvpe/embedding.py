@@ -28,9 +28,6 @@ class ScoreCounter:
     def add(self, n: int):
         self.count += int(n)
 
-    def reset(self):
-        self.count = 0
-
 
 @dataclass(frozen=True)
 class AttentionConfig:

@@ -1,4 +1,5 @@
-"""Metrics, the paired A/B experiment driver, and report emission.
+"""Metrics, the cell trainer and scorer, the paired A/B experiment driver,
+and report emission.
 
 A run is a grid of cells (horizon, seed, variant).  Cells that share a
 horizon and seed are paired: identical data windows, identical batch
@@ -13,11 +14,10 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .autodiff import NumericError, no_grad
+from .autodiff import NumericError
 from .config import RunConfig
 from .data import (
     MultivariateSeries,
@@ -26,10 +26,17 @@ from .data import (
     load_csv,
     select_top_k,
 )
-from .model import ModelParams, build_model, forecast_batch
-from .train import TrainConfig, TrainingDiverged, make_windows, train_loop
-
-EVAL_BATCH = 64
+from .model import ModelParams, build_model
+from .train import (
+    MetricPair,
+    TrainConfig,
+    TrainingDiverged,
+    TrainResult,
+    evaluate,
+    make_windows,
+    model_forecast_fn,
+    train_loop,
+)
 
 
 class OutputDirectoryExists(FileExistsError):
@@ -52,60 +59,6 @@ def mae(pred: np.ndarray, target: np.ndarray) -> float:
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     return float(np.mean(np.abs(pred - target)))
-
-
-@dataclass(frozen=True)
-class MetricPair:
-    mse: float
-    mae: float
-
-    def __post_init__(self):
-        if self.mse < 0 or self.mae < 0:
-            raise ValueError("metrics cannot be negative")
-
-
-def evaluate(
-    forecast_fn: Callable[[np.ndarray], np.ndarray],
-    windows: np.ndarray,
-    targets: np.ndarray,
-    batch_size: int = EVAL_BATCH,
-) -> MetricPair:
-    """Run a forecaster over a window set and average the errors.
-
-    ``forecast_fn`` maps a (batch, channels, context) array to a (batch,
-    channels, horizon) array; errors are averaged uniformly over windows,
-    channels and horizon steps.
-    """
-    windows = np.asarray(windows, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if windows.shape[0] != targets.shape[0]:
-        raise ValueError("window and target counts differ")
-    if windows.shape[0] == 0:
-        raise ValueError("cannot evaluate on an empty window set")
-    sq_sum = 0.0
-    abs_sum = 0.0
-    for lo in range(0, windows.shape[0], batch_size):
-        chunk = slice(lo, lo + batch_size)
-        pred = np.asarray(forecast_fn(windows[chunk]), dtype=np.float64)
-        if pred.shape != targets[chunk].shape:
-            raise ValueError(
-                f"forecaster returned {pred.shape}, expected {targets[chunk].shape}"
-            )
-        err = pred - targets[chunk]
-        sq_sum += float(np.sum(err * err))
-        abs_sum += float(np.sum(np.abs(err)))
-    count = float(np.prod(targets.shape))
-    return MetricPair(mse=sq_sum / count, mae=abs_sum / count)
-
-
-def model_forecast_fn(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap trained parameters as a plain array-to-array forecaster."""
-
-    def fn(windows: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return forecast_batch(windows, params).data
-
-    return fn
 
 
 @dataclass
@@ -228,6 +181,35 @@ def dataset_label(config: RunConfig) -> str:
     return Path(config.csv_path).name
 
 
+def train_cell(
+    segments: tuple[MultivariateSeries, MultivariateSeries, MultivariateSeries],
+    config: RunConfig,
+    variant: str,
+    horizon: int,
+    seed: int,
+) -> tuple[ModelParams, TrainResult]:
+    """Build one cell's model and train it on the train and validation
+    segments; ``cvpe train`` and every grid cell train through here."""
+    train_s, val_s, _ = segments
+    tw, tt = make_windows(train_s.values, config.context, horizon)
+    vw, vt = make_windows(val_s.values, config.context, horizon)
+    params = build_model(config, variant, horizon, seed)
+    cfg = TrainConfig(
+        epochs=config.epochs,
+        batch_size=config.batch_size,
+        lr=config.lr,
+        patience=config.patience,
+        seed=seed,
+    )
+    return params, train_loop(params, tw, tt, vw, vt, cfg)
+
+
+def score(params: ModelParams, test: tuple[np.ndarray, np.ndarray]) -> MetricPair:
+    """Test MSE and MAE of a model on cut (windows, targets); ``cvpe
+    evaluate`` and every grid cell score through here."""
+    return evaluate(model_forecast_fn(params), *test)
+
+
 def run_cell(
     segments: tuple[MultivariateSeries, MultivariateSeries, MultivariateSeries],
     config: RunConfig,
@@ -236,28 +218,12 @@ def run_cell(
     seed: int,
 ) -> CellResult:
     """Train one variant at one horizon and seed, then score it on test."""
-    train_s, val_s, test_s = segments
     label = dataset_label(config)
+    # cut first, so a test segment too short fails before any epoch runs
+    test = make_windows(segments[2].values, config.context, horizon)
     try:
-        tw, tt = make_windows(train_s.values, config.context, horizon)
-        vw, vt = make_windows(val_s.values, config.context, horizon)
-        sw, st = make_windows(test_s.values, config.context, horizon)
-        params = build_model(config, variant, horizon, seed)
-        result = train_loop(
-            params,
-            tw,
-            tt,
-            vw,
-            vt,
-            TrainConfig(
-                epochs=config.epochs,
-                batch_size=config.batch_size,
-                lr=config.lr,
-                patience=config.patience,
-                seed=seed,
-            ),
-        )
-        metrics = evaluate(model_forecast_fn(params), sw, st)
+        params, result = train_cell(segments, config, variant, horizon, seed)
+        metrics = score(params, test)
     except (TrainingDiverged, NumericError, FloatingPointError) as exc:
         return CellResult(
             dataset=label,
@@ -338,26 +304,18 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> ExperimentReport:
                 )
             )
 
+    by_cell = {(a.variant, a.horizon): a for a in aggregates}
     improvements = []
-    if "vanilla" in config.variants and "cvpe" in config.variants:
-        for horizon in config.horizons:
-            try:
-                base = next(
-                    a for a in aggregates if a.variant == "vanilla" and a.horizon == horizon
-                )
-                cross = next(
-                    a for a in aggregates if a.variant == "cvpe" and a.horizon == horizon
-                )
-            except StopIteration:
-                continue
-            if base.mean_mse > 0:
-                improvements.append(
-                    {
-                        "horizon": horizon,
-                        "relative_improvement": (base.mean_mse - cross.mean_mse)
-                        / base.mean_mse,
-                    }
-                )
+    for horizon in config.horizons:
+        base = by_cell.get(("vanilla", horizon))
+        cross = by_cell.get(("cvpe", horizon))
+        if base is not None and cross is not None and base.mean_mse > 0:
+            improvements.append(
+                {
+                    "horizon": horizon,
+                    "relative_improvement": (base.mean_mse - cross.mean_mse) / base.mean_mse,
+                }
+            )
 
     return ExperimentReport(
         dataset_label=dataset_label(config),

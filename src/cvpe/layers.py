@@ -36,13 +36,6 @@ class Affine:
         )
 
     @classmethod
-    def identity(cls, dim: int, name: str) -> "Affine":
-        return cls(
-            w=parameter(np.eye(dim), f"{name}.w"),
-            b=parameter(np.zeros(dim), f"{name}.b"),
-        )
-
-    @classmethod
     def zeros(cls, fan_in: int, fan_out: int, name: str) -> "Affine":
         return cls(
             w=parameter(np.zeros((fan_in, fan_out)), f"{name}.w"),

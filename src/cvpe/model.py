@@ -382,24 +382,6 @@ def forecast_batch(
     return out
 
 
-def forecast(
-    window: np.ndarray,
-    params: ModelParams,
-    variant: str | None = None,
-    counter: ScoreCounter | None = None,
-) -> Tensor:
-    """Forecast one (channels, context) window to (channels, horizon)."""
-    if variant is not None and variant != params.variant:
-        raise ValueError(
-            f"requested variant {variant!r} but parameters were built for {params.variant!r}"
-        )
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise ValueError(f"expected a (channels, context) window, got {window.shape}")
-    out = forecast_batch(window[None], params, counter)
-    return reshape(out, out.shape[1:])
-
-
 def save_checkpoint(path: str | Path, params: ModelParams):
     """Persist structure plus every parameter array, bit-exactly."""
     path = Path(path)

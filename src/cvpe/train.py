@@ -1,4 +1,5 @@
-"""Loss, gradients, finite-difference verification, Adam, and the train loop.
+"""Loss, gradients, finite-difference verification, Adam, the evaluator and
+the train loop.
 
 Everything runs in float64.  The loop is fully deterministic given the seed:
 the complete shuffled window schedule is drawn up front, and its digest is
@@ -8,13 +9,15 @@ exposed so paired runs can prove they saw identical batches.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .autodiff import NumericError, Tensor, as_tensor, no_grad, sub, tmean
 from .model import ModelParams, forecast_batch
 
+EVAL_BATCH = 64
 GRAD_CHECK_STEP = 1e-5
 GRAD_CHECK_SAMPLES = 16
 _SHUFFLE_STREAM = 100
@@ -75,15 +78,17 @@ def make_windows(
     if context < 1 or horizon < 1 or stride < 1:
         raise ValueError("context, horizon and stride must be positive")
     total = context + horizon
-    n_windows = (values.shape[1] - total) // stride + 1
-    if n_windows < 1:
+    if values.shape[1] < total:
         raise ValueError(
             f"segment of {values.shape[1]} steps too short for context {context} "
             f"plus horizon {horizon}"
         )
-    starts = stride * np.arange(n_windows)
-    windows = np.stack([values[:, s : s + context] for s in starts])
-    targets = np.stack([values[:, s + context : s + total] for s in starts])
+    # (channels, starts, context + horizon) views, every stride-th start; the
+    # copies are C-ordered and never alias ``values`` (ascontiguousarray
+    # would hand back a view when one channel's stride equals the context)
+    spans = np.lib.stride_tricks.sliding_window_view(values, total, axis=1)[:, ::stride]
+    windows = spans[:, :, :context].transpose(1, 0, 2).copy()
+    targets = spans[:, :, context:].transpose(1, 0, 2).copy()
     return windows, targets
 
 
@@ -279,16 +284,59 @@ def schedule_digest(schedule: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(schedule, dtype=np.int64).tobytes()).hexdigest()
 
 
-def evaluate_mse(params: ModelParams, windows: np.ndarray, targets: np.ndarray,
-                 batch_size: int = 64) -> float:
-    """Mean squared error over a window set, without touching the graph."""
-    total = 0.0
-    with no_grad():
-        for lo in range(0, windows.shape[0], batch_size):
-            chunk = slice(lo, lo + batch_size)
-            pred = forecast_batch(windows[chunk], params).data
-            total += float(np.sum((pred - targets[chunk]) ** 2))
-    return total / float(np.prod(targets.shape))
+@dataclass(frozen=True)
+class MetricPair:
+    mse: float
+    mae: float
+
+    def __post_init__(self):
+        if self.mse < 0 or self.mae < 0:
+            raise ValueError("metrics cannot be negative")
+
+
+def evaluate(
+    forecast_fn: Callable[[np.ndarray], np.ndarray],
+    windows: np.ndarray,
+    targets: np.ndarray,
+    batch_size: int = EVAL_BATCH,
+) -> MetricPair:
+    """Run a forecaster over a window set and average the errors.
+
+    ``forecast_fn`` maps a (batch, channels, context) array to a (batch,
+    channels, horizon) array; errors are averaged uniformly over windows,
+    channels and horizon steps.  This is the one scorer: the train loop's
+    validation MSE and every test score come from here.
+    """
+    windows = np.asarray(windows, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if windows.shape[0] != targets.shape[0]:
+        raise ValueError("window and target counts differ")
+    if windows.shape[0] == 0:
+        raise ValueError("cannot evaluate on an empty window set")
+    sq_sum = 0.0
+    abs_sum = 0.0
+    for lo in range(0, windows.shape[0], batch_size):
+        chunk = slice(lo, lo + batch_size)
+        pred = np.asarray(forecast_fn(windows[chunk]), dtype=np.float64)
+        if pred.shape != targets[chunk].shape:
+            raise ValueError(
+                f"forecaster returned {pred.shape}, expected {targets[chunk].shape}"
+            )
+        err = pred - targets[chunk]
+        sq_sum += float(np.sum(err * err))
+        abs_sum += float(np.sum(np.abs(err)))
+    count = float(np.prod(targets.shape))
+    return MetricPair(mse=sq_sum / count, mae=abs_sum / count)
+
+
+def model_forecast_fn(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
+    """Wrap trained parameters as a plain array-to-array forecaster."""
+
+    def fn(windows: np.ndarray) -> np.ndarray:
+        with no_grad():
+            return forecast_batch(windows, params).data
+
+    return fn
 
 
 def train_loop(
@@ -332,7 +380,7 @@ def train_loop(
             adam_step(state, leaves, grads)
             sq_sum += value * sel.size * np.prod(train_targets.shape[1:])
         train_mse = float(sq_sum / np.prod(train_targets.shape))
-        val_mse = evaluate_mse(params, val_windows, val_targets)
+        val_mse = evaluate(model_forecast_fn(params), val_windows, val_targets).mse
         if not np.isfinite(val_mse):
             raise TrainingDiverged(epoch, -1)
         history.append(EpochRecord(epoch, train_mse, val_mse))

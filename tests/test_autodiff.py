@@ -336,6 +336,18 @@ def test_no_grad_blocks_tape():
     assert x.grad is not None
 
 
+def test_second_walk_adds_the_same_gradient_again():
+    # leaves accumulate across walks; intermediates start each walk empty
+    x = parameter(np.ones(1), "x")
+    y = mul(x, 3.0)
+    loss = tsum(mul(y, 1.0))
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [3.0])
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [6.0])
+    np.testing.assert_array_equal(y.grad, [1.0])
+
+
 def test_backward_requires_scalar_root():
     x = parameter(np.ones((2, 2)), "x")
     y = mul(x, 2.0)

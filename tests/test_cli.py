@@ -161,6 +161,20 @@ class TestTrainAndEvaluate:
         name = "loss_vanilla_h3_seed0.csv"
         assert (tmp_path / "cell" / name).read_bytes() == (tmp_path / "grid" / name).read_bytes()
 
+    def test_evaluate_prints_the_experiment_cell_scores(self, config_file, tmp_path, capsys):
+        cfg = config_file()
+        cell_dir = str(tmp_path / "cell")
+        assert main(["train", "--config", cfg, "--variant", "cvpe", "--out", cell_dir]) == 0
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "grid")]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "cell" / "model_cvpe_h3_seed0.npz"
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        payload = json.loads((tmp_path / "grid" / "report.json").read_text())
+        (cell,) = [c for c in payload["cells"] if c["variant"] == "cvpe"]
+        assert f"test mse: {cell['mse']:.6f}" in out
+        assert f"test mae: {cell['mae']:.6f}" in out
+
     def test_evaluate_scores_a_checkpoint(self, config_file, tmp_path, capsys):
         outdir = tmp_path / "cell"
         assert main(["train", "--config", config_file(), "--out", str(outdir)]) == 0

@@ -16,7 +16,6 @@ from cvpe.model import (
     ReprogramParams,
     backbone_forward,
     build_model,
-    forecast,
     forecast_batch,
     load_checkpoint,
     reprogram,
@@ -144,19 +143,18 @@ class TestForecaster:
         batch = rng.normal(size=(3, 4, 32))
         out = arr(forecast_batch(batch, params))
         assert out.shape == (3, 4, 4)
-        single = arr(forecast(batch[0], params))
-        assert single.shape == (4, 4)
 
     def test_single_window_agrees_with_batch(self):
+        # a window's forecast does not depend on the other windows in its batch
         for variant in ("vanilla", "cvpe"):
             params = tiny_model(variant)
             rng = np.random.default_rng(9)
             batch = rng.normal(size=(2, 3, 32))
             whole = arr(forecast_batch(batch, params))
             for i in range(2):
-                np.testing.assert_allclose(
-                    arr(forecast(batch[i], params)), whole[i], atol=1e-12
-                )
+                single = arr(forecast_batch(batch[i][None], params))
+                assert single.shape == (1, 3, 4)
+                np.testing.assert_allclose(single[0], whole[i], atol=1e-12)
 
     def test_vanilla_channels_are_exactly_independent(self):
         params = tiny_model("vanilla")
@@ -242,10 +240,6 @@ class TestForecaster:
             forecast_batch(np.zeros((2, 32)), params)
         with pytest.raises(ValueError):
             forecast_batch(np.zeros((1, 2, 30)), params)
-        with pytest.raises(ValueError):
-            forecast(np.zeros((1, 2, 32)), params)
-        with pytest.raises(ValueError):
-            forecast(np.zeros((2, 32)), params, variant="cvpe")
         with pytest.raises(ValueError):
             ModelParams.build("fancy", 32, 4, PatchConfig(8, 4))
         with pytest.raises(ValueError):

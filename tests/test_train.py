@@ -13,9 +13,10 @@ from cvpe.train import (
     TrainingDiverged,
     adam_step,
     backward,
-    evaluate_mse,
+    evaluate,
     grad_check,
     make_windows,
+    model_forecast_fn,
     mse_loss,
     plan_schedule,
     schedule_digest,
@@ -192,6 +193,20 @@ class TestWindows:
         assert w3.shape[0] == 6
         np.testing.assert_array_equal(w3[1, 0], w1[3, 0])
 
+    @pytest.mark.parametrize("channels,stride", [(3, 1), (3, 3), (1, 7)])
+    def test_matches_slicing_at_every_start(self, channels, stride):
+        # one channel at a stride equal to the context is the case where a
+        # contiguous view of the input could be returned instead of a copy
+        values = np.random.default_rng(3).normal(size=(channels, 40))
+        windows, targets = make_windows(values, 7, 4, stride=stride)
+        starts = range(0, 40 - 11 + 1, stride)
+        want_w = np.stack([values[:, s : s + 7] for s in starts])
+        want_t = np.stack([values[:, s + 7 : s + 11] for s in starts])
+        for got, want in ((windows, want_w), (targets, want_t)):
+            assert got.flags.c_contiguous
+            assert not np.shares_memory(got, values)
+            np.testing.assert_array_equal(got, want)
+
     def test_too_short_segment(self):
         with pytest.raises(ValueError):
             make_windows(np.zeros((1, 5)), context=4, horizon=2)
@@ -269,7 +284,7 @@ class TestTrainLoop:
         result = train_loop(
             params, tw, tt, vw, vt, TrainConfig(epochs=4, batch_size=16, seed=5)
         )
-        final_val = evaluate_mse(params, vw, vt)
+        final_val = evaluate(model_forecast_fn(params), vw, vt).mse
         assert final_val == pytest.approx(result.best_val_mse, rel=1e-12)
         assert result.best_val_mse == min(r.val_mse for r in result.history)
 
