@@ -6,12 +6,13 @@ order accumulating gradients. All arithmetic is performed in 64-bit floats so
 that central finite differences can be used as a correctness oracle for every
 op (see ``train.grad_check``).
 
-Only the operations the forecasting stack actually needs are implemented:
-elementwise ``add``/``sub``/``mul``/``power``, batched ``matmul`` with
-broadcasting leading dimensions, the reductions ``tsum``/``tmean``, the shape
-moves ``reshape``/``swapaxes``, ``gelu`` and a numerically stable ``softmax``
-(the model calls neither: ``mlp`` runs the GELU's blocks itself, and
-``attention`` has its own softmax).
+Only the operations the program calls are implemented. The model uses the
+elementwise ``add``/``sub``/``mul``, ``matmul`` against a 2-D weight, the
+whole-array mean ``tmean`` (the loss), the shape moves ``reshape``/``swapaxes``
+and the fused nodes below. The whole-array sum ``tsum``, ``gelu``, ``softmax``
+and ``power`` stay because the benchmark in ``perfbench/`` times or checks
+them; the model calls none of them (``mlp`` runs the GELU's blocks itself,
+and ``attention`` has its own softmax).
 
 Four fused ops each record a single tape node with a closed-form backward,
 so the model's hot layers keep one saved output and one gradient per call
@@ -43,14 +44,14 @@ the key and value gradients are GEMMs over those rows, with no per-row
 gradient to reduce.
 
 Every dense layer is one BLAS call over a 2-D ``(rows, features)`` matrix.
-``affine`` and a ``matmul`` with a 2-D right operand flatten every leading
-axis of the input into rows once (which copies a non-contiguous view, such as
-the router block's swapped axes): the forward is one GEMM, the input and
-weight gradients are one GEMM each over those rows, and the bias gradient is
-``ones @ rows``, a GEMV. Given a 4-D input, numpy instead runs one small GEMM
-per leading index (numpy 2.4 and OpenBLAS 0.3.31 on a 2-vCPU x86-64 machine,
-at training shapes: 42 us for a (32, 8, 5, 16) input against 21.5 us for its
-(1280, 16) rows, and 46 us for their column sum against 10 us for the GEMV).
+``affine`` and ``matmul`` flatten every leading axis of the input into rows
+once (which copies a non-contiguous view, such as the router block's swapped
+axes): the forward is one GEMM, the input and weight gradients are one GEMM
+each over those rows, and the bias gradient is ``ones @ rows``, a GEMV.
+Given a 4-D input, numpy instead runs one small GEMM per leading index (numpy
+2.4 and OpenBLAS 0.3.31 on a 2-vCPU x86-64 machine, at training shapes: 42 us
+for a (32, 8, 5, 16) input against 21.5 us for its (1280, 16) rows, and 46 us
+for their column sum against 10 us for the GEMV).
 ``layer_norm`` reduces over a last axis of only 16 features, which numpy does
 row by row, so it runs through BLAS as well: ``rows @ (I - 1/d)`` centres
 every row in one GEMM (the centring matrix is cached per ``d``), the variance
@@ -92,8 +93,10 @@ blocked GEMMs give the bits of whole ones, so the node equals the chain bit
 for bit; at hidden sizes of 512 and more OpenBLAS may round a block of rows
 differently from the whole matrix in the last digits.
 
-``_accumulate`` copies a first gradient, because the array may be a
-read-only broadcast view or be handed to another input as well (``add``).
+``_accumulate`` copies a first gradient, because the array may be the
+upstream gradient itself, or a view of it, that another input receives as
+well (``add`` hands one array to both inputs; ``reshape`` and ``swapaxes``
+pass views), and later gradients are added into it in place.
 The fused nodes' input gradients are fresh arrays that nothing else holds,
 so ``_hand_over`` gives an intermediate tensor (one with a backward) its
 first such gradient as is; leaf and parameter gradients still go through
@@ -300,43 +303,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def swapaxes(self, a: int, b: int):
-        return swapaxes(self, a, b)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     # -- backprop ------------------------------------------------------------
 
@@ -389,8 +357,8 @@ def parameter(data, name: str) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # The first gradient is copied, never stored as is: ``g`` may be a
-    # read-only broadcast view, or the same array handed to another input
+    # The first gradient is copied, never stored as is: ``g`` may be the
+    # upstream array, or a view of it, that another input receives as well
     # (``add``), and later gradients are added into ``t.grad`` in place.
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
@@ -490,25 +458,12 @@ def power(a, exponent: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; leading dimensions broadcast.
-
-    A 2-D right operand is a dense layer: ``a``'s rows are flattened into
-    one GEMM (see ``_dense``)."""
+    """``a @ b`` for a (..., k) ``a`` and a (k, n) weight ``b``: a dense
+    layer, with ``a``'s rows flattened into one GEMM (see ``_dense``)."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul operands need ndim >= 2, got {a.ndim} and {b.ndim}")
-    if b.ndim == 2:
-        return _dense(a, b, None)
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            _accumulate(a, _unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ValueError(f"matmul needs (..., k) @ (k, n), got {a.shape} and {b.shape}")
+    return _dense(a, b, None)
 
 
 # -- nonlinearities ----------------------------------------------------------
@@ -611,38 +566,26 @@ def softmax(a) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape).copy() if np.ndim(g) == 0 else np.full(shape, g)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(ax % len(shape) for ax in axes)
-    if not keepdims:
-        for ax in sorted(axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """The sum of every element, as a 0-d tensor."""
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _expand_reduced(g, a.data.shape, axis, keepdims))
+            _accumulate(a, np.full(a.shape, g))
 
-    return _make(np.asarray(out_data), (a,), backward)
+    return _make(np.asarray(a.data.sum()), (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
+    """The mean of every element, as a 0-d tensor."""
     a = as_tensor(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.size // np.asarray(out_data).size
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _expand_reduced(g, a.data.shape, axis, keepdims) / count)
+            _accumulate(a, np.full(a.shape, g) / a.data.size)
 
-    return _make(np.asarray(out_data), (a,), backward)
+    return _make(np.asarray(a.data.mean()), (a,), backward)
 
 
 # -- shape moves ---------------------------------------------------------------

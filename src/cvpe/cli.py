@@ -38,7 +38,7 @@ from .evaluation import (
     write_experiment,
     write_loss_curve,
 )
-from .model import build_model, load_checkpoint, save_checkpoint
+from .model import VARIANTS, build_model, load_checkpoint, save_checkpoint
 from .train import TrainingDiverged, grad_check, make_windows
 
 OUTPUT_DIR_ENV = "CVPE_OUTPUT_DIR"
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one cell and save a checkpoint")
     add_config(p)
-    p.add_argument("--variant", choices=["vanilla", "cvpe"], help="embedding variant")
+    p.add_argument("--variant", choices=VARIANTS, help="embedding variant")
     p.add_argument("--horizon", type=int, help="forecast horizon (default: first configured)")
     p.add_argument("--seed", type=int, help="run seed (default: first configured)")
     p.add_argument("--out", help="output directory override")
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     add_config(p)
-    p.add_argument("--variant", choices=["vanilla", "cvpe"], help="embedding variant")
+    p.add_argument("--variant", choices=VARIANTS, help="embedding variant")
     p.add_argument("--horizon", type=int, help="forecast horizon (default: first configured)")
     p.add_argument("--seed", type=int, help="model seed (default: first configured)")
     p.add_argument("--tolerance", type=float, default=1e-4, help="max relative error allowed")

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, add, as_tensor, attention, check_finite, parameter, swapaxes
-from .layers import Affine, LayerNorm, Mlp, rng_from
+from .layers import Affine, LayerNorm, Mlp
 
 TABLE_INIT_STD = 0.02
+# the block's feed-forward is this many times wider than the model
+MLP_RATIO = 4
 
 
 class ScoreCounter:
@@ -61,19 +63,15 @@ def multi_head_attention(
     are contiguous slices of the feature axis, and only the merged output
     passes through a learned affine map.  Leading axes broadcast, so a
     (n_q, d) query bank can attend into (batch, n_k, d) keys and vice versa.
+    Shapes are checked by ``autodiff.attention``, which raises ``ValueError``
+    before the counter sees the call.
     """
-    query, key, value = as_tensor(query), as_tensor(key), as_tensor(value)
-    d = query.shape[-1]
-    if key.shape[-1] != d or value.shape[-1] != d:
-        raise ValueError("query, key and value must share the feature dim")
-    if key.shape[-2] != value.shape[-2]:
-        raise ValueError("key and value must agree on sequence length")
-    cfg.head_dim(d)
+    attended = attention(query, key, value, cfg.heads)
     if counter is not None:
         # one score per head and query-key pair over the broadcast batch
         lead = np.broadcast_shapes(query.shape[:-2], key.shape[:-2])
         counter.add(cfg.heads * int(np.prod(lead)) * query.shape[-2] * key.shape[-2])
-    return out_proj.apply(attention(query, key, value, cfg.heads))
+    return out_proj.apply(attended)
 
 
 @dataclass
@@ -112,25 +110,22 @@ class CvpeParams:
         model_dim: int,
         n_routers: int,
         seed_stream: np.random.Generator,
-        hidden: int | None = None,
-        name: str = "cvpe",
     ) -> "CvpeParams":
-        hidden = 4 * model_dim if hidden is None else hidden
         rng = seed_stream
         return cls(
             positional=parameter(
-                rng.normal(0.0, TABLE_INIT_STD, (n_positions, model_dim)), f"{name}.positional"
+                rng.normal(0.0, TABLE_INIT_STD, (n_positions, model_dim)), "cvpe.positional"
             ),
-            routers=RouterBank.init(n_positions, n_routers, model_dim, rng, f"{name}.routers"),
-            collect_out=Affine.init(model_dim, model_dim, rng, f"{name}.collect_out"),
-            dispatch_out=Affine.init(model_dim, model_dim, rng, f"{name}.dispatch_out"),
-            mlp=Mlp.init(model_dim, hidden, rng, f"{name}.mlp"),
-            ln1=LayerNorm.init(model_dim, f"{name}.ln1"),
-            ln2=LayerNorm.init(model_dim, f"{name}.ln2"),
+            routers=RouterBank.init(n_positions, n_routers, model_dim, rng, "cvpe.routers"),
+            collect_out=Affine.init(model_dim, model_dim, rng, "cvpe.collect_out"),
+            dispatch_out=Affine.init(model_dim, model_dim, rng, "cvpe.dispatch_out"),
+            mlp=Mlp.init(model_dim, MLP_RATIO * model_dim, rng, "cvpe.mlp"),
+            ln1=LayerNorm.init(model_dim, "cvpe.ln1"),
+            ln2=LayerNorm.init(model_dim, "cvpe.ln2"),
         )
 
     @classmethod
-    def identity(cls, n_positions: int, model_dim: int, n_routers: int, name: str = "cvpe") -> "CvpeParams":
+    def identity(cls, n_positions: int, model_dim: int, n_routers: int) -> "CvpeParams":
         """A configuration whose forward pass is exactly the identity map.
 
         Zero positional table, zero output projections (so the dispatch
@@ -138,15 +133,15 @@ class CvpeParams:
         layer norms.  Useful as the vanilla-equivalence control.
         """
         rng = np.random.default_rng(0)
-        routers = RouterBank.init(n_positions, n_routers, model_dim, rng, f"{name}.routers")
+        routers = RouterBank.init(n_positions, n_routers, model_dim, rng, "cvpe.routers")
         return cls(
-            positional=parameter(np.zeros((n_positions, model_dim)), f"{name}.positional"),
+            positional=parameter(np.zeros((n_positions, model_dim)), "cvpe.positional"),
             routers=routers,
-            collect_out=Affine.zeros(model_dim, model_dim, f"{name}.collect_out"),
-            dispatch_out=Affine.zeros(model_dim, model_dim, f"{name}.dispatch_out"),
-            mlp=Mlp.zeros(model_dim, 4 * model_dim, f"{name}.mlp"),
-            ln1=LayerNorm.init(model_dim, f"{name}.ln1", active=False),
-            ln2=LayerNorm.init(model_dim, f"{name}.ln2", active=False),
+            collect_out=Affine.zeros(model_dim, model_dim, "cvpe.collect_out"),
+            dispatch_out=Affine.zeros(model_dim, model_dim, "cvpe.dispatch_out"),
+            mlp=Mlp.zeros(model_dim, MLP_RATIO * model_dim, "cvpe.mlp"),
+            ln1=LayerNorm.init(model_dim, "cvpe.ln1", active=False),
+            ln2=LayerNorm.init(model_dim, "cvpe.ln2", active=False),
         )
 
     def parameters(self) -> list[Tensor]:

@@ -7,11 +7,13 @@ pure and parameters are enumerable in a stable order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, affine, layer_norm, matmul, mlp, parameter
+
+LAYER_NORM_EPS = 1e-5
 
 
 def rng_from(seed: int, stream: int) -> np.random.Generator:
@@ -83,7 +85,6 @@ class LayerNorm:
 
     gain: Tensor
     bias: Tensor
-    eps: float = 1e-5
     active: bool = True
 
     @classmethod
@@ -97,7 +98,7 @@ class LayerNorm:
     def apply(self, x) -> Tensor:
         if not self.active:
             return x
-        return layer_norm(x, self.gain, self.bias, self.eps)
+        return layer_norm(x, self.gain, self.bias, LAYER_NORM_EPS)
 
     def parameters(self) -> list[Tensor]:
         return [self.gain, self.bias]

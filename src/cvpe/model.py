@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -26,7 +26,6 @@ from .embedding import (
 from .layers import Affine, LayerNorm, Linear, Mlp, rng_from
 from .preprocess import (
     PatchConfig,
-    RevinState,
     denormalize_tensor,
     patch,
     project_patches,
@@ -37,6 +36,13 @@ if TYPE_CHECKING:
     from .config import RunConfig
 
 VARIANTS = ("vanilla", "cvpe")
+
+# the keys of ``ModelParams.structure()``; every value but the variant is an int
+_STRUCTURE_FIELDS = (
+    "variant", "context", "horizon", "patch_length", "patch_stride", "model_dim", "heads",
+    "n_prototypes", "n_routers", "backbone_layers", "backbone_width", "backbone_heads",
+    "backbone_hidden",
+)
 
 # fixed per-component seed streams so that variants share every non-block draw
 _STREAM_PATCH_PROJ = 0
@@ -214,24 +220,24 @@ class ModelParams:
         context: int,
         horizon: int,
         patch_cfg: PatchConfig,
-        model_dim: int = 32,
-        heads: int = 8,
-        n_prototypes: int = 100,
-        n_routers: int = 4,
-        backbone_cfg: BackboneConfig | None = None,
-        seed: int = 0,
+        model_dim: int,
+        heads: int,
+        n_prototypes: int,
+        n_routers: int,
+        backbone_cfg: BackboneConfig,
+        seed: int,
     ) -> "ModelParams":
         """Initialise a model; every component draws from its own seed stream.
 
         Stream separation is what makes A/B runs paired: the vanilla and
         cross-variate variants built from the same seed share bit-identical
         patch projection, reprogramming, backbone and head initialisations.
+        The default sizes live in the config schema (``config.py``).
         """
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
         if context < 1 or horizon < 1:
             raise ValueError("context and horizon must be positive")
-        backbone_cfg = backbone_cfg or BackboneConfig()
         attn_cfg = AttentionConfig(heads)
         attn_cfg.head_dim(model_dim)  # validate divisibility up front
         n_positions = patch_cfg.n_patches(context)
@@ -309,7 +315,19 @@ class ModelParams:
         }
 
     @classmethod
-    def from_structure(cls, struct: dict) -> "ModelParams":
+    def from_structure(cls, struct) -> "ModelParams":
+        """Rebuild the skeleton ``structure()`` describes; a description that
+        cannot be one raises ``ValueError`` naming the field."""
+        if not isinstance(struct, dict):
+            raise ValueError(f"structure is not a JSON object but a {type(struct).__name__}")
+        for key in _STRUCTURE_FIELDS:
+            if key not in struct:
+                raise ValueError(f"structure lacks field {key!r}")
+            want = str if key == "variant" else int
+            if not isinstance(struct[key], want) or isinstance(struct[key], bool):
+                raise ValueError(
+                    f"structure field {key!r} must be {want.__name__}, got {struct[key]!r}"
+                )
         return cls.build(
             variant=struct["variant"],
             context=struct["context"],
@@ -325,6 +343,8 @@ class ModelParams:
                 heads=struct["backbone_heads"],
                 hidden=struct["backbone_hidden"],
             ),
+            # the saved arrays replace every initial draw
+            seed=0,
         )
 
 
@@ -414,8 +434,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         struct = json.loads(bundle["__structure__"].tobytes().decode())
         try:
             params = ModelParams.from_structure(struct)
-        except KeyError as exc:
-            raise ValueError(f"checkpoint {path} structure lacks field {exc.args[0]!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from None
         for p in params.parameters():
             if p.name not in bundle:
                 raise ValueError(f"checkpoint missing parameter {p.name!r}")

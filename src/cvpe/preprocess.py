@@ -22,22 +22,21 @@ class RevinState:
 
     ``mean`` and ``std`` keep the reduced time axis (length-1 trailing dim)
     so they broadcast against both the window and the forecast.  ``std`` is
-    already guarded: every entry is at least ``eps``.
+    already guarded: every entry is at least ``REVIN_EPS``.
     """
 
     mean: np.ndarray
     std: np.ndarray
-    eps: float = REVIN_EPS
 
 
-def revin_normalize(window: np.ndarray, eps: float = REVIN_EPS) -> tuple[np.ndarray, RevinState]:
+def revin_normalize(window: np.ndarray) -> tuple[np.ndarray, RevinState]:
     """Standardise each channel of a window to zero mean, unit spread.
 
     The time axis is the last one, so (channels, time) windows and batched
     (batch, channels, time) stacks both work.  The spread is the population
-    standard deviation clamped from below by ``eps``; the clamp (rather than
-    adding eps under the square root) keeps the transform exactly equivariant
-    under scaling of non-degenerate inputs.
+    standard deviation clamped from below by ``REVIN_EPS``; the clamp (rather
+    than adding eps under the square root) keeps the transform exactly
+    equivariant under scaling of non-degenerate inputs.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.shape[-1] < 1:
@@ -45,8 +44,8 @@ def revin_normalize(window: np.ndarray, eps: float = REVIN_EPS) -> tuple[np.ndar
     if not np.all(np.isfinite(window)):
         raise ValueError("window must be finite")
     mean = window.mean(axis=-1, keepdims=True)
-    std = np.maximum(window.std(axis=-1, keepdims=True), eps)
-    return (window - mean) / std, RevinState(mean=mean, std=std, eps=eps)
+    std = np.maximum(window.std(axis=-1, keepdims=True), REVIN_EPS)
+    return (window - mean) / std, RevinState(mean=mean, std=std)
 
 
 def revin_denormalize(values: np.ndarray, state: RevinState) -> np.ndarray:
@@ -87,12 +86,14 @@ def patch(values: np.ndarray, cfg: PatchConfig) -> np.ndarray:
     """Slice the time axis into patches: (..., T) -> (..., P, length).
 
     Patch j covers steps [j * stride, j * stride + length).  With the floor
-    patch count a short tail of the window may stay uncovered.
+    patch count a short tail of the window may stay uncovered.  The result is
+    a read-only strided view of ``values``; the patch projection flattens it
+    into rows once.
     """
     values = np.asarray(values, dtype=np.float64)
     n = cfg.n_patches(values.shape[-1])
-    idx = np.arange(cfg.length)[None, :] + cfg.stride * np.arange(n)[:, None]
-    return values[..., idx]
+    spans = np.lib.stride_tricks.sliding_window_view(values, cfg.length, axis=-1)
+    return spans[..., : n * cfg.stride : cfg.stride, :]
 
 
 def project_patches(patches: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:

@@ -20,6 +20,9 @@ from .model import ModelParams, forecast_batch
 EVAL_BATCH = 64
 GRAD_CHECK_STEP = 1e-5
 GRAD_CHECK_SAMPLES = 16
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 _SHUFFLE_STREAM = 100
 
 
@@ -118,7 +121,6 @@ def grad_check(
     windows: np.ndarray,
     targets: np.ndarray,
     tolerance: float = 1e-4,
-    step: float = GRAD_CHECK_STEP,
     samples_per_tensor: int = GRAD_CHECK_SAMPLES,
     seed: int = 0,
     corrupt: str | None = None,
@@ -126,8 +128,8 @@ def grad_check(
     """Compare reverse-mode gradients against central finite differences.
 
     For each parameter tensor a random sample of coordinates (all of them
-    for small tensors) is perturbed by ``step`` in both directions and the
-    quotient is compared to the recorded gradient via
+    for small tensors) is perturbed by ``GRAD_CHECK_STEP`` in both directions
+    and the quotient is compared to the recorded gradient via
     ``|g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|)``.  ``corrupt`` flips the
     sign of one named tensor's gradients, for exercising the failure path.
     """
@@ -157,12 +159,12 @@ def grad_check(
         worst = 0.0
         for c in coords:
             original = flat[c]
-            flat[c] = original + step
+            flat[c] = original + GRAD_CHECK_STEP
             hi = loss_at()
-            flat[c] = original - step
+            flat[c] = original - GRAD_CHECK_STEP
             lo = loss_at()
             flat[c] = original
-            fd = (hi - lo) / (2.0 * step)
+            fd = (hi - lo) / (2.0 * GRAD_CHECK_STEP)
             ad = gflat[c]
             rel = abs(ad - fd) / max(1e-8, abs(ad) + abs(fd))
             worst = max(worst, rel)
@@ -174,32 +176,20 @@ def grad_check(
 class AdamState:
     """First/second moment accumulators over the parameters laid end to end:
     parameter ``i`` owns ``m[bounds[i]:bounds[i + 1]]`` and the same slice of
-    ``v``."""
+    ``v``.  The decay rates and epsilon are ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPS``."""
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     step_count: int
     m: np.ndarray
     v: np.ndarray
     bounds: np.ndarray
 
     @classmethod
-    def init(
-        cls,
-        params: list[Tensor],
-        lr: float = 1e-2,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "AdamState":
+    def init(cls, params: list[Tensor], lr: float = 1e-2) -> "AdamState":
         bounds = np.cumsum([0] + [p.data.size for p in params])
         return cls(
             lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
             step_count=0,
             m=np.zeros(bounds[-1]),
             v=np.zeros(bounds[-1]),
@@ -221,16 +211,16 @@ def adam_step(state: AdamState, params: list[Tensor], grads: list[np.ndarray]):
             raise ValueError(f"gradient shape {g.shape} mismatches {p.name} {p.data.shape}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     g = np.concatenate([g.reshape(-1) for g in grads])
     data = np.concatenate([p.data.reshape(-1) for p in params])
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    data = data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    data = data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     for p, lo, hi in zip(params, state.bounds, state.bounds[1:]):
         p.data = data[lo:hi].reshape(p.data.shape)
 

@@ -170,9 +170,6 @@ def test_forward_values_match_numpy():
     x = rng.normal(size=(3, 4))
     s = np.asarray(softmax(as_tensor(x)))
     np.testing.assert_allclose(s.sum(axis=-1), np.ones(3), rtol=1e-13)
-    np.testing.assert_allclose(
-        np.asarray(tmean(as_tensor(x), axis=0)), x.mean(axis=0), rtol=1e-15
-    )
 
 
 def test_matmul_gradients_match_finite_differences():
@@ -201,6 +198,29 @@ def test_batched_matmul_accumulates_over_leading_axes():
     loss.backward()
     want = fd_grad(lambda v: (a0 @ v).sum(), b0)
     np.testing.assert_allclose(b.grad, want, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "b_shape", [(2, 4, 3), (2, 2, 4, 3), (6, 3)], ids=["3d", "4d", "2d-mismatched"]
+)
+def test_matmul_takes_only_a_matching_2d_right_operand(b_shape):
+    with pytest.raises(ValueError):
+        matmul(np.ones((2, 5, 4)), np.ones(b_shape))
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 4), (2, 3, 5)])
+def test_reduction_gradients_equal_the_broadcast_upstream_gradient(shape):
+    # a whole-array sum hands back the upstream scalar broadcast to the
+    # input's shape, a mean the same divided by the element count
+    x0 = np.random.default_rng(14).normal(size=shape)
+    g = np.asarray(2.5)
+    x = parameter(x0.copy(), "x")
+    tsum(x)._backward(g)
+    np.testing.assert_array_equal(x.grad, np.broadcast_to(g, shape).copy())
+    x = parameter(x0.copy(), "x")
+    tmean(x)._backward(g)
+    np.testing.assert_array_equal(x.grad, np.broadcast_to(g, shape).copy() / x0.size)
+    assert tsum(x).shape == tmean(x).shape == ()
 
 
 def _contiguous(shape, seed):
@@ -238,29 +258,6 @@ def test_weight_gradient_of_2d_operand_sums_every_leading_axis(a_shape, make_a):
     np.testing.assert_allclose(b.grad, old, rtol=1e-12)
     want = fd_grad(lambda v: ((a0 @ v) ** 2).sum(), b0)
     np.testing.assert_allclose(b.grad, want, rtol=1e-6, atol=1e-8)
-
-
-def test_router_table_broadcast_against_batched_keys():
-    # a (P, c, d) router table against (B, P, N, d) keys, as in the CVPE block
-    rng = np.random.default_rng(11)
-    table0 = rng.normal(size=(3, 2, 4))
-    keys0 = rng.normal(size=(2, 3, 5, 4))
-    coeff = rng.normal(size=(2, 3, 2, 5))
-    table = parameter(table0.copy(), "table")
-    keys = parameter(keys0.copy(), "keys")
-    tsum(mul(matmul(table, swapaxes(keys, -1, -2)), coeff)).backward()
-
-    kt = np.swapaxes(keys0, -1, -2)
-    np.testing.assert_allclose(
-        table.grad, _unbroadcast(coeff @ np.swapaxes(kt, -1, -2), table0.shape), rtol=1e-12
-    )
-    np.testing.assert_allclose(
-        keys.grad, np.swapaxes(np.swapaxes(table0, -1, -2) @ coeff, -1, -2), rtol=1e-12
-    )
-    want_table = fd_grad(lambda v: ((v @ kt) * coeff).sum(), table0)
-    want_keys = fd_grad(lambda v: ((table0 @ np.swapaxes(v, -1, -2)) * coeff).sum(), keys0)
-    np.testing.assert_allclose(table.grad, want_table, rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(keys.grad, want_keys, rtol=1e-6, atol=1e-8)
 
 
 def test_broadcast_add_unbroadcasts_gradient():
@@ -312,20 +309,6 @@ def test_add_of_a_node_to_itself_leaves_the_upstream_gradient_intact():
     np.testing.assert_allclose(x.grad, 2.0 * (coeff + 4.0 * x0), rtol=1e-15)
 
 
-@pytest.mark.parametrize("reduced_first", [True, False])
-def test_read_only_broadcast_gradient_is_copied_before_accumulating(reduced_first):
-    # tsum over an axis hands back a read-only broadcast view
-    x0 = np.random.default_rng(12).normal(size=(3, 4))
-    w = np.arange(4.0)
-    x = parameter(x0.copy(), "x")
-    terms = [tsum(mul(tsum(x, axis=0), w)), tsum(mul(x, x))]
-    if not reduced_first:
-        terms.reverse()
-    add(*terms).backward()
-    np.testing.assert_allclose(x.grad, w + 2.0 * x0, rtol=1e-15)
-    assert x.grad.flags.writeable
-
-
 def test_no_grad_blocks_tape():
     x = parameter(np.ones(3), "x")
     with no_grad():
@@ -359,17 +342,6 @@ def test_non_finite_values_raise_with_stage_name():
     with pytest.raises(NumericError) as err:
         check_finite(np.array([1.0, np.inf]), "demo stage")
     assert "demo stage" in str(err.value)
-
-
-def test_mean_with_axis_and_keepdims():
-    x0 = np.random.default_rng(10).normal(size=(3, 5))
-    x = parameter(x0.copy(), "x")
-    m = tmean(x, axis=-1, keepdims=True)
-    assert m.shape == (3, 1)
-    loss = tsum(mul(m, m))
-    loss.backward()
-    want = fd_grad(lambda v: ((v.mean(axis=-1, keepdims=True)) ** 2).sum(), x0)
-    np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-9)
 
 
 # -- fused nodes ----------------------------------------------------------------

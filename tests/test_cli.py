@@ -314,16 +314,15 @@ class TestExperiment:
             assert (dirs[1] / name).read_bytes() == (dirs[2] / name).read_bytes(), name
 
 
-def _checkpoint(tmp_path, entry=None, field=None):
-    """A saved model's path, without the archive entry ``entry`` or the
-    structure field ``field``."""
+def _checkpoint(tmp_path, entry=None, edit=None):
+    """A saved model's path, without the archive entry ``entry``, or with the
+    structure that ``edit`` returns for the saved one."""
     path = tmp_path / "model.npz"
     save_checkpoint(path, build_model(parse_config(base_config()), "vanilla", 3, 0))
     with np.load(path) as bundle:
         arrays = {k: bundle[k] for k in bundle.files if k != entry}
-    if field:
-        struct = json.loads(arrays["__structure__"].tobytes().decode())
-        del struct[field]
+    if edit:
+        struct = edit(json.loads(arrays["__structure__"].tobytes().decode()))
         arrays["__structure__"] = np.frombuffer(json.dumps(struct).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -373,8 +372,20 @@ _INPUT_FAILURES = {
         lambda t: (_GOOD, ["evaluate", "--checkpoint", _not_an_archive(t, "weights")]),
         "not a saved .npz archive"),
     "checkpoint_structure_lacks_a_field": (
-        lambda t: (_GOOD, ["evaluate", "--checkpoint", _checkpoint(t, field="context")]),
+        lambda t: (_GOOD, ["evaluate", "--checkpoint",
+                           _checkpoint(t, edit=lambda s: {k: s[k] for k in s if k != "context"})]),
         "lacks field 'context'"),
+    "checkpoint_structure_is_a_list": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint", _checkpoint(t, edit=list)]),
+        "structure is not a JSON object"),
+    "checkpoint_structure_field_is_text": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint",
+                           _checkpoint(t, edit=lambda s: {**s, "context": "abc"})]),
+        "field 'context' must be int"),
+    "checkpoint_structure_field_is_null": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint",
+                           _checkpoint(t, edit=lambda s: {**s, "heads": None})]),
+        "field 'heads' must be int"),
     "experiment_out_under_a_file": (
         lambda t: (_GOOD, ["experiment", "--out", _under_a_file(t)]), "cannot use"),
     "train_out_under_a_file": (

@@ -27,10 +27,8 @@ def arr(t):
     return np.asarray(t)
 
 
-def random_params(n_positions, dim, n_routers, seed, hidden=None):
-    return CvpeParams.init(
-        n_positions, dim, n_routers, np.random.default_rng(seed), hidden=hidden
-    )
+def random_params(n_positions, dim, n_routers, seed):
+    return CvpeParams.init(n_positions, dim, n_routers, np.random.default_rng(seed))
 
 
 def oracle_kwargs(params):
@@ -162,6 +160,17 @@ class TestMultiHeadAttention:
         with pytest.raises(ValueError):
             AttentionConfig(0)
 
+    def test_a_rejected_call_counts_no_scores(self):
+        # queries and keys agree; the values' leading axis broadcasts with neither
+        rng = np.random.default_rng(8)
+        counter = ScoreCounter()
+        with pytest.raises(ValueError):
+            multi_head_attention(
+                rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4)), rng.normal(size=(3, 5, 4)),
+                AttentionConfig(2), identity_out(4, "o"), counter,
+            )
+        assert counter.count == 0
+
 
 class TestRouterBlock:
     def test_zero_routers_give_uniform_mix_analytic_case(self):
@@ -191,7 +200,7 @@ class TestRouterBlock:
             n = int(rng.integers(2, 5))
             p = int(rng.integers(1, 4))
             c = int(rng.integers(1, 4))
-            params = random_params(p, d, c, seed=trial, hidden=int(rng.integers(3, 9)))
+            params = random_params(p, d, c, seed=trial)
             x = rng.normal(size=(n, p, d))
             got = arr(cvpe_forward(x, params, AttentionConfig(heads)))
             want = router_block_oracle(x, heads=heads, **oracle_kwargs(params))

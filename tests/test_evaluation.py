@@ -146,6 +146,7 @@ class TestEvaluate:
             n_prototypes=5,
             n_routers=2,
             backbone_cfg=BackboneConfig(1, 4, 2, 8),
+            seed=0,
         )
         fn = model_forecast_fn(params)
         rng = np.random.default_rng(5)

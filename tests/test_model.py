@@ -241,7 +241,7 @@ class TestForecaster:
         with pytest.raises(ValueError):
             forecast_batch(np.zeros((1, 2, 30)), params)
         with pytest.raises(ValueError):
-            ModelParams.build("fancy", 32, 4, PatchConfig(8, 4))
+            tiny_model("fancy")
         with pytest.raises(ValueError):
             tiny_model("vanilla", context=0)
         with pytest.raises(ValueError):
