@@ -9,9 +9,9 @@ Subcommands::
     experiment  run the full paired A/B grid and write reports
 
 Exit codes: 0 success, 1 configuration or input problem, 2 runtime failure
-(divergence or non-finite numbers), 3 gradient check failure.  The
-``CVPE_OUTPUT_DIR`` environment variable overrides the configured output
-directory; an explicit ``--out`` flag overrides both.
+(divergence, non-finite numbers or a dead ``--jobs`` worker), 3 gradient
+check failure.  The ``CVPE_OUTPUT_DIR`` environment variable overrides the
+configured output directory; an explicit ``--out`` flag overrides both.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 
@@ -275,7 +276,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, CsvFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TrainingDiverged, NumericError) as exc:
+    except (TrainingDiverged, NumericError, BrokenProcessPool) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import FREQUENCIES, SplitSpec, SyntheticSpec, TARGET_CHANNEL
+from .data import SplitSpec, SyntheticSpec, TARGET_CHANNEL
 from .model import BackboneConfig, VARIANTS
 from .preprocess import PatchConfig
 
@@ -35,7 +35,6 @@ class RunConfig:
     synthetic: SyntheticSpec | None
     csv_path: str | None
     date_column: str
-    frequency: str
     split: SplitSpec
     target: str
     select_top_k: int | None
@@ -126,8 +125,7 @@ def parse_config(raw: dict) -> RunConfig:
             f.fail(f"unknown field {key!r}")
 
     dataset = f.pull(raw, "dataset", dict)
-    dataset_kind, synthetic, csv_path = "", None, None
-    date_column, frequency = "date", "hourly"
+    dataset_kind, synthetic, csv_path, date_column = "", None, None, "date"
     if dataset is not None:
         dataset_kind = f.pull(dataset, "kind", str, where="dataset")
         if dataset_kind == "synthetic":
@@ -145,9 +143,6 @@ def parse_config(raw: dict) -> RunConfig:
         elif dataset_kind == "csv":
             csv_path = f.pull(dataset, "path", str, where="dataset")
             date_column = f.pull(dataset, "date_column", str, "date", where="dataset") or "date"
-            frequency = f.pull(dataset, "frequency", str, "hourly", where="dataset") or "hourly"
-            if frequency not in FREQUENCIES:
-                f.fail(f"dataset.frequency must be one of {FREQUENCIES}, got {frequency!r}")
         elif dataset_kind is not None:
             f.fail(f"dataset.kind must be 'synthetic' or 'csv', got {dataset_kind!r}")
 
@@ -210,8 +205,9 @@ def parse_config(raw: dict) -> RunConfig:
             layers = f.pull_pos_int(bb_raw, "layers", "model.backbone", 2)
             width = f.pull_pos_int(bb_raw, "width", "model.backbone", 32)
             bb_heads = f.pull_pos_int(bb_raw, "heads", "model.backbone", 4)
-            hidden = f.pull(bb_raw, "hidden", int, None, "model.backbone")
-            if None not in (layers, width, bb_heads):
+            default_hidden = None if width is None else 2 * width
+            hidden = f.pull_pos_int(bb_raw, "hidden", "model.backbone", default_hidden)
+            if None not in (layers, width, bb_heads, hidden):
                 try:
                     backbone = BackboneConfig(layers, width, bb_heads, hidden)
                 except ValueError as exc:
@@ -263,7 +259,6 @@ def parse_config(raw: dict) -> RunConfig:
         synthetic=synthetic,
         csv_path=csv_path,
         date_column=date_column,
-        frequency=frequency,
         split=split,
         target=target,
         select_top_k=select_top_k,
@@ -274,7 +269,7 @@ def parse_config(raw: dict) -> RunConfig:
         heads=heads,
         n_prototypes=n_prototypes,
         n_routers=n_routers,
-        backbone=backbone or BackboneConfig(),
+        backbone=backbone,
         variants=variants,
         epochs=epochs,
         batch_size=batch_size,

@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-FREQUENCIES = ("hourly", "min15", "min10")
-
 AR_COEF = 0.9
 SEASON_PERIOD = 24.0
 SEASON_AMPLITUDE = 0.5
@@ -51,7 +49,6 @@ class MultivariateSeries:
 
     values: np.ndarray
     channel_names: list[str]
-    frequency: str = "hourly"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -65,8 +62,6 @@ class MultivariateSeries:
             )
         if len(set(self.channel_names)) != len(self.channel_names):
             raise ValueError("channel names must be unique")
-        if self.frequency not in FREQUENCIES:
-            raise ValueError(f"frequency must be one of {FREQUENCIES}, got {self.frequency!r}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("series values must be finite")
 
@@ -133,12 +128,12 @@ def chronological_split(
     """Cut a series into ordered, disjoint train / validation / test segments."""
     a, b, c = spec.resolve(series.length)
     make = lambda lo, hi: MultivariateSeries(
-        series.values[:, lo:hi].copy(), list(series.channel_names), series.frequency
+        series.values[:, lo:hi].copy(), list(series.channel_names)
     )
     return make(0, a), make(a, b), make(b, c)
 
 
-def load_csv(path: str | Path, date_column: str = "date", frequency: str = "hourly") -> MultivariateSeries:
+def load_csv(path: str | Path, date_column: str = "date") -> MultivariateSeries:
     """Load an ETT-style CSV: timestamp column first, one column per channel."""
     path = Path(path)
     if not path.exists():
@@ -183,7 +178,7 @@ def load_csv(path: str | Path, date_column: str = "date", frequency: str = "hour
     if not rows:
         raise CsvFormatError("no data rows", row=1)
     values = np.asarray(rows, dtype=np.float64).T
-    return MultivariateSeries(values, names, frequency)
+    return MultivariateSeries(values, names)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -257,11 +252,7 @@ def select_top_k(
     keep = {name for name, _ in ranked[:k]}
     keep.add(target)
     idx = [i for i, name in enumerate(series.channel_names) if name in keep]
-    return MultivariateSeries(
-        series.values[idx].copy(),
-        [series.channel_names[i] for i in idx],
-        series.frequency,
-    )
+    return MultivariateSeries(series.values[idx].copy(), [series.channel_names[i] for i in idx])
 
 
 @dataclass(frozen=True)

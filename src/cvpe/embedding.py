@@ -144,17 +144,6 @@ class CvpeParams:
             ln2=LayerNorm.init(model_dim, "cvpe.ln2", active=False),
         )
 
-    def parameters(self) -> list[Tensor]:
-        return [
-            self.positional,
-            self.routers.table,
-            *self.collect_out.parameters(),
-            *self.dispatch_out.parameters(),
-            *self.mlp.parameters(),
-            *self.ln1.parameters(),
-            *self.ln2.parameters(),
-        ]
-
 
 def add_positional(x, positional: Tensor) -> Tensor:
     """Add the per-position encoding: (..., N, P, d) + (P, d)."""

@@ -156,8 +156,7 @@ def build_series(config: RunConfig) -> MultivariateSeries:
     """Materialise the configured dataset (synthetic draw or CSV load)."""
     if config.dataset_kind == "synthetic":
         return generate_synthetic(config.synthetic)
-    series = load_csv(config.csv_path, config.date_column, config.frequency)
-    return series
+    return load_csv(config.csv_path, config.date_column)
 
 
 def prepare_segments(
@@ -277,7 +276,8 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> ExperimentReport:
         segments = prepare_segments(config)
         rows = [run_cell(segments, config, v, h, s) for v, h, s in grid]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers up front, so start no more than cells
+        with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
             rows = list(pool.map(_cell_worker, [(config, v, h, s) for v, h, s in grid]))
 
     aggregates = []

@@ -2,12 +2,13 @@
 
 Everything here is a thin container of :class:`~cvpe.autodiff.Tensor` leaves
 plus a functional ``apply``; no module owns hidden state, so forwards stay
-pure and parameters are enumerable in a stable order.
+pure, and :func:`parameters_of` lists the leaves of any container in its
+field order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -19,6 +20,20 @@ LAYER_NORM_EPS = 1e-5
 def rng_from(seed: int, stream: int) -> np.random.Generator:
     """Independent deterministic stream; streams never overlap across ids."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
+
+
+def parameters_of(obj) -> list[Tensor]:
+    """Every ``Tensor`` in a container, depth first in dataclass field and
+    list order; anything else (``None``, numbers, flags, the ``*Config``
+    objects) holds none.  This order keys checkpoints and lays out Adam's
+    moment vector."""
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, list):
+        return [p for item in obj for p in parameters_of(item)]
+    if is_dataclass(obj):
+        return [p for f in fields(obj) for p in parameters_of(getattr(obj, f.name))]
+    return []
 
 
 @dataclass
@@ -47,9 +62,6 @@ class Affine:
     def apply(self, x) -> Tensor:
         return affine(x, self.w, self.b)
 
-    def parameters(self) -> list[Tensor]:
-        return [self.w, self.b]
-
 
 @dataclass
 class Linear:
@@ -69,9 +81,6 @@ class Linear:
 
     def apply(self, x) -> Tensor:
         return matmul(x, self.w)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.w]
 
 
 @dataclass
@@ -100,9 +109,6 @@ class LayerNorm:
             return x
         return layer_norm(x, self.gain, self.bias, LAYER_NORM_EPS)
 
-    def parameters(self) -> list[Tensor]:
-        return [self.gain, self.bias]
-
 
 @dataclass
 class Mlp:
@@ -127,6 +133,3 @@ class Mlp:
 
     def apply(self, x) -> Tensor:
         return mlp(x, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
-
-    def parameters(self) -> list[Tensor]:
-        return self.fc1.parameters() + self.fc2.parameters()

@@ -23,7 +23,7 @@ from .embedding import (
     cvpe_forward,
     multi_head_attention,
 )
-from .layers import Affine, LayerNorm, Linear, Mlp, rng_from
+from .layers import Affine, LayerNorm, Linear, Mlp, parameters_of, rng_from
 from .preprocess import (
     PatchConfig,
     denormalize_tensor,
@@ -93,15 +93,6 @@ class ReprogramParams:
             out=Affine.init(model_dim, out_dim, rng, f"{name}.out"),
         )
 
-    def parameters(self) -> list[Tensor]:
-        return [
-            self.bank.table,
-            *self.query.parameters(),
-            *self.key.parameters(),
-            *self.value.parameters(),
-            *self.out.parameters(),
-        ]
-
 
 def reprogram(
     x,
@@ -123,24 +114,20 @@ def reprogram(
 
 @dataclass(frozen=True)
 class BackboneConfig:
-    """Width and depth of the channel-independent encoder."""
+    """Width and depth of the channel-independent encoder; ``hidden`` is
+    the width of each layer's feed-forward."""
 
-    n_layers: int = 2
-    width: int = 32
-    heads: int = 4
-    hidden: int | None = None
+    n_layers: int
+    width: int
+    heads: int
+    hidden: int
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ValueError("layer count must be positive")
-        if self.width < 1:
-            raise ValueError("width must be positive")
+        for name in ("n_layers", "width", "heads", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} not divisible by {self.heads} heads")
-
-    @property
-    def mlp_hidden(self) -> int:
-        return 2 * self.width if self.hidden is None else self.hidden
 
 
 @dataclass
@@ -165,19 +152,8 @@ class BackboneLayer:
             v=Affine.init(w, w, rng, f"{name}.v"),
             out=Affine.init(w, w, rng, f"{name}.out"),
             ln2=LayerNorm.init(w, f"{name}.ln2"),
-            mlp=Mlp.init(w, cfg.mlp_hidden, rng, f"{name}.mlp"),
+            mlp=Mlp.init(w, cfg.hidden, rng, f"{name}.mlp"),
         )
-
-    def parameters(self) -> list[Tensor]:
-        return [
-            *self.ln1.parameters(),
-            *self.q.parameters(),
-            *self.k.parameters(),
-            *self.v.parameters(),
-            *self.out.parameters(),
-            *self.ln2.parameters(),
-            *self.mlp.parameters(),
-        ]
 
 
 def backbone_forward(x, layers: list[BackboneLayer], cfg: BackboneConfig) -> Tensor:
@@ -284,14 +260,8 @@ class ModelParams:
         return self.patch_cfg.n_patches(self.context)
 
     def parameters(self) -> list[Tensor]:
-        """All leaves in a stable order with unique names."""
-        params: list[Tensor] = self.patch_proj.parameters()
-        if self.cvpe is not None:
-            params += self.cvpe.parameters()
-        params += self.reprogram.parameters()
-        for layer in self.backbone:
-            params += layer.parameters()
-        params += self.head.parameters()
+        """All leaves in field order, each with a unique name."""
+        params = parameters_of(self)
         names = [p.name for p in params]
         assert len(set(names)) == len(names), "parameter names must be unique"
         return params
@@ -311,7 +281,7 @@ class ModelParams:
             "backbone_layers": self.backbone_cfg.n_layers,
             "backbone_width": self.backbone_cfg.width,
             "backbone_heads": self.backbone_cfg.heads,
-            "backbone_hidden": self.backbone_cfg.mlp_hidden,
+            "backbone_hidden": self.backbone_cfg.hidden,
         }
 
     @classmethod
@@ -431,7 +401,11 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     with bundle:
         if "__structure__" not in bundle:
             raise ValueError(f"checkpoint {path} has no __structure__ entry")
-        struct = json.loads(bundle["__structure__"].tobytes().decode())
+        try:
+            struct = json.loads(bundle["__structure__"].tobytes().decode())
+        except ValueError as exc:
+            # UnicodeDecodeError and JSONDecodeError are both ValueErrors
+            raise ValueError(f"checkpoint {path}: unreadable __structure__ entry: {exc}") from None
         try:
             params = ModelParams.from_structure(struct)
         except ValueError as exc:

@@ -67,29 +67,27 @@ def backward(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
     return grads
 
 
-def make_windows(
-    values: np.ndarray, context: int, horizon: int, stride: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+def make_windows(values: np.ndarray, context: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Cut a (channels, T) segment into supervised pairs.
 
     Returns windows (W, channels, context) and targets (W, channels,
-    horizon) where window i starts at time ``i * stride``.
+    horizon) where window i starts at time ``i``.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected (channels, time) values, got {values.shape}")
-    if context < 1 or horizon < 1 or stride < 1:
-        raise ValueError("context, horizon and stride must be positive")
+    if context < 1 or horizon < 1:
+        raise ValueError("context and horizon must be positive")
     total = context + horizon
     if values.shape[1] < total:
         raise ValueError(
             f"segment of {values.shape[1]} steps too short for context {context} "
             f"plus horizon {horizon}"
         )
-    # (channels, starts, context + horizon) views, every stride-th start; the
-    # copies are C-ordered and never alias ``values`` (ascontiguousarray
-    # would hand back a view when one channel's stride equals the context)
-    spans = np.lib.stride_tricks.sliding_window_view(values, total, axis=1)[:, ::stride]
+    # (channels, starts, context + horizon) views; the copies are C-ordered
+    # and never alias ``values`` (ascontiguousarray would hand back a view
+    # for one channel and a context of one)
+    spans = np.lib.stride_tricks.sliding_window_view(values, total, axis=1)
     windows = spans[:, :, :context].transpose(1, 0, 2).copy()
     targets = spans[:, :, context:].transpose(1, 0, 2).copy()
     return windows, targets
@@ -120,7 +118,7 @@ def grad_check(
     params: ModelParams,
     windows: np.ndarray,
     targets: np.ndarray,
-    tolerance: float = 1e-4,
+    tolerance: float,
     samples_per_tensor: int = GRAD_CHECK_SAMPLES,
     seed: int = 0,
     corrupt: str | None = None,
@@ -186,7 +184,7 @@ class AdamState:
     bounds: np.ndarray
 
     @classmethod
-    def init(cls, params: list[Tensor], lr: float = 1e-2) -> "AdamState":
+    def init(cls, params: list[Tensor], lr: float) -> "AdamState":
         bounds = np.cumsum([0] + [p.data.size for p in params])
         return cls(
             lr=lr,
@@ -230,10 +228,10 @@ class TrainConfig:
     """Optimisation settings for one training run."""
 
     epochs: int
-    batch_size: int = 8
-    lr: float = 1e-2
-    patience: int = 10
-    seed: int = 0
+    batch_size: int
+    lr: float
+    patience: int
+    seed: int
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -260,7 +258,6 @@ class TrainResult:
     history: list[EpochRecord]
     best_epoch: int
     best_val_mse: float
-    stopped_early: bool
     window_order_digest: str
 
 
@@ -356,7 +353,6 @@ def train_loop(
     best_epoch = -1
     best_snapshot: list[np.ndarray] | None = None
     since_best = 0
-    stopped_early = False
     for epoch in range(cfg.epochs):
         order = schedule[epoch]
         sq_sum = 0.0
@@ -382,7 +378,6 @@ def train_loop(
         else:
             since_best += 1
             if since_best >= cfg.patience:
-                stopped_early = True
                 break
     if best_snapshot is not None:
         for p, data in zip(leaves, best_snapshot):
@@ -391,6 +386,5 @@ def train_loop(
         history=history,
         best_epoch=best_epoch,
         best_val_mse=float(best_val),
-        stopped_early=stopped_early,
         window_order_digest=digest,
     )

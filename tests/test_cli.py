@@ -314,9 +314,51 @@ class TestExperiment:
             assert (dirs[1] / name).read_bytes() == (dirs[2] / name).read_bytes(), name
 
 
-def _checkpoint(tmp_path, entry=None, edit=None):
-    """A saved model's path, without the archive entry ``entry``, or with the
-    structure that ``edit`` returns for the saved one."""
+def test_pool_never_starts_more_workers_than_cells(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records ``max_workers`` and runs the cells in this process, so no
+        worker is started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    config = parse_config(base_config())  # one horizon, one seed, two variants
+    report = evaluation.run_experiment(config, jobs=500)
+    assert [r.status for r in report.rows] == ["ok", "ok"]
+    assert sizes == [2]
+
+
+def _die(args):
+    os._exit(9)
+
+
+def test_dead_worker_exits_two_with_one_line(config_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(evaluation, "_cell_worker", _die)
+    outdir = tmp_path / "dead"
+    code = main(["experiment", "--config", config_file(), "--out", str(outdir), "--jobs", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("runtime failure: ")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
+
+
+def _checkpoint(tmp_path, entry=None, edit=None, raw=None):
+    """A saved model's path, without the archive entry ``entry``, with the
+    structure that ``edit`` returns for the saved one, or with the bytes
+    ``raw`` as its structure."""
     path = tmp_path / "model.npz"
     save_checkpoint(path, build_model(parse_config(base_config()), "vanilla", 3, 0))
     with np.load(path) as bundle:
@@ -324,6 +366,8 @@ def _checkpoint(tmp_path, entry=None, edit=None):
     if edit:
         struct = edit(json.loads(arrays["__structure__"].tobytes().decode()))
         arrays["__structure__"] = np.frombuffer(json.dumps(struct).encode(), dtype=np.uint8)
+    if raw is not None:
+        arrays["__structure__"] = np.frombuffer(raw, dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     return str(path)
@@ -346,6 +390,12 @@ def _not_an_archive(tmp_path, content):
     return str(path)
 
 
+def _with_hidden(hidden):
+    raw = base_config()
+    raw["model"]["backbone"]["hidden"] = hidden
+    return json.dumps(raw)
+
+
 def _under_a_file(tmp_path):
     (tmp_path / "file").touch()
     return str(tmp_path / "file" / "sub")
@@ -360,6 +410,10 @@ _INPUT_FAILURES = {
     "nan_csv_cell": (lambda t: (_csv_config(t, "nan"), ["prepare"]), "non-finite value 'nan'"),
     "text_csv_cell": (lambda t: (_csv_config(t, "oops"), ["prepare"]), "'oops'"),
     "jobs_zero": (lambda t: (_GOOD, ["experiment", "--jobs", "0"]), "jobs must be positive"),
+    "backbone_hidden_zero": (
+        lambda t: (_with_hidden(0), ["gradcheck"]), "model.backbone.hidden must be positive"),
+    "backbone_hidden_negative": (
+        lambda t: (_with_hidden(-3), ["gradcheck"]), "model.backbone.hidden must be positive"),
     "checkpoint_is_a_directory": (
         lambda t: (_GOOD, ["evaluate", "--checkpoint", str(t)]), "is a directory"),
     "checkpoint_without_structure": (
@@ -382,6 +436,16 @@ _INPUT_FAILURES = {
         lambda t: (_GOOD, ["evaluate", "--checkpoint",
                            _checkpoint(t, edit=lambda s: {**s, "context": "abc"})]),
         "field 'context' must be int"),
+    "checkpoint_structure_is_not_json": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint", _checkpoint(t, raw=b"{oops")]),
+        "model.npz: unreadable __structure__"),
+    "checkpoint_structure_is_not_utf8": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint", _checkpoint(t, raw=b"\xff\xfe")]),
+        "model.npz: unreadable __structure__"),
+    "checkpoint_structure_hidden_is_zero": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint",
+                           _checkpoint(t, edit=lambda s: {**s, "backbone_hidden": 0})]),
+        "hidden must be positive"),
     "checkpoint_structure_field_is_null": (
         lambda t: (_GOOD, ["evaluate", "--checkpoint",
                            _checkpoint(t, edit=lambda s: {**s, "heads": None})]),

@@ -1,6 +1,8 @@
 """Run-configuration parsing and exhaustive validation."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +39,7 @@ class TestParsing:
         assert cfg.split.protocol == "ratio_70_10_20"
         assert (cfg.model_dim, cfg.heads) == (32, 8)
         assert (cfg.n_prototypes, cfg.n_routers) == (100, 4)
-        assert cfg.backbone == BackboneConfig(2, 32, 4, None)
+        assert cfg.backbone == BackboneConfig(2, 32, 4, 64)
         assert cfg.variants == ("vanilla", "cvpe")
         assert (cfg.batch_size, cfg.lr, cfg.patience) == (8, 1e-2, 10)
         assert cfg.seeds == (0,)
@@ -119,15 +121,18 @@ class TestParsing:
 
     def test_csv_dataset_fields(self):
         raw = minimal()
-        raw["dataset"] = {"kind": "csv", "path": "data/x.csv", "frequency": "hourly"}
+        raw["dataset"] = {"kind": "csv", "path": "data/x.csv"}
         cfg = parse_config(raw)
-        assert cfg.csv_path == "data/x.csv"
-        raw["dataset"]["frequency"] = "fortnightly"
-        with pytest.raises(ConfigError, match="frequency"):
-            parse_config(raw)
+        assert (cfg.csv_path, cfg.date_column) == ("data/x.csv", "date")
         raw["dataset"] = {"kind": "tape"}
         with pytest.raises(ConfigError, match="kind"):
             parse_config(raw)
+
+    def test_backbone_hidden_defaults_to_twice_the_width(self):
+        cfg = parse_config(minimal(model={"backbone": {"width": 8, "heads": 2}}))
+        assert cfg.backbone.hidden == 16
+        cfg = parse_config(minimal(model={"backbone": {"width": 8, "heads": 2, "hidden": 5}}))
+        assert cfg.backbone.hidden == 5
 
     def test_select_top_k_bounds(self):
         assert parse_config(minimal(select_top_k=0)).select_top_k == 0
@@ -151,3 +156,10 @@ class TestLoading:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
+    cfg = parse_config(json.loads(re.sub(r"//.*", "", block)))
+    assert cfg.backbone.hidden == 2 * cfg.backbone.width

@@ -14,7 +14,7 @@ from cvpe.embedding import (
     multi_head_attention,
     router_attention,
 )
-from cvpe.layers import Affine, LayerNorm, Mlp
+from cvpe.layers import Affine, LayerNorm, Mlp, parameters_of
 from oracles import mha_oracle, router_block_oracle
 
 
@@ -296,7 +296,7 @@ class TestRouterBlock:
 
     def test_parameter_list_covers_every_learnable(self):
         params = random_params(3, 4, 2, seed=23)
-        names = [p.name for p in params.parameters()]
+        names = [p.name for p in parameters_of(params)]
         assert len(names) == len(set(names))
         assert len(names) == 14
         assert any("positional" in n for n in names)

@@ -126,14 +126,11 @@ class TestBackbone:
         np.testing.assert_allclose(both, chained, atol=1e-12)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BackboneConfig(n_layers=0)
-        with pytest.raises(ValueError):
-            BackboneConfig(width=0, heads=1)
-        with pytest.raises(ValueError):
-            BackboneConfig(width=6, heads=4)
-        assert BackboneConfig(width=8, heads=2).mlp_hidden == 16
-        assert BackboneConfig(width=8, heads=2, hidden=5).mlp_hidden == 5
+        # layers, width, heads, hidden: each must be positive, and the heads
+        # must divide the width
+        for sizes in ((0, 8, 2, 16), (1, 0, 1, 16), (1, 8, 0, 16), (1, 8, 2, 0), (1, 6, 4, 12)):
+            with pytest.raises(ValueError):
+                BackboneConfig(*sizes)
 
 
 class TestForecaster:
@@ -307,3 +304,39 @@ def test_build_model_takes_every_structural_field_from_the_config(variant):
     same, other = build_model(config, variant, 3, 5), build_model(config, variant, 3, 6)
     np.testing.assert_array_equal(got.head.w.data, same.head.w.data)
     assert not np.array_equal(got.head.w.data, other.head.w.data)
+
+
+# The parameter order keys checkpoints, lays out Adam's moment vector and
+# fixes the coordinates grad_check samples; these lists pin it.
+_BACKBONE_AND_HEAD = [
+    "backbone.0.ln1.gain", "backbone.0.ln1.bias", "backbone.0.q.w", "backbone.0.k.w",
+    "backbone.0.v.w", "backbone.0.v.b", "backbone.0.out.w", "backbone.0.out.b",
+    "backbone.0.ln2.gain", "backbone.0.ln2.bias",
+    "backbone.0.mlp.fc1.w", "backbone.0.mlp.fc1.b", "backbone.0.mlp.fc2.w", "backbone.0.mlp.fc2.b",
+    "head.w", "head.b",
+]
+_PARAMETER_NAMES = {
+    "vanilla": [
+        "patch_proj.w", "patch_proj.b",
+        "reprogram.prototypes", "reprogram.query.w", "reprogram.key.w",
+        "reprogram.value.w", "reprogram.value.b", "reprogram.out.w", "reprogram.out.b",
+        *_BACKBONE_AND_HEAD,
+    ],
+    "cvpe": [
+        "patch_proj.w", "patch_proj.b",
+        "cvpe.positional", "cvpe.routers",
+        "cvpe.collect_out.w", "cvpe.collect_out.b", "cvpe.dispatch_out.w", "cvpe.dispatch_out.b",
+        "cvpe.mlp.fc1.w", "cvpe.mlp.fc1.b", "cvpe.mlp.fc2.w", "cvpe.mlp.fc2.b",
+        "cvpe.ln1.gain", "cvpe.ln1.bias", "cvpe.ln2.gain", "cvpe.ln2.bias",
+        "reprogram.prototypes", "reprogram.query.w", "reprogram.key.w",
+        "reprogram.value.w", "reprogram.value.b", "reprogram.out.w", "reprogram.out.b",
+        *_BACKBONE_AND_HEAD,
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "cvpe"])
+def test_parameter_order_is_pinned(variant):
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "gradcheck_tiny.json")
+    params = build_model(config, variant, config.horizons[0], 0)
+    assert [p.name for p in params.parameters()] == _PARAMETER_NAMES[variant]
