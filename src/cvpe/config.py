@@ -18,6 +18,26 @@ from .preprocess import PatchConfig
 
 _MISSING = object()
 
+# The keys each section of a run config may hold, by section path ("" is the
+# top level); any other key is an error, so a typo cannot fall back to a
+# default unnoticed.
+_KNOWN = {
+    "": {
+        "dataset", "split", "target", "select_top_k", "context", "horizons",
+        "patch", "model", "variants", "train", "seeds", "output_dir",
+    },
+    "split": {"protocol", "boundaries"},
+    "patch": {"length", "stride"},
+    "model": {"dim", "heads", "prototypes", "routers", "backbone"},
+    "model.backbone": {"layers", "width", "heads", "hidden"},
+    "train": {"epochs", "batch_size", "lr", "patience"},
+}
+# the dataset keys besides "kind", which depend on the kind
+_DATASET_KINDS = {
+    "synthetic": {"n_channels", "length", "coupling", "lag", "noise_std", "seed"},
+    "csv": {"path", "date_column"},
+}
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; ``errors`` lists every problem found."""
@@ -65,6 +85,12 @@ class _Fields:
     def fail(self, msg: str):
         if msg not in self.errors:
             self.errors.append(msg)
+
+    def reject_unknown(self, obj: dict, known: set[str], where: str = ""):
+        for key in obj:
+            if key not in known:
+                label = f"{where}.{key}" if where else key
+                self.fail(f"unknown field {label!r}")
 
     def pull(self, obj: dict, key: str, kind, default=_MISSING, where: str = ""):
         label = f"{where}.{key}" if where else key
@@ -115,19 +141,14 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["configuration root must be a JSON object"])
     f = _Fields()
-
-    known = {
-        "dataset", "split", "target", "select_top_k", "context", "horizons",
-        "patch", "model", "variants", "train", "seeds", "output_dir",
-    }
-    for key in raw:
-        if key not in known:
-            f.fail(f"unknown field {key!r}")
+    f.reject_unknown(raw, _KNOWN[""])
 
     dataset = f.pull(raw, "dataset", dict)
     dataset_kind, synthetic, csv_path, date_column = "", None, None, "date"
     if dataset is not None:
         dataset_kind = f.pull(dataset, "kind", str, where="dataset")
+        if dataset_kind in _DATASET_KINDS:
+            f.reject_unknown(dataset, {"kind"} | _DATASET_KINDS[dataset_kind], "dataset")
         if dataset_kind == "synthetic":
             n_channels = f.pull_pos_int(dataset, "n_channels", "dataset")
             length = f.pull_pos_int(dataset, "length", "dataset")
@@ -151,6 +172,7 @@ def parse_config(raw: dict) -> RunConfig:
     if isinstance(split_raw, str):
         split_raw = {"protocol": split_raw}
     if isinstance(split_raw, dict):
+        f.reject_unknown(split_raw, _KNOWN["split"], "split")
         try:
             if "protocol" in split_raw:
                 split = SplitSpec(protocol=split_raw["protocol"])
@@ -179,6 +201,7 @@ def parse_config(raw: dict) -> RunConfig:
     patch_raw = f.pull(raw, "patch", dict)
     patch_cfg = None
     if patch_raw is not None:
+        f.reject_unknown(patch_raw, _KNOWN["patch"], "patch")
         p_len = f.pull_pos_int(patch_raw, "length", "patch")
         p_str = f.pull_pos_int(patch_raw, "stride", "patch")
         if None not in (p_len, p_str):
@@ -194,6 +217,7 @@ def parse_config(raw: dict) -> RunConfig:
     model_dim = heads = n_prototypes = n_routers = None
     backbone = None
     if model_raw is not None:
+        f.reject_unknown(model_raw, _KNOWN["model"], "model")
         model_dim = f.pull_pos_int(model_raw, "dim", "model", 32)
         heads = f.pull_pos_int(model_raw, "heads", "model", 8)
         n_prototypes = f.pull_pos_int(model_raw, "prototypes", "model", 100)
@@ -202,6 +226,7 @@ def parse_config(raw: dict) -> RunConfig:
             f.fail(f"model.dim {model_dim} must be divisible by model.heads {heads}")
         bb_raw = f.pull(model_raw, "backbone", dict, {}, "model")
         if bb_raw is not None:
+            f.reject_unknown(bb_raw, _KNOWN["model.backbone"], "model.backbone")
             layers = f.pull_pos_int(bb_raw, "layers", "model.backbone", 2)
             width = f.pull_pos_int(bb_raw, "width", "model.backbone", 32)
             bb_heads = f.pull_pos_int(bb_raw, "heads", "model.backbone", 4)
@@ -229,6 +254,7 @@ def parse_config(raw: dict) -> RunConfig:
     train_raw = f.pull(raw, "train", dict)
     epochs = batch_size = patience = lr = None
     if train_raw is not None:
+        f.reject_unknown(train_raw, _KNOWN["train"], "train")
         epochs = f.pull_pos_int(train_raw, "epochs", "train")
         batch_size = f.pull_pos_int(train_raw, "batch_size", "train", 8)
         patience = f.pull_pos_int(train_raw, "patience", "train", 10)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,11 +38,24 @@ if TYPE_CHECKING:
 
 VARIANTS = ("vanilla", "cvpe")
 
-# the keys of ``ModelParams.structure()``; every value but the variant is an int
-_STRUCTURE_FIELDS = (
-    "variant", "context", "horizon", "patch_length", "patch_stride", "model_dim", "heads",
-    "n_prototypes", "n_routers", "backbone_layers", "backbone_width", "backbone_heads",
-    "backbone_hidden",
+# One row per key of ``ModelParams.structure()``: the key, its JSON type and
+# the attribute path that reads it.  The path also names the argument of
+# ``ModelParams.build`` the value goes back to: the whole argument, or one
+# field of its ``patch_cfg`` or ``backbone_cfg``.
+_STRUCTURE = (
+    ("variant", str, "variant"),
+    ("context", int, "context"),
+    ("horizon", int, "horizon"),
+    ("patch_length", int, "patch_cfg.length"),
+    ("patch_stride", int, "patch_cfg.stride"),
+    ("model_dim", int, "model_dim"),
+    ("heads", int, "heads"),
+    ("n_prototypes", int, "n_prototypes"),
+    ("n_routers", int, "n_routers"),
+    ("backbone_layers", int, "backbone_cfg.n_layers"),
+    ("backbone_width", int, "backbone_cfg.width"),
+    ("backbone_heads", int, "backbone_cfg.heads"),
+    ("backbone_hidden", int, "backbone_cfg.hidden"),
 )
 
 # fixed per-component seed streams so that variants share every non-block draw
@@ -259,6 +273,10 @@ class ModelParams:
     def n_positions(self) -> int:
         return self.patch_cfg.n_patches(self.context)
 
+    @property
+    def heads(self) -> int:
+        return self.attn_cfg.heads
+
     def parameters(self) -> list[Tensor]:
         """All leaves in field order, each with a unique name."""
         params = parameters_of(self)
@@ -268,21 +286,7 @@ class ModelParams:
 
     def structure(self) -> dict:
         """JSON-serialisable description sufficient to rebuild the skeleton."""
-        return {
-            "variant": self.variant,
-            "context": self.context,
-            "horizon": self.horizon,
-            "patch_length": self.patch_cfg.length,
-            "patch_stride": self.patch_cfg.stride,
-            "model_dim": self.model_dim,
-            "heads": self.attn_cfg.heads,
-            "n_prototypes": self.n_prototypes,
-            "n_routers": self.n_routers,
-            "backbone_layers": self.backbone_cfg.n_layers,
-            "backbone_width": self.backbone_cfg.width,
-            "backbone_heads": self.backbone_cfg.heads,
-            "backbone_hidden": self.backbone_cfg.hidden,
-        }
+        return {key: attrgetter(path)(self) for key, _, path in _STRUCTURE}
 
     @classmethod
     def from_structure(cls, struct) -> "ModelParams":
@@ -290,32 +294,23 @@ class ModelParams:
         cannot be one raises ``ValueError`` naming the field."""
         if not isinstance(struct, dict):
             raise ValueError(f"structure is not a JSON object but a {type(struct).__name__}")
-        for key in _STRUCTURE_FIELDS:
+        # the saved arrays replace every initial draw
+        args = {"seed": 0}
+        for key, want, path in _STRUCTURE:
             if key not in struct:
                 raise ValueError(f"structure lacks field {key!r}")
-            want = str if key == "variant" else int
             if not isinstance(struct[key], want) or isinstance(struct[key], bool):
                 raise ValueError(
                     f"structure field {key!r} must be {want.__name__}, got {struct[key]!r}"
                 )
-        return cls.build(
-            variant=struct["variant"],
-            context=struct["context"],
-            horizon=struct["horizon"],
-            patch_cfg=PatchConfig(struct["patch_length"], struct["patch_stride"]),
-            model_dim=struct["model_dim"],
-            heads=struct["heads"],
-            n_prototypes=struct["n_prototypes"],
-            n_routers=struct["n_routers"],
-            backbone_cfg=BackboneConfig(
-                n_layers=struct["backbone_layers"],
-                width=struct["backbone_width"],
-                heads=struct["backbone_heads"],
-                hidden=struct["backbone_hidden"],
-            ),
-            # the saved arrays replace every initial draw
-            seed=0,
-        )
+            arg, _, field = path.partition(".")
+            if field:
+                args.setdefault(arg, {})[field] = struct[key]
+            else:
+                args[arg] = struct[key]
+        args["patch_cfg"] = PatchConfig(**args["patch_cfg"])
+        args["backbone_cfg"] = BackboneConfig(**args["backbone_cfg"])
+        return cls.build(**args)
 
 
 def build_model(config: RunConfig, variant: str, horizon: int, seed: int) -> ModelParams:

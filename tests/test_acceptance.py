@@ -77,7 +77,7 @@ def test_gradient_correctness_on_tiny_block(capsys):
 def test_channel_mixing_beats_baseline_on_coupled_data():
     config = load_config(CONFIGS / "synthetic_ab.json")
     started = time.monotonic()
-    report = run_experiment(config)
+    report = run_experiment(config, jobs=2)  # same bytes as jobs=1, on both cores
     elapsed = time.monotonic() - started
     base = report.aggregate("vanilla", 8)
     cross = report.aggregate("cvpe", 8)
@@ -104,7 +104,7 @@ def test_channel_mixing_beats_baseline_on_coupled_data():
 def test_uncoupled_data_degrades_gracefully():
     config = load_config(CONFIGS / "synthetic_uncoupled.json")
     started = time.monotonic()
-    report = run_experiment(config)
+    report = run_experiment(config, jobs=2)  # same bytes as jobs=1, on both cores
     elapsed = time.monotonic() - started
     base = report.aggregate("vanilla", 8)
     cross = report.aggregate("cvpe", 8)

@@ -65,6 +65,36 @@ class TestParsing:
         assert "unknown field 'bogus'" in text
         assert len(err.value.errors) >= 3
 
+    def test_unknown_keys_inside_sections_are_named(self):
+        raw = minimal(
+            train={"epochs": 2, "patiense": 1},
+            model={"backbone": {"width": 8, "heads": 2, "hiden": 3}},
+            split={"protocol": "ratio_70_10_20", "boundary": [1, 2]},
+            patch={"length": 8, "stride": 4, "len": 8},
+        )
+        raw["dataset"]["frequency"] = "hourly"
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert err.value.errors == [
+            "unknown field 'dataset.frequency'",
+            "unknown field 'split.boundary'",
+            "unknown field 'patch.len'",
+            "unknown field 'model.backbone.hiden'",
+            "unknown field 'train.patiense'",
+        ]
+
+    def test_dataset_keys_depend_on_the_kind(self):
+        raw = minimal()
+        raw["dataset"] = {"kind": "csv", "path": "data/x.csv", "n_channels": 4}
+        with pytest.raises(ConfigError, match="unknown field 'dataset.n_channels'"):
+            parse_config(raw)
+
+    def test_every_bundled_config_parses(self):
+        configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+        assert configs
+        for path in configs:
+            load_config(path)
+
     def test_missing_required_fields_are_named(self):
         with pytest.raises(ConfigError) as err:
             parse_config({})

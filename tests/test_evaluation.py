@@ -1,7 +1,12 @@
 """Metrics, the A/B experiment grid, and report emission."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,8 @@ from cvpe.evaluation import (
 from cvpe.model import BackboneConfig, ModelParams
 from cvpe.preprocess import PatchConfig
 from oracles import mae_oracle, mse_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(**overrides):
@@ -305,3 +312,45 @@ class TestWriting:
         with pytest.raises(OutputDirectoryExists):
             write_experiment(report, outdir)
         write_experiment(report, outdir, overwrite=True)
+
+
+# Prints the thread count after the imports and after a split forecast,
+# which starts the forecaster's helper thread, then runs the grid through
+# the forked --jobs pool and serially and prints whether the reports agree.
+_FORK_AFTER_HELPER = """
+import json, sys, threading
+import numpy as np
+from cvpe.config import parse_config
+from cvpe.evaluation import run_experiment
+from cvpe.model import build_model
+from cvpe.train import model_forecast_fn
+
+config = parse_config(json.loads(sys.argv[1]))
+params = build_model(config, "cvpe", config.horizons[0], 0)
+print(threading.active_count())
+model_forecast_fn(params)(np.zeros((16, 3, config.context)))
+print(threading.active_count())
+print(run_experiment(config, jobs=2).to_json() == run_experiment(config).to_json())
+"""
+
+
+def test_helper_starts_on_first_use_and_a_pool_forked_after_it_runs_its_cells():
+    # a worker that kept the parent's helper would wait forever on its
+    # first split forecast: the test segment's 54 windows are split
+    config = tiny_config(seeds=[0, 1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    # its own session, so that a timeout also ends hung pool workers
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FORK_AFTER_HELPER, json.dumps(config.echo)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the forked grid did not finish within 120 s")
+    assert proc.returncode == 0, err
+    assert out.split() == ["1", "2", "True"]

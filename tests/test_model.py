@@ -283,6 +283,19 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="head.w"):
             load_checkpoint(path)
 
+    def test_structure_holds_every_build_argument(self):
+        params = tiny_model(
+            "cvpe", context=40, horizon=5, patch_cfg=PatchConfig(10, 6), model_dim=12,
+            heads=3, n_prototypes=7, n_routers=4,
+            backbone_cfg=BackboneConfig(n_layers=2, width=9, heads=3, hidden=11),
+        )
+        assert params.structure() == {
+            "variant": "cvpe", "context": 40, "horizon": 5, "patch_length": 10,
+            "patch_stride": 6, "model_dim": 12, "heads": 3, "n_prototypes": 7,
+            "n_routers": 4, "backbone_layers": 2, "backbone_width": 9,
+            "backbone_heads": 3, "backbone_hidden": 11,
+        }
+
     def test_structure_round_trip(self):
         params = tiny_model("cvpe")
         rebuilt = ModelParams.from_structure(params.structure())

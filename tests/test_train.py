@@ -1,9 +1,12 @@
 """Loss, optimiser, gradient checking, and the training loop."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from cvpe.autodiff import NumericError, as_tensor, parameter, power, tsum
+from cvpe.autodiff import NumericError, as_tensor, no_grad, parameter, power, tsum
 from cvpe.data import SyntheticSpec, generate_synthetic
 from cvpe.model import BackboneConfig, ModelParams, forecast_batch
 from cvpe.preprocess import PatchConfig
@@ -335,3 +338,76 @@ class TestTrainLoop:
             )
             digests[variant] = result.window_order_digest
         assert digests["vanilla"] == digests["cvpe"]
+
+
+class TestSplitForecaster:
+    """``model_forecast_fn`` forecasts two parts of a batch on two threads."""
+
+    @pytest.mark.parametrize("variant", ["vanilla", "cvpe"])
+    @pytest.mark.parametrize("batch", [1, 2, 16, 33, 37, 64])
+    def test_parts_give_the_whole_batch_bits(self, variant, batch):
+        params = tiny_model(variant, seed=3)
+        windows = np.random.default_rng(batch).normal(size=(batch, 3, 24))
+        with no_grad():
+            whole = forecast_batch(windows, params).data
+        assert np.array_equal(model_forecast_fn(params)(windows), whole)
+
+    @pytest.mark.parametrize("variant", ["vanilla", "cvpe"])
+    def test_etth1_shapes_give_the_whole_batch_bits(self, variant):
+        # 7 channels x 31 patches a window: a split at len // 2 moves rows
+        # between BLAS tiles and changes their last bit
+        params = ModelParams.build(
+            variant, 256, 96, PatchConfig(16, 8), 16, 4, 32, 4, BackboneConfig(2, 16, 4, 32), 0
+        )
+        windows = np.random.default_rng(0).normal(size=(37, 7, 256))
+        with no_grad():
+            whole = forecast_batch(windows, params).data
+        assert np.array_equal(model_forecast_fn(params)(windows), whole)
+
+    def test_concurrent_callers_share_one_helper_and_get_their_own_bits(self):
+        params = tiny_model("cvpe", seed=3)
+        fn = model_forecast_fn(params)
+        batches = [np.random.default_rng(i).normal(size=(16 + i, 3, 24)) for i in range(6)]
+        with no_grad():
+            wanted = [forecast_batch(w, params).data for w in batches]
+        got = [None] * len(batches)
+
+        def call(i):
+            for _ in range(5):
+                got[i] = fn(batches[i])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(batches))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert all(np.array_equal(g, w) for g, w in zip(got, wanted))
+        helpers = [t for t in threading.enumerate() if t.name.startswith("cvpe-forecast")]
+        assert len(helpers) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [[20], [3, 20]])
+    def test_non_finite_forecast_raises_the_one_thread_error(self, bad):
+        params = tiny_model("cvpe")
+        windows = np.random.default_rng(0).normal(size=(32, 3, 24))
+        windows[bad] *= 1e200  # finite, but the forecast overflows
+        with no_grad(), pytest.raises(NumericError) as whole:
+            forecast_batch(windows, params)
+        with pytest.raises(NumericError) as split:
+            model_forecast_fn(params)(windows)
+        assert (split.value.stage, str(split.value)) == (whole.value.stage, str(whole.value))
+
+    @pytest.mark.parametrize("windows", [np.zeros((32, 3, 20)), np.zeros((32, 3, 24)) + np.nan])
+    def test_malformed_batch_raises_the_one_thread_error(self, windows):
+        params = tiny_model("vanilla")
+        with no_grad(), pytest.raises(ValueError) as whole:
+            forecast_batch(windows, params)
+        with pytest.raises(ValueError) as split:
+            model_forecast_fn(params)(windows)
+        assert str(split.value) == str(whole.value)
