@@ -7,71 +7,9 @@ followed by a router-attention block that mixes information across variates
 at each patch position with cost linear in the channel count.
 """
 
-from .autodiff import NumericError, Tensor, no_grad, parameter
-from .config import ConfigError, RunConfig, load_config, parse_config
-from .data import (
-    ConstantChannelWarning,
-    CsvFormatError,
-    MultivariateSeries,
-    SplitSpec,
-    SyntheticSpec,
-    UndefinedCorrelationError,
-    chronological_split,
-    generate_synthetic,
-    load_csv,
-    pearson,
-    select_top_k,
-)
-from .embedding import (
-    AttentionConfig,
-    CvpeParams,
-    RouterBank,
-    ScoreCounter,
-    add_positional,
-    cvpe_forward,
-    multi_head_attention,
-    router_attention,
-)
-from .evaluation import (
-    ExperimentReport,
-    mae,
-    mse,
-    run_experiment,
-    write_experiment,
-)
-from .model import (
-    BackboneConfig,
-    ModelParams,
-    PrototypeBank,
-    ReprogramParams,
-    backbone_forward,
-    forecast_batch,
-    load_checkpoint,
-    reprogram,
-    save_checkpoint,
-)
-from .preprocess import (
-    PatchConfig,
-    RevinState,
-    patch,
-    project_patches,
-    revin_denormalize,
-    revin_normalize,
-)
-from .train import (
-    AdamState,
-    GradCheckReport,
-    MetricPair,
-    TrainConfig,
-    TrainingDiverged,
-    TrainResult,
-    adam_step,
-    backward,
-    evaluate,
-    grad_check,
-    make_windows,
-    mse_loss,
-    train_loop,
-)
+# The Python API is the submodules (``cvpe.model``, ``cvpe.train``, ...).
+# Importing ``autodiff`` here pins glibc's malloc thresholds and OpenBLAS to
+# one thread as soon as the package is imported, before any array work.
+from . import autodiff  # noqa: F401
 
 __version__ = "0.1.0"

@@ -146,29 +146,6 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "as_tensor",
-    "parameter",
-    "no_grad",
-    "add",
-    "sub",
-    "mul",
-    "matmul",
-    "power",
-    "gelu",
-    "softmax",
-    "tsum",
-    "tmean",
-    "reshape",
-    "swapaxes",
-    "affine",
-    "mlp",
-    "layer_norm",
-    "attention",
-    "NumericError",
-]
-
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 

@@ -44,6 +44,8 @@ from .train import TrainingDiverged, grad_check, make_windows
 
 OUTPUT_DIR_ENV = "CVPE_OUTPUT_DIR"
 DEFAULT_FAULT_TARGET = "head.b"
+# training windows in the gradient check's probe batch
+GRADCHECK_WINDOWS = 4
 
 
 def _outdir(config: RunConfig, flag: str | None) -> Path:
@@ -160,12 +162,11 @@ def cmd_gradcheck(args) -> int:
     variant, horizon, seed = _cell_args(config, args)
     train_s, _, _ = prepare_segments(config)
     tw, tt = make_windows(train_s.values, config.context, horizon)
-    take = min(args.batch, tw.shape[0])
     params = build_model(config, variant, horizon, seed)
     report = grad_check(
         params,
-        tw[:take],
-        tt[:take],
+        tw[:GRADCHECK_WINDOWS],
+        tt[:GRADCHECK_WINDOWS],
         tolerance=args.tolerance,
         corrupt=args.inject_fault,
     )
@@ -238,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, help="forecast horizon (default: first configured)")
     p.add_argument("--seed", type=int, help="model seed (default: first configured)")
     p.add_argument("--tolerance", type=float, default=1e-4, help="max relative error allowed")
-    p.add_argument("--batch", type=int, default=4, help="windows in the probe batch")
     p.add_argument(
         "--inject-fault",
         nargs="?",

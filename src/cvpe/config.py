@@ -9,6 +9,7 @@ bad config is fixable in one pass.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,6 +109,10 @@ class _Fields:
         if not isinstance(value, kind):
             name = kind.__name__ if hasattr(kind, "__name__") else " or ".join(k.__name__ for k in kind)
             self.fail(f"{label} must be {name}, got {type(value).__name__}")
+            return None
+        if isinstance(value, float) and not math.isfinite(value):
+            # json reads NaN and Infinity, which no field can take
+            self.fail(f"{label} must be finite, got {value}")
             return None
         return value
 

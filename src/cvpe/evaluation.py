@@ -1,5 +1,5 @@
-"""Metrics, the cell trainer and scorer, the paired A/B experiment driver,
-and report emission.
+"""The cell trainer and scorer, the paired A/B experiment driver, and report
+emission.
 
 A run is a grid of cells (horizon, seed, variant).  Cells that share a
 horizon and seed are paired: identical data windows, identical batch
@@ -41,24 +41,6 @@ from .train import (
 
 class OutputDirectoryExists(FileExistsError):
     """Refusing to clobber an existing non-empty output directory."""
-
-
-def mse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error over all elements."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return float(np.mean((pred - target) ** 2))
-
-
-def mae(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute error over all elements."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return float(np.mean(np.abs(pred - target)))
 
 
 @dataclass
@@ -105,6 +87,7 @@ class ExperimentReport:
         return any(r.status != "ok" for r in self.rows)
 
     def aggregate(self, variant: str, horizon: int) -> AggregateRow:
+        """The across-seed row of one cell; acceptance criteria 2 and 3 read it."""
         for agg in self.aggregates:
             if agg.variant == variant and agg.horizon == horizon:
                 return agg

@@ -24,7 +24,7 @@ def rng_from(seed: int, stream: int) -> np.random.Generator:
 
 def parameters_of(obj) -> list[Tensor]:
     """Every ``Tensor`` in a container, depth first in dataclass field and
-    list order; anything else (``None``, numbers, flags, the ``*Config``
+    list order; anything else (``None``, numbers, strings, the ``*Config``
     objects) holds none.  This order keys checkpoints and lays out Adam's
     moment vector."""
     if isinstance(obj, Tensor):
@@ -50,13 +50,6 @@ class Affine:
         return cls(
             w=parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)), f"{name}.w"),
             b=parameter(rng.uniform(-bound, bound, size=fan_out), f"{name}.b"),
-        )
-
-    @classmethod
-    def zeros(cls, fan_in: int, fan_out: int, name: str) -> "Affine":
-        return cls(
-            w=parameter(np.zeros((fan_in, fan_out)), f"{name}.w"),
-            b=parameter(np.zeros(fan_out), f"{name}.b"),
         )
 
     def apply(self, x) -> Tensor:
@@ -85,28 +78,19 @@ class Linear:
 
 @dataclass
 class LayerNorm:
-    """Feature-axis layer normalisation with learnable gain/bias.
-
-    ``active=False`` turns the whole op into a pass-through; this is what the
-    identity configuration of the embedding block uses, since normalisation
-    followed by a fixed affine map cannot reproduce arbitrary inputs.
-    """
+    """Feature-axis layer normalisation with learnable gain/bias."""
 
     gain: Tensor
     bias: Tensor
-    active: bool = True
 
     @classmethod
-    def init(cls, dim: int, name: str, active: bool = True) -> "LayerNorm":
+    def init(cls, dim: int, name: str) -> "LayerNorm":
         return cls(
             gain=parameter(np.ones(dim), f"{name}.gain"),
             bias=parameter(np.zeros(dim), f"{name}.bias"),
-            active=active,
         )
 
     def apply(self, x) -> Tensor:
-        if not self.active:
-            return x
         return layer_norm(x, self.gain, self.bias, LAYER_NORM_EPS)
 
 
@@ -122,13 +106,6 @@ class Mlp:
         return cls(
             fc1=Affine.init(dim, hidden, rng, f"{name}.fc1"),
             fc2=Affine.init(hidden, dim, rng, f"{name}.fc2"),
-        )
-
-    @classmethod
-    def zeros(cls, dim: int, hidden: int, name: str) -> "Mlp":
-        return cls(
-            fc1=Affine.zeros(dim, hidden, f"{name}.fc1"),
-            fc2=Affine.zeros(hidden, dim, f"{name}.fc2"),
         )
 
     def apply(self, x) -> Tensor:

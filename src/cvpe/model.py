@@ -27,9 +27,9 @@ from .embedding import (
 from .layers import Affine, LayerNorm, Linear, Mlp, parameters_of, rng_from
 from .preprocess import (
     PatchConfig,
-    denormalize_tensor,
     patch,
     project_patches,
+    revin_denormalize,
     revin_normalize,
 )
 
@@ -68,7 +68,8 @@ _STREAM_HEAD = 4
 
 @dataclass
 class PrototypeBank:
-    """Learned text-free prototype vectors the patches attend into."""
+    """Learned text-free prototype vectors the patches attend into.  The
+    wrapper stays because ``perfbench/layer_times.py`` reads ``.table``."""
 
     table: Tensor
 
@@ -79,10 +80,6 @@ class PrototypeBank:
         # unit scale, like the word embeddings these stand in for; keeps the
         # cross-attention scores informative from the first step
         return cls(parameter(rng.standard_normal((n_prototypes, dim)), name))
-
-    @property
-    def n_prototypes(self) -> int:
-        return self.table.shape[0]
 
 
 @dataclass
@@ -362,7 +359,7 @@ def forecast_batch(
     flat = reshape(encoded, (b, n, params.n_positions * params.backbone_cfg.width))
     pred = params.head.apply(flat)
     check_finite(pred, "forecast head")
-    out = denormalize_tensor(pred, state)
+    out = revin_denormalize(pred, state)
     check_finite(out, "denormalisation")
     return out
 

@@ -48,14 +48,12 @@ def revin_normalize(window: np.ndarray) -> tuple[np.ndarray, RevinState]:
     return (window - mean) / std, RevinState(mean=mean, std=std)
 
 
-def revin_denormalize(values: np.ndarray, state: RevinState) -> np.ndarray:
-    """Map normalised values (window or forecast) back to the original scale."""
-    values = np.asarray(values, dtype=np.float64)
-    return values * state.std + state.mean
+def revin_denormalize(values: np.ndarray | Tensor, state: RevinState) -> Tensor:
+    """Map normalised values (window or forecast) back to the original scale.
 
-
-def denormalize_tensor(values: Tensor, state: RevinState) -> Tensor:
-    """Autodiff-aware version of :func:`revin_denormalize` for model outputs."""
+    Takes an array or a Tensor; the model's forecasts pass through here, so
+    the result is a Tensor and gradients flow through it.
+    """
     return add(values * state.std, state.mean)
 
 

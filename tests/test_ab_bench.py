@@ -1,4 +1,5 @@
-"""The pair-counting and claim rule of the A/B benchmark tool."""
+"""The pair counting, the regression verdict and the claim rule of the A/B
+benchmark tool."""
 
 import importlib.util
 import json
@@ -33,11 +34,33 @@ def test_quartiles_of_one_run_are_that_run():
     ],
 )
 def test_summary_counts_wins_and_applies_the_claim_rule(better, parent, change, won, claim):
-    row = ab_bench.compare(better, [float(v) for v in parent], [float(v) for v in change])
+    row = ab_bench.compare(better, 0.25, [float(v) for v in parent], [float(v) for v in change])
     assert (row["won"], row["pairs"], row["gain_claimable"]) == (won, len(parent), claim == "yes")
     line = ab_bench.summarise("m", row)
     assert f"won {won}/{len(parent)}" in line
     assert line.endswith(f"gain claimable: {claim}")
+
+
+@pytest.mark.parametrize(
+    "better,parent,change,verdict",
+    [
+        # the median falls 30% where higher is better, beyond a 25% bound
+        ("higher", [100, 101, 102, 99, 100], [70, 71, 72, 69, 70], "yes"),
+        # the median moves 5%, and the parent's spread is inside the bound
+        ("lower", [100, 101, 102, 99, 100], [105, 106, 107, 104, 105], "no"),
+        # the parent's runs spread 50% of their median, and the median moves
+        # only 10%, so the pairs cannot tell a 25% regression from noise
+        ("higher", [50, 75, 100, 125, 150], [60, 85, 110, 135, 90], "unresolved"),
+        # the same spread, but every change run beats every parent run
+        ("lower", [50, 75, 100, 125, 150], [40, 41, 42, 43, 44], "no"),
+    ],
+)
+def test_regression_verdict_reads_the_bound(better, parent, change, verdict):
+    row = ab_bench.compare(better, 0.25, [float(v) for v in parent], [float(v) for v in change])
+    assert row["regression"] == verdict
+    line = ab_bench.summarise("m", row)
+    assert f"regression: {verdict}" in line
+    assert ("parent spread" in line) == (verdict == "unresolved")
 
 
 def test_json_table_holds_what_the_tool_prints(tmp_path, monkeypatch, capsys):
@@ -74,7 +97,7 @@ def test_json_table_holds_what_the_tool_prints(tmp_path, monkeypatch, capsys):
     wps = cvpe["metrics"]["windows_per_s"]
     assert wps["parent"]["values"] == [100.0 + k for k in range(10)]
     assert wps["change"]["median"] == 114.5 and wps["parent"]["median"] == 104.5
-    assert (wps["won"], wps["gain_claimable"]) == (10, True)
+    assert (wps["won"], wps["gain_claimable"], wps["regression"]) == (10, True, "no")
     rss = cvpe["metrics"]["peak_rss_mb"]
     assert (rss["won"], rss["relative_change"], rss["gain_claimable"]) == (0, 0.0, False)
     # the printed table says the same

@@ -396,6 +396,13 @@ def _with_hidden(hidden):
     return json.dumps(raw)
 
 
+def _with_number(section, key, word):
+    # json.dumps writes a non-finite float as NaN or Infinity, as json reads them
+    raw = base_config()
+    raw[section][key] = float(word)
+    return json.dumps(raw)
+
+
 def _under_a_file(tmp_path):
     (tmp_path / "file").touch()
     return str(tmp_path / "file" / "sub")
@@ -410,6 +417,17 @@ _INPUT_FAILURES = {
     "nan_csv_cell": (lambda t: (_csv_config(t, "nan"), ["prepare"]), "non-finite value 'nan'"),
     "text_csv_cell": (lambda t: (_csv_config(t, "oops"), ["prepare"]), "'oops'"),
     "jobs_zero": (lambda t: (_GOOD, ["experiment", "--jobs", "0"]), "jobs must be positive"),
+    "gradcheck_batch_zero": (
+        lambda t: (_GOOD, ["gradcheck", "--batch", "0"]), "unrecognized arguments: --batch 0"),
+    "lr_nan": (
+        lambda t: (_with_number("train", "lr", "nan"), ["experiment", "--out", "new/out"]),
+        "train.lr must be finite"),
+    "lr_infinity": (
+        lambda t: (_with_number("train", "lr", "inf"), ["experiment", "--out", "new/out"]),
+        "train.lr must be finite"),
+    "noise_std_infinity": (
+        lambda t: (_with_number("dataset", "noise_std", "inf"), ["experiment", "--out", "new/out"]),
+        "dataset.noise_std must be finite"),
     "backbone_hidden_zero": (
         lambda t: (_with_hidden(0), ["gradcheck"]), "model.backbone.hidden must be positive"),
     "backbone_hidden_negative": (

@@ -149,6 +149,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="lr"):
             parse_config(minimal(train={"epochs": 1, "lr": -1.0}))
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_named(self, value):
+        number = json.loads(value)  # json reads these three words as floats
+        raw = minimal(train={"epochs": 1, "lr": number})
+        raw["dataset"]["noise_std"] = number
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.errors == [
+            f"dataset.noise_std must be finite, got {number}",
+            f"train.lr must be finite, got {number}",
+        ]
+
     def test_csv_dataset_fields(self):
         raw = minimal()
         raw["dataset"] = {"kind": "csv", "path": "data/x.csv"}

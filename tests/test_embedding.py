@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import PassThrough, identity_block, zero_mlp
 
 from cvpe.autodiff import NumericError, as_tensor, parameter
 from cvpe.embedding import (
@@ -14,7 +15,7 @@ from cvpe.embedding import (
     multi_head_attention,
     router_attention,
 )
-from cvpe.layers import Affine, LayerNorm, Mlp, parameters_of
+from cvpe.layers import Affine, parameters_of
 from oracles import mha_oracle, router_block_oracle
 
 
@@ -183,9 +184,9 @@ class TestRouterBlock:
             routers=RouterBank(parameter(np.zeros((1, 1, d)), "r")),
             collect_out=identity_out(d, "c"),
             dispatch_out=identity_out(d, "d"),
-            mlp=Mlp.zeros(d, 4, "m"),
-            ln1=LayerNorm.init(d, "l1", active=False),
-            ln2=LayerNorm.init(d, "l2", active=False),
+            mlp=zero_mlp(d, 4, "m"),
+            ln1=PassThrough(),
+            ln2=PassThrough(),
         )
         x = np.random.default_rng(8).normal(size=(n, 1, d))
         got = arr(cvpe_forward(x, params, AttentionConfig(1)))
@@ -272,7 +273,7 @@ class TestRouterBlock:
 
     def test_identity_configuration_is_exact(self):
         rng = np.random.default_rng(20)
-        params = CvpeParams.identity(4, 6, 3)
+        params = identity_block(4, 6, 3)
         x = rng.normal(size=(5, 4, 6))
         got = arr(cvpe_forward(x, params, AttentionConfig(2)))
         np.testing.assert_array_equal(got, x)

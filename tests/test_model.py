@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import identity_block
 
 from cvpe.config import load_config
 from cvpe.embedding import AttentionConfig, ScoreCounter
@@ -175,13 +176,9 @@ class TestForecaster:
         assert np.max(np.abs(moved[0, 1:] - base[0, 1:])) > 1e-8
 
     def test_identity_block_reproduces_vanilla(self):
-        from cvpe.embedding import CvpeParams
-
         vanilla = tiny_model("vanilla", seed=3)
         twin = tiny_model("cvpe", seed=3)
-        twin.cvpe = CvpeParams.identity(
-            twin.n_positions, twin.model_dim, twin.n_routers
-        )
+        twin.cvpe = identity_block(twin.n_positions, twin.model_dim, twin.n_routers)
         rng = np.random.default_rng(12)
         w = rng.normal(size=(2, 3, 32))
         np.testing.assert_allclose(

@@ -6,7 +6,6 @@ import pytest
 from cvpe.autodiff import as_tensor, parameter
 from cvpe.preprocess import (
     PatchConfig,
-    denormalize_tensor,
     patch,
     project_patches,
     revin_denormalize,
@@ -63,7 +62,7 @@ class TestRevin:
         rng = np.random.default_rng(4)
         w = rng.normal(size=(2, 24)) * 4 - 1
         normed, state = revin_normalize(w)
-        out = denormalize_tensor(as_tensor(normed), state)
+        out = revin_denormalize(as_tensor(normed), state)
         np.testing.assert_allclose(np.asarray(out), w, atol=1e-9)
 
 

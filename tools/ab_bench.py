@@ -11,9 +11,15 @@ for each pair, seed and workload, the benchmark command from
 alternating which side goes first.  Every run prints one line as it
 finishes.  At the end, for each workload and end-to-end metric, the table
 gives each side's median and quartiles, the share of pairs the change won
-(ties count for neither), and whether a gain may be claimed: at least ten
-pairs ran, the change won at least nine tenths of them, and the medians
-differ by more than the distance between the parent's quartiles.  With
+(ties count for neither), whether the metric regressed, and whether a gain
+may be claimed.  The regression verdict uses the metric's ``bound`` from
+``BENCHMARK.json``: ``yes`` if the change's median is worse than the
+parent's by more than the bound (relative to the parent's median);
+otherwise ``unresolved`` if the parent's quartile spread, relative to its
+median, exceeds the bound and not every change run beats every parent run;
+otherwise ``no``.  A gain may be claimed if at least ten pairs ran, the
+change won at least nine tenths of them, and the medians differ by more
+than the distance between the parent's quartiles.  With
 ``--json PATH`` the same table, each run's values, the failure counts, the
 command, the parent commit and the benchmark's environment line are also
 written to ``PATH``.
@@ -75,8 +81,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def compare(better: str, parent: list[float], change: list[float]) -> dict:
-    """One metric's pairs: each side's quartiles, the wins and the claim verdict."""
+def compare(better: str, bound: float, parent: list[float], change: list[float]) -> dict:
+    """One metric's pairs: each side's quartiles, the wins, and the regression
+    and claim verdicts."""
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     share = wins / len(parent)
@@ -87,16 +94,29 @@ def compare(better: str, parent: list[float], change: list[float]) -> dict:
     pm, cm = sides["parent"]["median"], sides["change"]["median"]
     claim = (len(parent) >= CLAIM_MIN_PAIRS and share >= CLAIM_WIN_SHARE
              and sign * (cm - pm) > sides["parent"]["q3"] - sides["parent"]["q1"])
+    spread = (sides["parent"]["q3"] - sides["parent"]["q1"]) / pm
+    every_run_beaten = all(sign * (c - p) > 0 for c in change for p in parent)
+    if -sign * (cm - pm) / pm > bound:
+        regression = "yes"
+    elif spread > bound and not every_run_beaten:
+        regression = "unresolved"
+    else:
+        regression = "no"
     return sides | {"better": better, "relative_change": (cm - pm) / pm, "won": wins,
-                    "pairs": len(parent), "won_share": share, "gain_claimable": claim}
+                    "pairs": len(parent), "won_share": share, "bound": bound,
+                    "parent_spread": spread, "regression": regression, "gain_claimable": claim}
 
 
 def summarise(name: str, row: dict) -> str:
     """``compare``'s result as one line of the printed table."""
     p, c = row["parent"], row["change"]
+    regression = row["regression"]
+    if regression == "unresolved":
+        regression += f" (parent spread {row['parent_spread']:.1%})"
     return (f"  {name:<14} parent {p['median']:>10.4g} [{p['q1']:.4g}, {p['q3']:.4g}]   "
             f"change {c['median']:>10.4g} [{c['q1']:.4g}, {c['q3']:.4g}]   "
             f"{row['relative_change']:+7.1%}   won {row['won']}/{row['pairs']}   "
+            f"regression: {regression}   "
             f"gain claimable: {'yes' if row['gain_claimable'] else 'no'}")
 
 
@@ -153,7 +173,7 @@ def main(argv=None) -> int:
                      if name in p["metrics"] and name in c["metrics"]]
             if pairs:
                 parent_values, change_values = map(list, zip(*pairs))
-                rows[name] = compare(m["better"], parent_values, change_values)
+                rows[name] = compare(m["better"], m["bound"], parent_values, change_values)
                 print(summarise(name, rows[name]))
         table[workload] = {"failed": failed, "metrics": rows}
 
@@ -166,6 +186,9 @@ def main(argv=None) -> int:
             "benchmark": {"command": bench["command"], "run_seconds": bench["run_seconds"], "trace": 0},
             "claim_rule": {"min_pairs": CLAIM_MIN_PAIRS, "min_won_share": CLAIM_WIN_SHARE,
                            "median_shift_beyond": "parent q3 - q1"},
+            "regression_rule": {"yes": "median worse by more than bound",
+                                "unresolved": "(parent q3 - q1) / median above bound and "
+                                              "not every change run beats every parent run"},
             "environment": env,
             "workloads": table,
         }, indent=2) + "\n")
