@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +130,7 @@ def cmd_train(args) -> int:
             raise OutputDirectoryExists(f"{ckpt} already exists; pass --overwrite to replace")
         params, result = train_cell(segments, config, variant, horizon, seed)
         save_checkpoint(ckpt, params)
-        write_loss_curve(outdir, variant, horizon, seed, [asdict(rec) for rec in result.history])
+        write_loss_curve(outdir, variant, horizon, seed, result.history)
         print(f"trained {variant} (horizon {horizon}, seed {seed})")
         print(f"epochs run: {len(result.history)}  best epoch: {result.best_epoch}")
         print(f"best val mse: {result.best_val_mse:.6f}")
@@ -204,6 +204,17 @@ def cmd_experiment(args) -> int:
         return 0
 
 
+def _tolerance(text: str) -> float:
+    """A finite, positive float: any other tolerance would pass or fail every check."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvpe",
@@ -212,33 +223,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
-        p.add_argument("--config", required=True, help="path to a JSON run configuration")
+    # options several subcommands share, each declared once
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="path to a JSON run configuration")
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--variant", choices=VARIANTS, help="embedding variant")
+    cell.add_argument("--horizon", type=int, help="forecast horizon (default: first configured)")
+    cell.add_argument("--seed", type=int, help="run seed (default: first configured)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output directory override")
+    out.add_argument("--overwrite", action="store_true", help="replace existing outputs")
 
-    p = sub.add_parser("prepare", help="inspect the dataset, split and channel ranking")
-    add_config(p)
+    p = sub.add_parser("prepare", parents=[config], help="inspect the dataset, split and channel ranking")
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("train", help="train one cell and save a checkpoint")
-    add_config(p)
-    p.add_argument("--variant", choices=VARIANTS, help="embedding variant")
-    p.add_argument("--horizon", type=int, help="forecast horizon (default: first configured)")
-    p.add_argument("--seed", type=int, help="run seed (default: first configured)")
-    p.add_argument("--out", help="output directory override")
-    p.add_argument("--overwrite", action="store_true", help="replace existing outputs")
+    p = sub.add_parser("train", parents=[config, cell, out], help="train one cell and save a checkpoint")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a checkpoint on the test segment")
-    add_config(p)
+    p = sub.add_parser("evaluate", parents=[config], help="score a checkpoint on the test segment")
     p.add_argument("--checkpoint", required=True, help="path to a saved .npz checkpoint")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    add_config(p)
-    p.add_argument("--variant", choices=VARIANTS, help="embedding variant")
-    p.add_argument("--horizon", type=int, help="forecast horizon (default: first configured)")
-    p.add_argument("--seed", type=int, help="model seed (default: first configured)")
-    p.add_argument("--tolerance", type=float, default=1e-4, help="max relative error allowed")
+    p = sub.add_parser("gradcheck", parents=[config, cell], help="finite-difference gradient verification")
+    p.add_argument("--tolerance", type=_tolerance, default=1e-4, help="max relative error allowed")
     p.add_argument(
         "--inject-fault",
         nargs="?",
@@ -249,11 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("experiment", help="run the paired A/B grid and write reports")
-    add_config(p)
+    p = sub.add_parser("experiment", parents=[config, out], help="run the paired A/B grid and write reports")
     p.add_argument("--jobs", type=int, default=1, help="cells to train in parallel")
-    p.add_argument("--out", help="output directory override")
-    p.add_argument("--overwrite", action="store_true", help="replace existing outputs")
     p.set_defaults(func=cmd_experiment)
     return parser
 

@@ -12,32 +12,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 from .data import SplitSpec, SyntheticSpec, TARGET_CHANNEL
 from .model import BackboneConfig, VARIANTS
 from .preprocess import PatchConfig
 
-_MISSING = object()
-
-# The keys each section of a run config may hold, by section path ("" is the
-# top level); any other key is an error, so a typo cannot fall back to a
-# default unnoticed.
-_KNOWN = {
-    "": {
-        "dataset", "split", "target", "select_top_k", "context", "horizons",
-        "patch", "model", "variants", "train", "seeds", "output_dir",
-    },
-    "split": {"protocol", "boundaries"},
-    "patch": {"length", "stride"},
-    "model": {"dim", "heads", "prototypes", "routers", "backbone"},
-    "model.backbone": {"layers", "width", "heads", "hidden"},
-    "train": {"epochs", "batch_size", "lr", "patience"},
-}
-# the dataset keys besides "kind", which depend on the kind
-_DATASET_KINDS = {
-    "synthetic": {"n_channels", "length", "coupling", "lag", "noise_std", "seed"},
-    "csv": {"path", "date_column"},
-}
+POSITIVE = "positive int"  # a kind: an integer of at least 1
+_REQUIRED = object()  # the default of a key that must be given
+_UNSET = object()  # the default of a key whose absence the section tells apart
 
 
 class ConfigError(ValueError):
@@ -78,7 +61,7 @@ class RunConfig:
 
 
 class _Fields:
-    """Pulls typed values out of a nested dict, remembering every problem."""
+    """Reads typed values out of a nested dict, remembering every problem."""
 
     def __init__(self):
         self.errors: list[str] = []
@@ -87,57 +70,127 @@ class _Fields:
         if msg not in self.errors:
             self.errors.append(msg)
 
-    def reject_unknown(self, obj: dict, known: set[str], where: str = ""):
-        for key in obj:
-            if key not in known:
-                label = f"{where}.{key}" if where else key
-                self.fail(f"unknown field {label!r}")
+    def build(self, where: str, make, *args):
+        """``make(*args)``, or None when an argument is None (it failed its own
+        read) or ``make`` raises ValueError, which is reported under ``where``."""
+        if None in args:
+            return None
+        try:
+            return make(*args)
+        except ValueError as exc:
+            self.fail(f"{where}: {exc}" if where else str(exc))
+            return None
 
-    def pull(self, obj: dict, key: str, kind, default=_MISSING, where: str = ""):
-        label = f"{where}.{key}" if where else key
+    def read(self, obj, keys: dict, where: str = "", into: dict | None = None) -> dict:
+        """One section's values in the order of ``keys``, which maps each key the
+        section may hold to a kind (a JSON type, a tuple of them, ``object`` or
+        POSITIVE), ``(kind, default)`` or ``(kind, default, then)``.  A key
+        without a default is required, and any other key is an error, so a
+        typo cannot fall back to a default unnoticed.  A failed value reads as
+        None; ``then(value, label)`` turns any other into the value kept, as
+        :meth:`build` does, and a dict it returns replaces the key.  ``into``
+        takes the values as they come, for later keys."""
+        got = {} if into is None else into
+        if not isinstance(obj, dict):
+            self.fail(f"{where} must be dict, got {type(obj).__name__}")
+            return dict.fromkeys(keys)
+        for key in obj:
+            if key not in keys:
+                self.fail(f"unknown field {f'{where}.{key}' if where else key!r}")
+        for key, spec in keys.items():
+            kind, default, then = (*spec, None)[:3] if isinstance(spec, tuple) else (spec, _REQUIRED, None)
+            label = f"{where}.{key}" if where else key
+            value = self._pull(obj, key, kind, default, label)
+            if then is not None and value is not None:
+                value = self.build("", then, value, label)
+                if isinstance(value, dict):
+                    got.update(value)
+                    continue
+            got[key] = value
+        return got
+
+    def _pull(self, obj: dict, key: str, kind, default, label: str):
         if key not in obj:
-            if default is _MISSING:
+            if default is _REQUIRED:
                 self.fail(f"missing required field {label!r}")
                 return None
             return default
         value = obj[key]
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        json_type = int if kind is POSITIVE else kind
+        if json_type is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
-        if (kind is int or kind == (int,)) and isinstance(value, bool):
+        if json_type is int and isinstance(value, bool):
             self.fail(f"{label} must be an integer, got a boolean")
             return None
-        if not isinstance(value, kind):
-            name = kind.__name__ if hasattr(kind, "__name__") else " or ".join(k.__name__ for k in kind)
+        if not isinstance(value, json_type):
+            name = getattr(json_type, "__name__", None) or " or ".join(k.__name__ for k in json_type)
             self.fail(f"{label} must be {name}, got {type(value).__name__}")
             return None
-        if isinstance(value, float) and not math.isfinite(value):
+        if json_type is float and not math.isfinite(value):
             # json reads NaN and Infinity, which no field can take
             self.fail(f"{label} must be finite, got {value}")
             return None
-        return value
-
-    def pull_pos_int(self, obj: dict, key: str, where: str = "", default=_MISSING):
-        label = f"{where}.{key}" if where else key
-        value = self.pull(obj, key, int, default, where)
-        if value is not None and value < 1:
+        if kind is POSITIVE and value < 1:
             self.fail(f"{label} must be positive, got {value}")
             return None
         return value
 
-    def pull_int_list(self, obj: dict, key: str, minimum: int, default=_MISSING) -> tuple[int, ...]:
-        values = self.pull(obj, key, list, default)
-        if values is None:
-            return ()
+
+def _at_least(bound, words: str):
+    """A then-step that rejects values below ``bound`` in ``words``."""
+
+    def check(value, label):
+        if value < bound:
+            raise ValueError(f"{label} {words}, got {value}")
+        return value
+
+    return check
+
+
+def _distinct(accept, problem: str):
+    """A then-step: a non-empty list of distinct values ``accept`` takes, as a
+    tuple; ``problem`` words those it does not, put in place of ``{}``."""
+
+    def check(values, label):
+        bad = [v for v in values if not accept(v)]
         if not values:
-            self.fail(f"{key} must be non-empty")
-            return ()
-        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= minimum for v in values):
-            self.fail(f"{key} must all be integers >= {minimum}")
-            return ()
+            raise ValueError(f"{label} must be non-empty")
+        if bad:
+            raise ValueError(f"{label} {problem.format(bad)}")
         if len(set(values)) != len(values):
-            self.fail(f"{key} must be distinct")
-            return ()
+            raise ValueError(f"{label} must be distinct")
         return tuple(values)
+
+    return check
+
+
+def _ints(minimum: int):
+    return _distinct(
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
+        f"must all be integers >= {minimum}",
+    )
+
+
+# A dataset's kind decides which other keys it holds.
+_DATASET_KIND = {"kind": str}
+_DATASETS = {
+    "synthetic": {"n_channels": POSITIVE, "length": POSITIVE, "coupling": float, "lag": POSITIVE,
+                  "noise_std": float, "seed": (int, 0)},
+    "csv": {"path": str, "date_column": (str, "date")},
+}
+_SPLIT = {"protocol": (object, _UNSET), "boundaries": (object, _UNSET)}
+
+
+def _split_spec(protocol, boundaries=_UNSET) -> SplitSpec:
+    """The split a protocol name, or else 2 or 3 boundaries, describe."""
+    if protocol is not _UNSET:
+        return SplitSpec(protocol=protocol)
+    if boundaries is _UNSET:
+        raise ValueError("split needs 'protocol' or 'boundaries'")
+    if not (isinstance(boundaries, list) and len(boundaries) in (2, 3)
+            and all(isinstance(b, int) and not isinstance(b, bool) for b in boundaries)):
+        raise ValueError("boundaries must be a list of 2 or 3 integers")
+    return SplitSpec(boundaries=tuple(boundaries))
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -146,170 +199,80 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["configuration root must be a JSON object"])
     f = _Fields()
-    f.reject_unknown(raw, _KNOWN[""])
+    cfg = SimpleNamespace(synthetic=None, echo=raw)  # RunConfig's fields, set as they are read
 
-    dataset = f.pull(raw, "dataset", dict)
-    dataset_kind, synthetic, csv_path, date_column = "", None, None, "date"
-    if dataset is not None:
-        dataset_kind = f.pull(dataset, "kind", str, where="dataset")
-        if dataset_kind in _DATASET_KINDS:
-            f.reject_unknown(dataset, {"kind"} | _DATASET_KINDS[dataset_kind], "dataset")
-        if dataset_kind == "synthetic":
-            n_channels = f.pull_pos_int(dataset, "n_channels", "dataset")
-            length = f.pull_pos_int(dataset, "length", "dataset")
-            coupling = f.pull(dataset, "coupling", float, where="dataset")
-            lag = f.pull_pos_int(dataset, "lag", "dataset")
-            noise_std = f.pull(dataset, "noise_std", float, where="dataset")
-            seed = f.pull(dataset, "seed", int, 0, where="dataset")
-            if None not in (n_channels, length, coupling, lag, noise_std, seed):
-                try:
-                    synthetic = SyntheticSpec(n_channels, length, coupling, lag, noise_std, seed)
-                except ValueError as exc:
-                    f.fail(f"dataset: {exc}")
-        elif dataset_kind == "csv":
-            csv_path = f.pull(dataset, "path", str, where="dataset")
-            date_column = f.pull(dataset, "date_column", str, "date", where="dataset") or "date"
-        elif dataset_kind is not None:
-            f.fail(f"dataset.kind must be 'synthetic' or 'csv', got {dataset_kind!r}")
+    def dataset(value, where):
+        # the kind alone first, as the other keys, and so the unknown ones, depend on it
+        (kind,) = f.read({k: v for k, v in value.items() if k in _DATASET_KIND}, _DATASET_KIND, where).values()
+        if kind not in _DATASETS:
+            if kind is not None:
+                f.fail(f"{where}.kind must be {' or '.join(map(repr, _DATASETS))}, got {kind!r}")
+            return {}
+        _, *values = f.read(value, _DATASET_KIND | _DATASETS[kind], where).values()
+        if kind == "csv":
+            path, date_column = values
+            return dict(dataset_kind=kind, synthetic=None, csv_path=path, date_column=date_column or "date")
+        synthetic = f.build(where, SyntheticSpec, *values)
+        return dict(dataset_kind=kind, synthetic=synthetic, csv_path=None, date_column="date")
 
-    split_raw = f.pull(raw, "split", (dict, str), {"protocol": "ratio_70_10_20"})
-    split = None
-    if isinstance(split_raw, str):
-        split_raw = {"protocol": split_raw}
-    if isinstance(split_raw, dict):
-        f.reject_unknown(split_raw, _KNOWN["split"], "split")
-        try:
-            if "protocol" in split_raw:
-                split = SplitSpec(protocol=split_raw["protocol"])
-            elif "boundaries" in split_raw:
-                bounds = split_raw["boundaries"]
-                if not (
-                    isinstance(bounds, list)
-                    and len(bounds) in (2, 3)
-                    and all(isinstance(b, int) and not isinstance(b, bool) for b in bounds)
-                ):
-                    raise ValueError("boundaries must be a list of 2 or 3 integers")
-                split = SplitSpec(boundaries=tuple(bounds))
-            else:
-                raise ValueError("split needs 'protocol' or 'boundaries'")
-        except ValueError as exc:
-            f.fail(f"split: {exc}")
+    def split(value, where):
+        args = [value] if isinstance(value, str) else f.read(value, _SPLIT, where).values()
+        # a null protocol goes to SplitSpec, which names the problem
+        return f.build(where, lambda: _split_spec(*args))
 
-    target = f.pull(raw, "target", str, TARGET_CHANNEL)
-    select_top_k = f.pull(raw, "select_top_k", int, None)
-    if select_top_k is not None and select_top_k < 0:
-        f.fail(f"select_top_k must be non-negative, got {select_top_k}")
+    def patch(value, where):
+        length, stride = f.read(value, {"length": POSITIVE, "stride": POSITIVE}, where).values()
+        patch_cfg = f.build(where, PatchConfig, length, stride)
+        return patch_cfg if patch_cfg and f.build("", patch_cfg.n_patches, cfg.context) else None
 
-    context = f.pull_pos_int(raw, "context")
-    horizons = f.pull_int_list(raw, "horizons", minimum=1)
+    def model(value, where):
+        dim, heads, prototypes, routers, backbone = f.read(value, {
+            "dim": (POSITIVE, 32), "heads": (POSITIVE, 8), "prototypes": (POSITIVE, 100), "routers": (POSITIVE, 4),
+            "backbone": (object, {}),  # read after the check below
+        }, where).values()
+        if None not in (dim, heads) and dim % heads != 0:
+            f.fail(f"{where}.dim {dim} must be divisible by {where}.heads {heads}")
+        where = f"{where}.backbone"
+        layers, width, bb_heads, hidden = f.read(backbone, {
+            "layers": (POSITIVE, 2), "width": (POSITIVE, 32), "heads": (POSITIVE, 4), "hidden": (POSITIVE, _UNSET),
+        }, where).values()
+        if hidden is _UNSET:
+            hidden = width and 2 * width
+        backbone = f.build(where, BackboneConfig, layers, width, bb_heads, hidden)
+        return dict(model_dim=dim, heads=heads, n_prototypes=prototypes, n_routers=routers, backbone=backbone)
 
-    patch_raw = f.pull(raw, "patch", dict)
-    patch_cfg = None
-    if patch_raw is not None:
-        f.reject_unknown(patch_raw, _KNOWN["patch"], "patch")
-        p_len = f.pull_pos_int(patch_raw, "length", "patch")
-        p_str = f.pull_pos_int(patch_raw, "stride", "patch")
-        if None not in (p_len, p_str):
-            patch_cfg = PatchConfig(p_len, p_str)
-            if context is not None:
-                try:
-                    patch_cfg.n_patches(context)
-                except ValueError as exc:
-                    f.fail(str(exc))
-                    patch_cfg = None
-
-    model_raw = f.pull(raw, "model", dict, {})
-    model_dim = heads = n_prototypes = n_routers = None
-    backbone = None
-    if model_raw is not None:
-        f.reject_unknown(model_raw, _KNOWN["model"], "model")
-        model_dim = f.pull_pos_int(model_raw, "dim", "model", 32)
-        heads = f.pull_pos_int(model_raw, "heads", "model", 8)
-        n_prototypes = f.pull_pos_int(model_raw, "prototypes", "model", 100)
-        n_routers = f.pull_pos_int(model_raw, "routers", "model", 4)
-        if None not in (model_dim, heads) and model_dim % heads != 0:
-            f.fail(f"model.dim {model_dim} must be divisible by model.heads {heads}")
-        bb_raw = f.pull(model_raw, "backbone", dict, {}, "model")
-        if bb_raw is not None:
-            f.reject_unknown(bb_raw, _KNOWN["model.backbone"], "model.backbone")
-            layers = f.pull_pos_int(bb_raw, "layers", "model.backbone", 2)
-            width = f.pull_pos_int(bb_raw, "width", "model.backbone", 32)
-            bb_heads = f.pull_pos_int(bb_raw, "heads", "model.backbone", 4)
-            default_hidden = None if width is None else 2 * width
-            hidden = f.pull_pos_int(bb_raw, "hidden", "model.backbone", default_hidden)
-            if None not in (layers, width, bb_heads, hidden):
-                try:
-                    backbone = BackboneConfig(layers, width, bb_heads, hidden)
-                except ValueError as exc:
-                    f.fail(f"model.backbone: {exc}")
-
-    variants_raw = f.pull(raw, "variants", list, list(VARIANTS))
-    variants: tuple[str, ...] = ()
-    if variants_raw is not None:
-        bad = [v for v in variants_raw if v not in VARIANTS]
-        if not variants_raw:
-            f.fail("variants must be non-empty")
-        elif bad:
-            f.fail(f"variants must be drawn from {VARIANTS}, got {bad}")
-        elif len(set(variants_raw)) != len(variants_raw):
-            f.fail("variants must be distinct")
-        else:
-            variants = tuple(variants_raw)
-
-    train_raw = f.pull(raw, "train", dict)
-    epochs = batch_size = patience = lr = None
-    if train_raw is not None:
-        f.reject_unknown(train_raw, _KNOWN["train"], "train")
-        epochs = f.pull_pos_int(train_raw, "epochs", "train")
-        batch_size = f.pull_pos_int(train_raw, "batch_size", "train", 8)
-        patience = f.pull_pos_int(train_raw, "patience", "train", 10)
-        lr = f.pull(train_raw, "lr", float, 1e-2, where="train")
-        if lr is not None and lr < 0:
-            f.fail(f"train.lr cannot be negative, got {lr}")
-
-    seeds = f.pull_int_list(raw, "seeds", minimum=0, default=[0])
-    output_dir = f.pull(raw, "output_dir", str, "runs/experiment")
+    f.read(raw, {
+        "dataset": (dict, _REQUIRED, dataset),
+        "split": ((dict, str), "ratio_70_10_20", split),
+        "target": (str, TARGET_CHANNEL),
+        "select_top_k": (int, None, _at_least(0, "must be non-negative")),
+        "context": POSITIVE,
+        "horizons": (list, _REQUIRED, _ints(1)),
+        "patch": (dict, _REQUIRED, patch),
+        "model": (dict, {}, model),
+        "variants": (list, list(VARIANTS), _distinct(lambda v: v in VARIANTS, f"must be drawn from {VARIANTS}, got {{}}")),
+        "train": (dict, _REQUIRED, lambda value, where: f.read(value, {
+            "epochs": POSITIVE, "batch_size": (POSITIVE, 8), "patience": (POSITIVE, 10),
+            "lr": (float, 1e-2, _at_least(0, "cannot be negative")),
+        }, where)),
+        "seeds": (list, [0], _ints(0)),
+        "output_dir": (str, "runs/experiment"),
+    }, into=vars(cfg))
 
     # checks that need several valid pieces at once
-    if synthetic is not None and split is not None:
+    if cfg.synthetic is not None and cfg.split is not None:
         try:
-            a, _, _ = split.resolve(synthetic.length)
+            a, _, _ = cfg.split.resolve(cfg.synthetic.length)
         except ValueError as exc:
             f.fail(f"split: {exc}")
         else:
-            if context is not None and horizons and a < context + max(horizons):
-                f.fail(
-                    f"training segment of {a} steps cannot hold context {context} "
-                    f"plus horizon {max(horizons)}"
-                )
+            if cfg.context is not None and cfg.horizons and a < cfg.context + max(cfg.horizons):
+                f.fail(f"training segment of {a} steps cannot hold context {cfg.context} "
+                       f"plus horizon {max(cfg.horizons)}")
 
     if f.errors:
         raise ConfigError(f.errors)
-    return RunConfig(
-        dataset_kind=dataset_kind,
-        synthetic=synthetic,
-        csv_path=csv_path,
-        date_column=date_column,
-        split=split,
-        target=target,
-        select_top_k=select_top_k,
-        context=context,
-        horizons=horizons,
-        patch=patch_cfg,
-        model_dim=model_dim,
-        heads=heads,
-        n_prototypes=n_prototypes,
-        n_routers=n_routers,
-        backbone=backbone,
-        variants=variants,
-        epochs=epochs,
-        batch_size=batch_size,
-        lr=lr,
-        patience=patience,
-        seeds=seeds,
-        output_dir=output_dir,
-        echo=raw,
-    )
+    return RunConfig(**vars(cfg))
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -28,6 +28,7 @@ from .data import (
 )
 from .model import ModelParams, build_model
 from .train import (
+    EpochRecord,
     MetricPair,
     TrainConfig,
     TrainingDiverged,
@@ -52,13 +53,13 @@ class CellResult:
     horizon: int
     seed: int
     status: str  # "ok" or "failed"
-    mse: float | None
-    mae: float | None
-    best_epoch: int | None
-    epochs_run: int | None
-    window_order_digest: str | None
-    error: str | None
-    history: list[dict] = field(default_factory=list)
+    mse: float | None = None
+    mae: float | None = None
+    best_epoch: int | None = None
+    epochs_run: int | None = None
+    window_order_digest: str | None = None
+    error: str | None = None
+    history: list[EpochRecord] = field(default_factory=list)
 
 
 @dataclass
@@ -213,11 +214,6 @@ def run_cell(
             horizon=horizon,
             seed=seed,
             status="failed",
-            mse=None,
-            mae=None,
-            best_epoch=None,
-            epochs_run=None,
-            window_order_digest=None,
             error=f"{type(exc).__name__}: {exc}",
         )
     return CellResult(
@@ -231,8 +227,7 @@ def run_cell(
         best_epoch=result.best_epoch,
         epochs_run=len(result.history),
         window_order_digest=result.window_order_digest,
-        error=None,
-        history=[asdict(rec) for rec in result.history],
+        history=result.history,
     )
 
 
@@ -327,14 +322,13 @@ def write_experiment(report: ExperimentReport, outdir: str | Path, overwrite: bo
             write_loss_curve(outdir, row.variant, row.horizon, row.seed, row.history)
 
 
-def write_loss_curve(outdir: Path, variant: str, horizon: int, seed: int, history: list[dict]) -> None:
+def write_loss_curve(outdir: Path, variant: str, horizon: int, seed: int, history: list[EpochRecord]) -> None:
     """Write one cell's per-epoch losses as ``loss_<variant>_h<H>_seed<S>.csv``.
 
-    ``history`` holds ``EpochRecord`` fields as dicts; floats are written in
-    ``repr`` form, so the file round-trips them exactly.
+    Floats are written in ``repr`` form, so the file round-trips them exactly.
     """
     lines = ["epoch,train_mse,val_mse"]
     for rec in history:
-        lines.append(f"{rec['epoch']},{rec['train_mse']!r},{rec['val_mse']!r}")
+        lines.append(f"{rec.epoch},{rec.train_mse!r},{rec.val_mse!r}")
     name = f"loss_{variant}_h{horizon}_seed{seed}.csv"
     (Path(outdir) / name).write_text("\n".join(lines) + "\n")

@@ -419,6 +419,14 @@ _INPUT_FAILURES = {
     "jobs_zero": (lambda t: (_GOOD, ["experiment", "--jobs", "0"]), "jobs must be positive"),
     "gradcheck_batch_zero": (
         lambda t: (_GOOD, ["gradcheck", "--batch", "0"]), "unrecognized arguments: --batch 0"),
+    "gradcheck_tolerance_inf": (
+        lambda t: (_GOOD, ["gradcheck", "--tolerance", "inf"]), "argument --tolerance"),
+    "gradcheck_tolerance_nan": (
+        lambda t: (_GOOD, ["gradcheck", "--tolerance", "nan"]), "argument --tolerance"),
+    "gradcheck_tolerance_zero": (
+        lambda t: (_GOOD, ["gradcheck", "--tolerance", "0"]), "argument --tolerance"),
+    "gradcheck_tolerance_negative": (
+        lambda t: (_GOOD, ["gradcheck", "--tolerance", "-1"]), "argument --tolerance"),
     "lr_nan": (
         lambda t: (_with_number("train", "lr", "nan"), ["experiment", "--out", "new/out"]),
         "train.lr must be finite"),

@@ -1,5 +1,6 @@
 """Run-configuration parsing and exhaustive validation."""
 
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -68,7 +69,7 @@ class TestParsing:
     def test_unknown_keys_inside_sections_are_named(self):
         raw = minimal(
             train={"epochs": 2, "patiense": 1},
-            model={"backbone": {"width": 8, "heads": 2, "hiden": 3}},
+            model={"router": 4, "backbone": {"width": 8, "heads": 2, "hiden": 3}},
             split={"protocol": "ratio_70_10_20", "boundary": [1, 2]},
             patch={"length": 8, "stride": 4, "len": 8},
         )
@@ -79,6 +80,7 @@ class TestParsing:
             "unknown field 'dataset.frequency'",
             "unknown field 'split.boundary'",
             "unknown field 'patch.len'",
+            "unknown field 'model.router'",
             "unknown field 'model.backbone.hiden'",
             "unknown field 'train.patiense'",
         ]
@@ -90,10 +92,20 @@ class TestParsing:
             parse_config(raw)
 
     def test_every_bundled_config_parses(self):
-        configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+        # the configs/ files, and the benchmark's configs as perfbench/specs.py builds them
+        root = Path(__file__).resolve().parent.parent
+        configs = sorted((root / "configs").glob("*.json"))
         assert configs
         for path in configs:
             load_config(path)
+        spec = importlib.util.spec_from_file_location("perfbench_specs", root / "perfbench" / "specs.py")
+        specs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(specs)
+        raws = [specs.raw_config(w, specs.DEFAULT_SEED, size) for w in specs.WORKLOADS for size in ("full", "tiny")]
+        raws += [specs.grid_config(specs.DEFAULT_SEED, size) for size in ("full", "tiny")]
+        assert len(raws) == 8
+        for raw in raws:
+            parse_config(raw)
 
     def test_missing_required_fields_are_named(self):
         with pytest.raises(ConfigError) as err:

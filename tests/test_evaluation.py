@@ -297,8 +297,8 @@ class TestWriting:
         row = report.rows[0]
         lines = (tmp_path / "run" / f"loss_{row.variant}_h3_seed0.csv").read_text().splitlines()
         epoch, train_mse, val_mse = lines[1].split(",")
-        assert float(train_mse) == row.history[0]["train_mse"]
-        assert float(val_mse) == row.history[0]["val_mse"]
+        assert float(train_mse) == row.history[0].train_mse
+        assert float(val_mse) == row.history[0].val_mse
 
     def test_refuses_to_clobber_without_overwrite(self, tmp_path):
         report = run_experiment(tiny_config())
