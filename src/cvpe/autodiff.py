@@ -2,9 +2,9 @@
 
 A small tape-based engine: every operation records its inputs and a backward
 closure, and ``Tensor.backward()`` walks the graph in reverse topological
-order accumulating gradients. All arithmetic is performed in 64-bit floats so
-that central finite differences can be used as a correctness oracle for every
-op (see ``train.grad_check``).
+order accumulating gradients, consuming the graph as it goes (below). All
+arithmetic is performed in 64-bit floats so that central finite differences
+can be used as a correctness oracle for every op (see ``train.grad_check``).
 
 Only the operations the program calls are implemented. The model uses the
 elementwise ``add``/``sub``/``mul``, ``matmul`` against a 2-D weight, the
@@ -102,6 +102,24 @@ so ``_hand_over`` gives an intermediate tensor (one with a backward) its
 first such gradient as is; leaf and parameter gradients still go through
 ``_accumulate``. A cvpe training step at ``synthetic_ab`` shapes made 77
 first-gradient copies (6.1 MB) before.
+
+A walk consumes its graph. Each node drops its backward closure, and with it
+the arrays the closure saved (a dense layer's input rows, the MLP's
+pre-activation, ``den`` and activation, attention's probabilities, layer
+norm's ``xhat``), and its parents as soon as it has propagated, and the walk
+pops each node off its order as it goes, so a node nothing else holds is
+freed at once. Every ``.grad`` stays readable on the tensors a caller still
+holds, and a caller that keeps the loss, as the train loop does until its
+next step, keeps a scalar rather than the last step's tape. A second walk
+through a consumed node raises ``RuntimeError`` before any gradient moves.
+The arithmetic is that of a walk that keeps its graph. For a cvpe training
+step at ``synthetic_ab`` shapes (batch 32) the forward's tape held 9.3 MB
+(``tracemalloc``): 3.9 MB of node outputs and 5.2 MB saved by closures
+(``mlp`` 3.0, ``attention`` 1.2, ``layer_norm`` 0.7, dense input rows
+0.4). After a walk that kept its graph, 13.7 MB stayed allocated while the
+loss was held; now 0.08 MB does (the leaf gradients and cached vectors of
+ones), and the walk's own peak fell from 14.9 to 10.8 MB above the
+pre-forward level.
 
 Importing this module pins two of glibc's malloc thresholds for the whole
 process: ``M_MMAP_THRESHOLD`` at glibc's maximum (32 MiB on 64-bit) and
@@ -286,21 +304,33 @@ class Tensor:
     # -- backprop ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable leaf,
+        consuming the graph: each node drops its backward closure and its
+        parents once it has propagated (see the module docstring).
+
+        Raises ``RuntimeError``, before any gradient moves, when the graph
+        holds a node that an earlier walk consumed."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
         order = _topo_order(self)
-        # an intermediate's gradient belongs to one walk; only leaves accumulate
-        for node in order:
-            if node._backward is not None:
-                node.grad = None
+        if any(node._backward is _CONSUMED for node in order):
+            raise RuntimeError("backward() through a graph that an earlier backward() consumed")
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is None:
+        # popped in reverse topological order, so a node's last reference from
+        # the walk goes as soon as it and every node that feeds on it are done
+        while order:
+            node = order.pop()
+            step = node._backward
+            if step is None:
                 continue
-            if node.grad is None:
-                continue
-            node._backward(node.grad)
+            node._backward, node._parents = _CONSUMED, ()
+            if node.grad is not None:
+                step(node.grad)
+
+
+# the backward of a node whose walk is done: ``Tensor.backward`` refuses a
+# graph that holds one
+_CONSUMED = object()
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

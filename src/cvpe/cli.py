@@ -21,7 +21,7 @@ import contextlib
 import math
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -280,7 +280,8 @@ def main(argv=None) -> int:
     except (FileNotFoundError, CsvFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TrainingDiverged, NumericError, BrokenProcessPool) as exc:
+    # BrokenExecutor is the base of the process pool's BrokenProcessPool
+    except (TrainingDiverged, NumericError, BrokenExecutor) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -97,7 +97,10 @@ class SplitSpec:
     def __post_init__(self):
         if (self.protocol is None) == (self.boundaries is None):
             raise ValueError("exactly one of protocol or boundaries must be given")
-        if self.protocol is not None and self.protocol not in self._PROTOCOLS:
+        # a list or an object cannot be looked up, so the type is checked first
+        if self.protocol is not None and (
+            not isinstance(self.protocol, str) or self.protocol not in self._PROTOCOLS
+        ):
             raise ValueError(
                 f"unknown split protocol {self.protocol!r}; "
                 f"known: {sorted(self._PROTOCOLS)}"

@@ -11,7 +11,6 @@ floats round-trip.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -254,7 +253,10 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> ExperimentReport:
         segments = prepare_segments(config)
         rows = [run_cell(segments, config, v, h, s) for v, h, s in grid]
     else:
-        # the pool forks all its workers up front, so start no more than cells
+        # imported here, so only a --jobs run loads multiprocessing; the pool
+        # forks all its workers up front, so start no more than cells
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
             rows = list(pool.map(_cell_worker, [(config, v, h, s) for v, h, s in grid]))
 

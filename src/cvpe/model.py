@@ -336,9 +336,11 @@ def forecast_batch(
     Each window is normalised per channel, patched, embedded (with the
     cross-variate block when the variant asks for it), reprogrammed into the
     backbone, encoded, and mapped to the horizon; forecasts come back on the
-    original scale of the inputs.
+    original scale of the inputs.  The batch is read in C order, so a strided
+    view (a slice of ``make_windows``'s windows) is copied once, and no
+    forecast's bits depend on the strides of its input.
     """
-    windows = np.asarray(windows, dtype=np.float64)
+    windows = np.ascontiguousarray(windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ValueError(f"expected (batch, channels, context) windows, got {windows.shape}")
     if windows.shape[-1] != params.context:

@@ -83,9 +83,13 @@ def make_windows(values: np.ndarray, context: int, horizon: int) -> tuple[np.nda
     """Cut a (channels, T) segment into supervised pairs.
 
     Returns windows (W, channels, context) and targets (W, channels,
-    horizon) where window i starts at time ``i``.
+    horizon) where window i starts at time ``i``.  Both are read-only strided
+    views into one C-ordered copy of ``values``: the segment is copied once,
+    at O(channels * T) cost, instead of once per overlapping window, and no
+    later write to ``values`` reaches them.  Consumers that need C order copy
+    a batch (``forecast_batch``) or index one out (which copies).
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.array(values, dtype=np.float64, order="C")
     if values.ndim != 2:
         raise ValueError(f"expected (channels, time) values, got {values.shape}")
     if context < 1 or horizon < 1:
@@ -96,13 +100,9 @@ def make_windows(values: np.ndarray, context: int, horizon: int) -> tuple[np.nda
             f"segment of {values.shape[1]} steps too short for context {context} "
             f"plus horizon {horizon}"
         )
-    # (channels, starts, context + horizon) views; the copies are C-ordered
-    # and never alias ``values`` (ascontiguousarray would hand back a view
-    # for one channel and a context of one)
+    # (channels, starts, context + horizon), read-only
     spans = np.lib.stride_tricks.sliding_window_view(values, total, axis=1)
-    windows = spans[:, :, :context].transpose(1, 0, 2).copy()
-    targets = spans[:, :, context:].transpose(1, 0, 2).copy()
-    return windows, targets
+    return spans[:, :, :context].transpose(1, 0, 2), spans[:, :, context:].transpose(1, 0, 2)
 
 
 @dataclass

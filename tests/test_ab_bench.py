@@ -103,3 +103,66 @@ def test_json_table_holds_what_the_tool_prints(tmp_path, monkeypatch, capsys):
     # the printed table says the same
     assert ab_bench.summarise("windows_per_s", wps) in printed
     assert ab_bench.summarise("peak_rss_mb", rss) in printed
+
+
+def test_a_failed_run_is_recorded_and_the_others_go_on(tmp_path, monkeypatch, capsys):
+    # the change side's pair 1 times out and the parent side's pair 3 prints
+    # no JSON; the other eight pairs are compared, and the tool exits 1
+    calls = []
+
+    def fake_run(command, tree, workload, seed, seconds):
+        side = "parent" if tree != ab_bench.ROOT else "change"
+        k = sum(c == side for c in calls)
+        calls.append(side)
+        if (side, k) == ("change", 1):
+            raise ab_bench.RunFailed("timed out after 900 s", None, b"step 1\nstep 2\n")
+        if (side, k) == ("parent", 3):
+            raise ab_bench.RunFailed("ended without a JSON object line", 1, "Traceback\nValueError: x\n")
+        metrics = {"peak_rss_mb": {"value": 70.0 - 10.0 * (side == "change"), "unit": "MB"}}
+        return {"correct": True, "attempted": 20, "failed": 0, "metrics": metrics, "env": None}
+
+    monkeypatch.setattr(ab_bench, "run_once", fake_run)
+    monkeypatch.setattr(ab_bench, "export_tree", lambda ref, dest: None)
+    monkeypatch.setattr(ab_bench, "resolve_commit", lambda ref: "f" * 40)
+    out = tmp_path / "bench.json"
+    argv = ["--pairs", "10", "--workloads", "infer_wide", "--json", str(out)]
+    assert ab_bench.main(argv) == 1
+    printed = capsys.readouterr().out
+    wide = json.loads(out.read_text())["workloads"]["infer_wide"]
+    assert wide["failed_runs"] == {
+        "parent": [{"pair": 3, "seed": 0, "ended": "ended without a JSON object line",
+                    "exit_code": 1, "stderr_tail": ["Traceback", "ValueError: x"]}],
+        "change": [{"pair": 1, "seed": 0, "ended": "timed out after 900 s",
+                    "exit_code": None, "stderr_tail": ["step 1", "step 2"]}],
+    }
+    assert wide["failed"] == {"parent": {"failed": 0, "attempted": 180},
+                              "change": {"failed": 0, "attempted": 180}}
+    assert wide["metrics"]["peak_rss_mb"]["pairs"] == 8
+    assert "failed runs parent 1, change 1" in printed
+    assert "failed run: change pair 1 seed 0: timed out after 900 s, exit code None" in printed
+    assert "    ValueError: x" in printed
+
+
+@pytest.mark.parametrize(
+    "outcome,ended",
+    [
+        ("timeout", "timed out after 900 s"),
+        ("", "printed nothing"),
+        ("a line\nnot json\n", "ended without a JSON object line"),
+        ("3\n", "ended without a JSON object line"),
+    ],
+)
+def test_run_once_names_how_a_failed_run_ended(monkeypatch, outcome, ended):
+    stderr = "".join(f"line {i}\n" for i in range(8))
+
+    def fake_subprocess_run(args, timeout, **kwargs):
+        if outcome == "timeout":
+            raise ab_bench.subprocess.TimeoutExpired(args, timeout, stderr=stderr.encode())
+        return ab_bench.subprocess.CompletedProcess(args, 1, stdout=outcome, stderr=stderr)
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_subprocess_run)
+    with pytest.raises(ab_bench.RunFailed) as caught:
+        ab_bench.run_once(["bench"], Path("."), "infer_wide", 0, 30)
+    assert caught.value.ended == ended
+    assert caught.value.exit_code == (None if outcome == "timeout" else 1)
+    assert caught.value.stderr_tail == [f"line {i}" for i in range(3, 8)]

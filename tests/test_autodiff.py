@@ -319,16 +319,21 @@ def test_no_grad_blocks_tape():
     assert x.grad is not None
 
 
-def test_second_walk_adds_the_same_gradient_again():
-    # leaves accumulate across walks; intermediates start each walk empty
+def test_second_walk_raises_and_moves_no_gradient():
+    # a walk consumes its graph: gradients stay readable, and walking it
+    # again, or a new graph built on one of its nodes, raises before any
+    # gradient moves
     x = parameter(np.ones(1), "x")
     y = mul(x, 3.0)
     loss = tsum(mul(y, 1.0))
     loss.backward()
     np.testing.assert_array_equal(x.grad, [3.0])
-    loss.backward()
-    np.testing.assert_array_equal(x.grad, [6.0])
     np.testing.assert_array_equal(y.grad, [1.0])
+    assert (loss._parents, y._parents) == ((), ())
+    for root in (loss, tsum(mul(y, 2.0))):
+        with pytest.raises(RuntimeError, match="consumed"):
+            root.backward()
+        np.testing.assert_array_equal(x.grad, [3.0])
 
 
 def test_backward_requires_scalar_root():
@@ -640,11 +645,12 @@ def test_mlp_equals_the_affine_gelu_affine_chain_bit_for_bit(layout):
         with no_grad():
             untaped = fn(view(x), *params).data
         out = fn(view(x), *params)
+        if name == "fused":
+            # read before the walk, which drops them
+            assert out._parents[1:] == tuple(params)
         g = np.random.default_rng(31).normal(size=out.shape)
         tsum(mul(out, g)).backward()
         results[name] = [untaped, out.data] + [t.grad for t in leaves]
-        if name == "fused":
-            assert out._parents[1:] == tuple(params)
     for got, want in zip(results["fused"], results["chain"]):
         np.testing.assert_array_equal(got, want)
 

@@ -1,5 +1,6 @@
 """Command line entry points, exit codes, and output files."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -333,11 +334,22 @@ def test_pool_never_starts_more_workers_than_cells(monkeypatch):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    # run_experiment imports the pool where it starts it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     config = parse_config(base_config())  # one horizon, one seed, two variants
     report = evaluation.run_experiment(config, jobs=500)
     assert [r.status for r in report.rows] == ["ok", "ok"]
     assert sizes == [2]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a --jobs run starts a pool; a fresh interpreter shows what loads
+    code = "import sys, cvpe.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.stdout.strip() == "False", done.stderr
 
 
 def _die(args):
@@ -403,6 +415,10 @@ def _with_number(section, key, word):
     return json.dumps(raw)
 
 
+def _with_protocol(protocol):
+    return json.dumps(base_config(split={"protocol": protocol}))
+
+
 def _under_a_file(tmp_path):
     (tmp_path / "file").touch()
     return str(tmp_path / "file" / "sub")
@@ -436,6 +452,11 @@ _INPUT_FAILURES = {
     "noise_std_infinity": (
         lambda t: (_with_number("dataset", "noise_std", "inf"), ["experiment", "--out", "new/out"]),
         "dataset.noise_std must be finite"),
+    # a protocol that is not a string, which a set cannot look up
+    "split_protocol_is_a_list": (
+        lambda t: (_with_protocol(["x"]), ["prepare"]), "split: unknown split protocol ['x']"),
+    "split_protocol_is_an_object": (
+        lambda t: (_with_protocol({"x": 1}), ["prepare"]), "split: unknown split protocol {'x': 1}"),
     "backbone_hidden_zero": (
         lambda t: (_with_hidden(0), ["gradcheck"]), "model.backbone.hidden must be positive"),
     "backbone_hidden_negative": (

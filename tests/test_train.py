@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ class TestWindows:
     @pytest.mark.parametrize("channels,context", [(3, 1), (3, 3), (1, 7), (1, 1)])
     def test_matches_slicing_at_every_start(self, channels, context):
         # one channel with a context of one is the case where a contiguous
-        # view of the input could be returned instead of a copy
+        # view of the input itself could be returned
         values = np.random.default_rng(3).normal(size=(channels, 40))
         total = context + 4
         windows, targets = make_windows(values, context, 4)
@@ -203,13 +204,61 @@ class TestWindows:
         want_w = np.stack([values[:, s : s + context] for s in starts])
         want_t = np.stack([values[:, s + context : s + total] for s in starts])
         for got, want in ((windows, want_w), (targets, want_t)):
-            assert got.flags.c_contiguous
+            assert not got.flags.writeable
             assert not np.shares_memory(got, values)
             np.testing.assert_array_equal(got, want)
 
     def test_too_short_segment(self):
         with pytest.raises(ValueError):
             make_windows(np.zeros((1, 5)), context=4, horizon=2)
+
+    def test_cuts_windows_without_a_copy_per_window(self):
+        # ETTh1-smoke shapes, where a copy of every window held about 163 MB
+        values = np.random.default_rng(4).normal(size=(7, 8640))
+        tracemalloc.start()
+        try:
+            windows, targets = make_windows(values, 256, 96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert windows.shape == (8640 - 352 + 1, 7, 256) and targets.shape == (8289, 7, 96)
+        assert peak < 2 * values.nbytes, f"peak {peak / 1e6:.2f} MB for a {values.nbytes / 1e6:.2f} MB series"
+
+    @pytest.mark.parametrize("variant", ["vanilla", "cvpe"])
+    def test_a_strided_batch_forecasts_the_bits_of_its_c_ordered_copy(self, variant):
+        (windows, _), _ = tiny_dataset()
+        batch = windows[3:60:2]
+        assert not batch.flags.c_contiguous
+        params = tiny_model(variant)
+        with no_grad():
+            from_view = forecast_batch(batch, params).data
+            from_copy = forecast_batch(np.ascontiguousarray(batch), params).data
+        np.testing.assert_array_equal(from_view, from_copy)
+
+
+def test_a_walk_frees_the_tape_while_the_loss_is_still_held():
+    # after backward the loss keeps a scalar, not the graph: what stays
+    # allocated is the leaf gradients, and a second walk raises
+    (windows, targets), _ = tiny_dataset()
+    params = tiny_model("cvpe")
+    leaves = params.parameters()
+    x, y = windows[:64].copy(), targets[:64].copy()
+    backward(mse_loss(forecast_batch(x, params), y), leaves)  # fills the caches
+    for p in leaves:
+        p.grad = None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = mse_loss(forecast_batch(x, params), y)
+        taped = tracemalloc.get_traced_memory()[0] - before
+        grads = backward(loss, leaves)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(g.nbytes for g in grads)
+    assert held - grad_bytes < 8192 < taped / 20, (held, grad_bytes, taped)
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
 
 
 class TestGradCheck:

@@ -19,10 +19,13 @@ otherwise ``unresolved`` if the parent's quartile spread, relative to its
 median, exceeds the bound and not every change run beats every parent run;
 otherwise ``no``.  A gain may be claimed if at least ten pairs ran, the
 change won at least nine tenths of them, and the medians differ by more
-than the distance between the parent's quartiles.  With
-``--json PATH`` the same table, each run's values, the failure counts, the
-command, the parent commit and the benchmark's environment line are also
-written to ``PATH``.
+than the distance between the parent's quartiles.  A run that times out,
+prints nothing or does not end with a JSON object line is a failed run of its
+side: it is printed with its exit code, how it ended and the last lines of
+its stderr, its pair is left out of the comparison, the other runs go on,
+and the tool exits 1 at the end.  With ``--json PATH`` the same table, each
+run's values, the failed operations and runs, the command, the parent commit
+and the benchmark's environment line are also written to ``PATH``.
 
 Nothing under ``perfbench/`` or in ``BENCHMARK.json`` is written, except the
 result files the benchmark itself leaves in ``perfbench/out/``.
@@ -42,6 +45,24 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 CLAIM_WIN_SHARE = 0.9
 CLAIM_MIN_PAIRS = 10
+STDERR_TAIL_LINES = 5
+
+
+class RunFailed(Exception):
+    """A benchmark run that gave no result: how it ended, its exit code (None
+    after a timeout) and the last lines of its stderr."""
+
+    def __init__(self, ended: str, exit_code: int | None, stderr: str | bytes | None):
+        if isinstance(stderr, bytes):
+            stderr = stderr.decode(errors="replace")
+        super().__init__(f"{ended}, exit code {exit_code}")
+        self.ended = ended
+        self.exit_code = exit_code
+        self.stderr_tail = (stderr or "").strip().splitlines()[-STDERR_TAIL_LINES:]
+
+    def record(self, pair: int, seed: int) -> dict:
+        return {"pair": pair, "seed": seed, "ended": self.ended, "exit_code": self.exit_code,
+                "stderr_tail": self.stderr_tail}
 
 
 def resolve_commit(ref: str) -> str:
@@ -62,17 +83,27 @@ def export_tree(ref: str, dest: Path) -> None:
 
 def run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run; returns its final JSON line, with its environment
-    line under ``env`` (None if it printed none)."""
+    line under ``env`` (None if it printed none).  Raises ``RunFailed`` when
+    the run times out, prints nothing or does not end with a JSON object."""
     args = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(args, cwd=tree, capture_output=True, text=True,
-                          timeout=10 * seconds + 600)
+    timeout = 10 * seconds + 600
+    try:
+        done = subprocess.run(args, cwd=tree, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired as exc:
+        raise RunFailed(f"timed out after {timeout:g} s", None, exc.stderr) from None
     lines = done.stdout.strip().splitlines()
     if not lines:
-        raise RuntimeError(f"{workload} seed {seed} in {tree} printed nothing: {done.stderr[-2000:]}")
+        raise RunFailed("printed nothing", done.returncode, done.stderr)
     env_tag = f"{workload}  env "
-    env = next((json.loads(l[len(env_tag):]) for l in lines if l.startswith(env_tag)), None)
-    return json.loads(lines[-1]) | {"env": env}
+    try:
+        result = json.loads(lines[-1])
+        env = next((json.loads(l[len(env_tag):]) for l in lines if l.startswith(env_tag)), None)
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        raise RunFailed("ended without a JSON object line", done.returncode, done.stderr)
+    return result | {"env": env}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -134,7 +165,9 @@ def main(argv=None) -> int:
 
     metrics = bench["end_to_end"]
     parent_commit = resolve_commit(args.parent)
+    # one entry per pair and seed: the run's result, or None if it failed
     runs = {(w, side): [] for w in args.workloads for side in SIDES}
+    failed_runs = {(w, side): [] for w in args.workloads for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="ab_parent_") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         export_tree(parent_commit, trees["parent"])
@@ -145,37 +178,52 @@ def main(argv=None) -> int:
                     order = SIDES if turn % 2 == 0 else SIDES[::-1]
                     turn += 1
                     for side in order:
-                        result = run_once(bench["command"], trees[side], workload, seed,
-                                          bench["run_seconds"])
+                        try:
+                            result = run_once(bench["command"], trees[side], workload, seed,
+                                              bench["run_seconds"])
+                        except RunFailed as exc:
+                            runs[(workload, side)].append(None)
+                            failed_runs[(workload, side)].append(exc.record(pair, seed))
+                            print(f"pair {pair} seed {seed} {workload} {side}: run failed: {exc}",
+                                  flush=True)
+                            continue
                         runs[(workload, side)].append(result)
                         values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
                                           for m in metrics if m["name"] in result["metrics"])
                         print(f"pair {pair} seed {seed} {workload} {side}: "
                               f"failed {result['failed']}/{result['attempted']} {values}", flush=True)
 
-    env = next((r["env"] for r in runs[(args.workloads[0], "change")] if r["env"]), None)
+    env = next((r["env"] for r in runs[(args.workloads[0], "change")] if r and r["env"]), None)
     print(f"\nparent {args.parent} ({parent_commit[:12]}) vs working tree; {args.pairs} pairs "
           f"x seeds {args.seeds}; median [q1, q3]")
     print(f"env {json.dumps(env, sort_keys=True)}")
     table = {}
     for workload in args.workloads:
         parent_runs, change_runs = runs[(workload, "parent")], runs[(workload, "change")]
-        failed = {side: {"failed": sum(r["failed"] for r in runs[(workload, side)]),
-                         "attempted": sum(r["attempted"] for r in runs[(workload, side)])}
+        failed = {side: {"failed": sum(r["failed"] for r in runs[(workload, side)] if r),
+                         "attempted": sum(r["attempted"] for r in runs[(workload, side)] if r)}
                   for side in SIDES}
+        lost = {side: failed_runs[(workload, side)] for side in SIDES}
         print(f"{workload}: failed parent {failed['parent']['failed']}/{failed['parent']['attempted']}, "
-              f"change {failed['change']['failed']}/{failed['change']['attempted']}")
+              f"change {failed['change']['failed']}/{failed['change']['attempted']}; "
+              f"failed runs parent {len(lost['parent'])}, change {len(lost['change'])}")
+        for side in SIDES:
+            for f in lost[side]:
+                print(f"  failed run: {side} pair {f['pair']} seed {f['seed']}: {f['ended']}, "
+                      f"exit code {f['exit_code']}")
+                for line in f["stderr_tail"]:
+                    print(f"    {line}")
         rows = {}
         for m in metrics:
             name = m["name"]
             pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
                      for p, c in zip(parent_runs, change_runs)
-                     if name in p["metrics"] and name in c["metrics"]]
+                     if p and c and name in p["metrics"] and name in c["metrics"]]
             if pairs:
                 parent_values, change_values = map(list, zip(*pairs))
                 rows[name] = compare(m["better"], m["bound"], parent_values, change_values)
                 print(summarise(name, rows[name]))
-        table[workload] = {"failed": failed, "metrics": rows}
+        table[workload] = {"failed": failed, "failed_runs": lost, "metrics": rows}
 
     if args.json:
         args.json.write_text(json.dumps({
@@ -193,7 +241,7 @@ def main(argv=None) -> int:
             "workloads": table,
         }, indent=2) + "\n")
         print(f"table written to {args.json}")
-    return 0
+    return 1 if any(failed_runs.values()) else 0
 
 
 if __name__ == "__main__":
