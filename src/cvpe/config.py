@@ -27,7 +27,7 @@ class ConfigError(ValueError):
     """Invalid run configuration; ``errors`` lists every problem found."""
 
     def __init__(self, errors: list[str]):
-        super().__init__("invalid configuration:\n" + "\n".join(f"  - {e}" for e in errors))
+        super().__init__("invalid configuration: " + "; ".join(errors))
         self.errors = errors
 
 

@@ -8,6 +8,7 @@ channel's forecast depends on that channel's history alone.
 from __future__ import annotations
 
 import json
+import tokenize
 import zipfile
 from dataclasses import dataclass
 from operator import attrgetter
@@ -387,16 +388,18 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise ValueError(f"checkpoint {path} is a directory, not a saved .npz file")
     try:
         bundle = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile):
-        # empty, a broken zip, or no numpy format (numpy refuses it as a pickle)
+    except (ValueError, EOFError, zipfile.BadZipFile, NotImplementedError):
+        # empty, a broken zip (a flipped version field names a zip feature
+        # zipfile lacks), or no numpy format (numpy refuses it as a pickle)
         bundle = None
     if not isinstance(bundle, np.lib.npyio.NpzFile):
         raise ValueError(f"checkpoint {path} is not a saved .npz archive")
     with bundle:
         if "__structure__" not in bundle:
             raise ValueError(f"checkpoint {path} has no __structure__ entry")
+        stored = _member(bundle, path, "__structure__")
         try:
-            struct = json.loads(bundle["__structure__"].tobytes().decode())
+            struct = json.loads(stored.tobytes().decode())
         except ValueError as exc:
             # UnicodeDecodeError and JSONDecodeError are both ValueErrors
             raise ValueError(f"checkpoint {path}: unreadable __structure__ entry: {exc}") from None
@@ -407,7 +410,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         for p in params.parameters():
             if p.name not in bundle:
                 raise ValueError(f"checkpoint missing parameter {p.name!r}")
-            stored = bundle[p.name]
+            stored = _member(bundle, path, p.name)
             if stored.shape != p.data.shape:
                 raise ValueError(
                     f"checkpoint parameter {p.name!r} has shape {stored.shape}, "
@@ -415,3 +418,15 @@ def load_checkpoint(path: str | Path) -> ModelParams:
                 )
             p.data = stored.astype(np.float64)
     return params
+
+
+def _member(bundle: np.lib.npyio.NpzFile, path: Path, name: str) -> np.ndarray:
+    """One array of an open checkpoint.  ``np.load`` reads only the zip
+    directory; a member's CRC is checked, and its ``.npy`` header parsed, as
+    it is read here, so a corrupt member raises ``ValueError`` naming it.
+    ``NotImplementedError`` is zipfile's answer to a flipped flag or method
+    that names a zip feature it lacks."""
+    try:
+        return bundle[name]
+    except (zipfile.BadZipFile, tokenize.TokenError, ValueError, EOFError, NotImplementedError) as exc:
+        raise ValueError(f"checkpoint {path}: unreadable entry {name!r}: {exc}") from None

@@ -166,3 +166,69 @@ def test_run_once_names_how_a_failed_run_ended(monkeypatch, outcome, ended):
     assert caught.value.ended == ended
     assert caught.value.exit_code == (None if outcome == "timeout" else 1)
     assert caught.value.stderr_tail == [f"line {i}" for i in range(3, 8)]
+
+
+@pytest.mark.parametrize(
+    "parent,change,diff",
+    [
+        ({"loss": 4.25, "mse": 2.0}, {"loss": 4.25, "mse": 2.0}, 0.0),
+        ({"loss": 4.0, "mse": 2.0}, {"loss": 4.0, "mse": 2.0 + 2e-12}, 1e-12),
+        # a value one side lacks, or one that is not a number, moved without measure
+        ({"loss": 4.0}, {"loss": 4.0, "mse": 2.0}, float("inf")),
+        ({"loss": 4.0}, {"loss": "4.0"}, float("inf")),
+        # a run that observed nothing cannot be compared
+        (None, {"loss": 4.0}, None),
+    ],
+)
+def test_relative_difference_of_observed_values(parent, change, diff):
+    got = ab_bench.relative_difference(parent, change)
+    if diff is None or diff in (0.0, float("inf")):
+        assert got == diff
+    else:
+        assert got == pytest.approx(diff, rel=1e-3)
+
+
+def test_observed_values_are_read_from_the_runs_result_file(tmp_path):
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    (out / "result_infer_wide_seed1_trace0_full.json").write_text(
+        json.dumps({"correct": True, "observed": {"cvpe.mse": 5.5}}))
+    assert ab_bench.read_observed(tmp_path, "infer_wide", 1) == {"cvpe.mse": 5.5}
+    # another seed's file, or none at all, gives nothing
+    assert ab_bench.read_observed(tmp_path, "infer_wide", 0) is None
+    (out / "result_infer_wide_seed0_trace0_full.json").write_text("{not json")
+    assert ab_bench.read_observed(tmp_path, "infer_wide", 0) is None
+
+
+def test_outputs_are_compared_per_workload_and_seed(tmp_path, monkeypatch, capsys):
+    # the change observes the parent's values, except a moved loss in its
+    # second pair on seed 1 and nothing at all in the third pair on seed 0
+    calls = []
+
+    def fake_run(command, tree, workload, seed, seconds):
+        side = "parent" if tree != ab_bench.ROOT else "change"
+        pair = sum(c == (side, seed) for c in calls)
+        calls.append((side, seed))
+        observed = {"loss_at_step_20": 4.0 + seed, "steps": 20}
+        if side == "change" and (pair, seed) == (1, 1):
+            observed["loss_at_step_20"] *= 1 + 3e-15
+        if side == "change" and (pair, seed) == (2, 0):
+            observed = None
+        metrics = {"windows_per_s": {"value": 100.0, "unit": "1/s"}}
+        return {"correct": True, "attempted": 20, "failed": 0, "metrics": metrics,
+                "env": None, "observed": observed}
+
+    monkeypatch.setattr(ab_bench, "run_once", fake_run)
+    monkeypatch.setattr(ab_bench, "export_tree", lambda ref, dest: None)
+    monkeypatch.setattr(ab_bench, "resolve_commit", lambda ref: "f" * 40)
+    out = tmp_path / "bench.json"
+    argv = ["--pairs", "3", "--seeds", "0", "1", "--workloads", "train_cvpe", "--json", str(out)]
+    assert ab_bench.main(argv) == 0
+    printed = capsys.readouterr().out
+    outputs = json.loads(out.read_text())["workloads"]["train_cvpe"]["outputs"]
+    assert outputs["0"] == {"pairs": 3, "identical": 2, "moved": 0, "unobserved": 1, "max_rel_diff": 0.0}
+    assert {k: v for k, v in outputs["1"].items() if k != "max_rel_diff"} == {
+        "pairs": 3, "identical": 2, "moved": 1, "unobserved": 0}
+    assert outputs["1"]["max_rel_diff"] == pytest.approx(3e-15, rel=0.2)
+    assert "  outputs seed 0: identical in 2/3 pairs; not observed in 1\n" in printed
+    assert "  outputs seed 1: identical in 2/3 pairs; moved in 1, largest relative difference 3" in printed

@@ -9,6 +9,7 @@ import pytest
 from cvpe import autodiff
 from cvpe.autodiff import (
     NumericError,
+    Tensor,
     _unbroadcast,
     add,
     affine,
@@ -605,6 +606,53 @@ def test_attention_leaves_inputs_output_and_upstream_gradient_unmodified(case):
     for t, t0 in zip((q, k, v, out), (q0, k0, v0, out0)):
         np.testing.assert_array_equal(t.data, t0)
     np.testing.assert_array_equal(g, g0)
+
+
+def _every_other(a):
+    """``a``'s values as a view that steps over every other feature."""
+    wide = np.zeros((*a.shape[:-1], 2 * a.shape[-1]))
+    wide[..., ::2] = a
+    return wide[..., ::2]
+
+
+def _call_site_views(layout):
+    """(q, k, v, heads) at one call site of ``attention``, as strided views;
+    ``k is v`` where the call site passes one tensor for both."""
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(3, 6, 5, 8))  # (B, N, P, d)
+    by_pos = np.swapaxes(x, -3, -2)
+    if layout == "router-collect":
+        # the (P, c, d) router table, broadcast over the batch, collects from
+        # the swapped (B, P, N, d) embeddings
+        return _every_other(rng.normal(size=(5, 4, 8))), by_pos, by_pos, 4
+    if layout == "router-dispatch":
+        collected = _every_other(rng.normal(size=(3, 5, 4, 8)))
+        return by_pos, collected, collected, 4
+    if layout == "backbone-same-lead":
+        return tuple(_every_other(rng.normal(size=(3, 6, 5, 8))) for _ in range(3)) + (4,)
+    # the 2-D prototype bank: (M, d) keys and values stored column by column
+    bank = (np.asfortranarray(rng.normal(size=(7, 8))) for _ in range(2))
+    return (_every_other(x), *bank, 4)
+
+
+@pytest.mark.parametrize(
+    "layout", ["router-collect", "router-dispatch", "backbone-same-lead", "prototype-bank"]
+)
+def test_attention_bits_do_not_depend_on_operand_strides(layout):
+    # the batched products copy their keys and values into a contiguous
+    # layout, so the bits must be those of C-contiguous operands
+    q0, k0, v0, heads = _call_site_views(layout)
+    assert not all(a.flags.c_contiguous for a in (q0, k0, v0))
+    g = np.random.default_rng(30).normal(size=np.broadcast_shapes(q0.shape[:-2], k0.shape[:-2]) + q0.shape[-2:])
+    runs = []
+    for make in (lambda a: a, np.ascontiguousarray):
+        q, k = Tensor(make(q0), requires_grad=True), Tensor(make(k0), requires_grad=True)
+        v = k if v0 is k0 else Tensor(make(v0), requires_grad=True)
+        out = attention(q, k, v, heads)
+        out._backward(g)
+        runs.append([out.data, q.grad, k.grad, v.grad])
+    for strided, contiguous in zip(*runs):
+        np.testing.assert_array_equal(strided, contiguous)
 
 
 def _mlp_chain(x, w1, b1, w2, b2):

@@ -3,8 +3,10 @@
 import concurrent.futures
 import json
 import os
+import struct
 import subprocess
 import sys
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -385,6 +387,35 @@ def _checkpoint(tmp_path, entry=None, edit=None, raw=None):
     return str(path)
 
 
+def _flipped_member(tmp_path, member, at):
+    """A saved model's path with one bit flipped in the stored bytes of the
+    archive member ``member``: ``at`` bytes into them, or from their end if
+    negative.  Only the member's CRC tells the archive that anything moved."""
+    path = Path(_checkpoint(tmp_path))
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    data = bytearray(path.read_bytes())
+    # the local header is 30 bytes plus the name and extra field lengths it stores
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    data[start + at % info.compress_size] ^= 0x01
+    path.write_bytes(bytes(data))
+    return str(path)
+
+
+def _rewritten_member(tmp_path, member, edit):
+    """A saved model's path whose archive member ``member`` holds the bytes
+    ``edit`` returns for its own, stored with a matching CRC."""
+    path = Path(_checkpoint(tmp_path))
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    members[member] = edit(members[member])
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return str(path)
+
+
 def _csv_config(tmp_path, cell):
     csv = tmp_path / "data.csv"
     rows = "".join(f"t{i},{i},1\n" for i in range(50))
@@ -497,6 +528,19 @@ _INPUT_FAILURES = {
         lambda t: (_GOOD, ["evaluate", "--checkpoint",
                            _checkpoint(t, edit=lambda s: {**s, "heads": None})]),
         "field 'heads' must be int"),
+    # np.load reads only the zip directory; a member is checked as it is read
+    "checkpoint_parameter_fails_its_crc": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint", _flipped_member(t, "patch_proj.w.npy", -1)]),
+        "model.npz: unreadable entry 'patch_proj.w': Bad CRC-32"),
+    # an unclosed bracket in the .npy header, which numpy's header parser
+    # meets as a tokenize.TokenError
+    "checkpoint_parameter_header_is_corrupt": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint", _rewritten_member(
+            t, "head.w.npy", lambda b: b.replace(b"), }", b"(, }", 1))]),
+        "model.npz: unreadable entry 'head.w': ('EOF in multi-line statement'"),
+    "checkpoint_structure_fails_its_crc": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint", _flipped_member(t, "__structure__.npy", -1)]),
+        "model.npz: unreadable entry '__structure__': Bad CRC-32"),
     "experiment_out_under_a_file": (
         lambda t: (_GOOD, ["experiment", "--out", _under_a_file(t)]), "cannot use"),
     "train_out_under_a_file": (

@@ -19,11 +19,15 @@ otherwise ``unresolved`` if the parent's quartile spread, relative to its
 median, exceeds the bound and not every change run beats every parent run;
 otherwise ``no``.  A gain may be claimed if at least ten pairs ran, the
 change won at least nine tenths of them, and the medians differ by more
-than the distance between the parent's quartiles.  A run that times out,
-prints nothing or does not end with a JSON object line is a failed run of its
-side: it is printed with its exit code, how it ended and the last lines of
-its stderr, its pair is left out of the comparison, the other runs go on,
-and the tool exits 1 at the end.  With ``--json PATH`` the same table, each
+than the distance between the parent's quartiles.  After each run the tool
+reads the ``observed`` values (the results the benchmark checks against its
+reference) from that side's ``perfbench/out`` result file, and for each
+workload and seed it says whether parent and change observed identical
+values in every pair, or else the largest relative difference.  A run that
+times out, prints nothing or does not end with a JSON object line is a
+failed run of its side: it is printed with its exit code, how it ended and
+the last lines of its stderr, its pair is left out of the comparison, the
+other runs go on, and the tool exits 1 at the end.  With ``--json PATH`` the same table, each
 run's values, the failed operations and runs, the command, the parent commit
 and the benchmark's environment line are also written to ``PATH``.
 
@@ -83,8 +87,10 @@ def export_tree(ref: str, dest: Path) -> None:
 
 def run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run; returns its final JSON line, with its environment
-    line under ``env`` (None if it printed none).  Raises ``RunFailed`` when
-    the run times out, prints nothing or does not end with a JSON object."""
+    line under ``env`` (None if it printed none) and the ``observed`` values
+    of the result file it wrote (None if there are none).  Raises
+    ``RunFailed`` when the run times out, prints nothing or does not end with
+    a JSON object."""
     args = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", "0"]
     timeout = 10 * seconds + 600
@@ -103,7 +109,69 @@ def run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: 
         result = None
     if not isinstance(result, dict):
         raise RunFailed("ended without a JSON object line", done.returncode, done.stderr)
-    return result | {"env": env}
+    return result | {"env": env, "observed": read_observed(tree, workload, seed)}
+
+
+def read_observed(tree: Path, workload: str, seed: int) -> dict | None:
+    """The ``observed`` values of the result file a ``--trace 0`` run of the
+    full-size workload leaves in ``tree``, or None if it has none."""
+    path = tree / "perfbench" / "out" / f"result_{workload}_seed{seed}_trace0_full.json"
+    try:
+        observed = json.loads(path.read_text())["observed"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return observed if isinstance(observed, dict) else None
+
+
+def relative_difference(parent: dict | None, change: dict | None) -> float | None:
+    """The largest relative difference between two runs' observed values: 0.0
+    when they are identical, inf when a value is missing on one side or is
+    not a number, and None when either run observed nothing."""
+    if parent is None or change is None:
+        return None
+    if parent == change:
+        return 0.0
+    largest = 0.0
+    for key in parent.keys() | change.keys():
+        p, c = parent.get(key), change.get(key)
+        if not all(isinstance(x, (int, float)) for x in (p, c)):
+            return float("inf")
+        if p != c:
+            largest = max(largest, abs(c - p) / abs(p) if p else float("inf"))
+    return largest
+
+
+def compare_outputs(seeds: list[int], parent: list[dict | None], change: list[dict | None]) -> dict:
+    """Per seed: the pairs with results on both sides, how many observed
+    identical values, how many moved and by how much at most, and how many
+    could not be compared because a side observed nothing.  Runs are listed
+    pair by pair, seed by seed."""
+    by_seed = {str(seed): {"pairs": 0, "identical": 0, "moved": 0, "unobserved": 0,
+                           "max_rel_diff": 0.0} for seed in seeds}
+    for i, (p, c) in enumerate(zip(parent, change)):
+        if not (p and c):
+            continue
+        row = by_seed[str(seeds[i % len(seeds)])]
+        row["pairs"] += 1
+        diff = relative_difference(p.get("observed"), c.get("observed"))
+        if diff is None:
+            row["unobserved"] += 1
+        elif diff == 0.0:
+            row["identical"] += 1
+        else:
+            row["moved"] += 1
+            row["max_rel_diff"] = max(row["max_rel_diff"], diff)
+    return by_seed
+
+
+def summarise_outputs(seed: str, row: dict) -> str:
+    """``compare_outputs``' result for one seed as one printed line."""
+    line = f"  outputs seed {seed}: identical in {row['identical']}/{row['pairs']} pairs"
+    if row["moved"]:
+        line += f"; moved in {row['moved']}, largest relative difference {row['max_rel_diff']:.3g}"
+    if row["unobserved"]:
+        line += f"; not observed in {row['unobserved']}"
+    return line
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -223,7 +291,10 @@ def main(argv=None) -> int:
                 parent_values, change_values = map(list, zip(*pairs))
                 rows[name] = compare(m["better"], m["bound"], parent_values, change_values)
                 print(summarise(name, rows[name]))
-        table[workload] = {"failed": failed, "failed_runs": lost, "metrics": rows}
+        outputs = compare_outputs(args.seeds, parent_runs, change_runs)
+        for seed, row in outputs.items():
+            print(summarise_outputs(seed, row))
+        table[workload] = {"failed": failed, "failed_runs": lost, "metrics": rows, "outputs": outputs}
 
     if args.json:
         args.json.write_text(json.dumps({
@@ -237,6 +308,8 @@ def main(argv=None) -> int:
             "regression_rule": {"yes": "median worse by more than bound",
                                 "unresolved": "(parent q3 - q1) / median above bound and "
                                               "not every change run beats every parent run"},
+            "outputs_rule": "observed values of the parent and change runs of one pair "
+                            "compared exactly; max_rel_diff is |change - parent| / |parent|",
             "environment": env,
             "workloads": table,
         }, indent=2) + "\n")
