@@ -11,8 +11,8 @@ elementwise ``add``/``sub``/``mul``, ``matmul`` against a 2-D weight, the
 whole-array mean ``tmean`` (the loss), the shape moves ``reshape``/``swapaxes``
 and the fused nodes below. The whole-array sum ``tsum``, ``gelu``, ``softmax``
 and ``power`` stay because the benchmark in ``perfbench/`` times or checks
-them; the model calls none of them (``mlp`` runs the GELU's blocks itself,
-and ``attention`` has its own softmax).
+them; the model calls none of them (``mlp`` runs the GELU itself, and
+``attention`` has its own softmax).
 
 Four fused ops each record a single tape node with a closed-form backward,
 so the model's hot layers keep one saved output and one gradient per call
@@ -87,11 +87,12 @@ with the reductions to about 1e-14.
 Cubes and squares are written as products (``x * x * x``): numpy sends a float
 power such as ``x**3`` down a general ``pow`` path that is about fifty times
 slower on the model's activations, while the products differ from it by at
-most one unit in the last place. The forward runs its eight elementwise
-passes block by block (512 KiB each), so a block stays in cache from the
-first pass to the last: on a (64, 5, 32, 64) activation that took 15 to 20%
-off a call, with the same bits. The backward's ten passes run over the same
-blocks, and ``gelu`` and ``mlp`` share the per-block forward and derivative.
+most one unit in the last place. Only ``mlp`` runs the GELU in blocks
+(below): its eight forward passes run over one block of rows (512 KiB) at a
+time, so the block stays in cache from the first pass to the last, and its
+backward's ten passes run over the same blocks. ``gelu`` runs the same
+per-block forward and derivative once over the whole array; the arithmetic
+is elementwise, so the bits are those of the blocked passes.
 
 The feed-forward is the model's widest layer: its hidden size is four times
 the block's width, so at the benchmark's wide no-grad evaluation (batch 64,
@@ -497,8 +498,8 @@ def matmul(a, b) -> Tensor:
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
-# elements per block of GELU work: 512 KiB, which stays in a core's cache
-# through the passes over it (see ``gelu`` and ``mlp``)
+# elements per block of ``mlp``'s GELU work: 512 KiB, which stays in a
+# core's cache through the passes over it
 _GELU_BLOCK = 1 << 16
 
 
@@ -547,32 +548,24 @@ def _blocks(size: int, step: int):
 
 def gelu(a) -> Tensor:
     """Smooth GELU, ``x * sigmoid(2u)`` in the logistic form (see the module
-    docstring)."""
+    docstring), in whole-array passes."""
     a = as_tensor(a)
-    # the forward's eight passes and the backward's ten run block by block
-    # over the flattened array, so each block stays in cache between them;
-    # the arithmetic is elementwise, so the bits are those of whole-array
-    # passes
-    xf = a.data.reshape(-1)
-    den = np.empty(xf.size)
+    x = a.data
+    den = np.empty(x.shape)
     # without a tape no backward reads den, so the quotient overwrites it:
-    # one activation-sized buffer fewer at the widest layer of an inference
+    # one activation-sized buffer fewer
     taped = _GRAD_ENABLED.get() and a.requires_grad
-    out_data = np.empty(xf.size) if taped else den
-    for lo, hi in _blocks(xf.size, _GELU_BLOCK):
-        _gelu_block(xf[lo:hi], den[lo:hi], out_data[lo:hi])
+    out_data = np.empty(x.shape) if taped else den
+    _gelu_block(x, den, out_data)
 
     def backward(g):
         if a.requires_grad:
-            gf = g.reshape(-1)
-            da = np.empty(xf.size)
-            s, t = np.empty(min(xf.size, _GELU_BLOCK)), np.empty(min(xf.size, _GELU_BLOCK))
-            for lo, hi in _blocks(xf.size, _GELU_BLOCK):
-                _gelu_grad_block(xf[lo:hi], den[lo:hi], da[lo:hi], s[: hi - lo], t[: hi - lo])
-                da[lo:hi] *= gf[lo:hi]
-            _accumulate(a, da.reshape(a.shape))
+            da = np.empty(x.shape)
+            _gelu_grad_block(x, den, da, np.empty(x.shape), np.empty(x.shape))
+            da *= g
+            _accumulate(a, da)
 
-    return _make(out_data.reshape(a.shape), (a,), backward)
+    return _make(out_data, (a,), backward)
 
 
 def softmax(a) -> Tensor:

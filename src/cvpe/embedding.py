@@ -46,13 +46,6 @@ class AttentionConfig:
         if self.heads < 1:
             raise ValueError("attention needs at least one head")
 
-    def head_dim(self, model_dim: int) -> int:
-        if model_dim % self.heads != 0:
-            raise ValueError(
-                f"model dim {model_dim} not divisible by {self.heads} heads"
-            )
-        return model_dim // self.heads
-
 
 def multi_head_attention(
     query,
@@ -127,38 +120,28 @@ class CvpeParams:
         )
 
 
-def add_positional(x, positional: Tensor) -> Tensor:
-    """Add the per-position encoding: (..., N, P, d) + (P, d)."""
-    x = as_tensor(x)
-    if x.shape[-2:] != positional.shape[-2:]:
-        raise ValueError(
-            f"positional table {positional.shape} does not match embeddings {x.shape}"
-        )
-    return add(x, positional)
-
-
-def router_attention(
-    x: Tensor,
+def cvpe_forward(
+    x,
     params: CvpeParams,
     cfg: AttentionConfig,
     counter: ScoreCounter | None = None,
 ) -> Tensor:
     """Mix information across variates at each patch position.
 
-    Input is (..., N, P, d): N variates, P patch positions.  Per position,
-    the routers collect from the N variate embeddings, then each variate
-    reads back from the routers; both hops are multi-head attention without
-    input projections.  Residual connections and layer norms wrap the
-    attention and the feed-forward stage.
+    Input is (..., N, P, d): N variates, P patch positions.  The per-position
+    encoding (P, d) is added first.  Per position, the routers then collect
+    from the N variate embeddings, and each variate reads back from the
+    routers; both hops are multi-head attention without input projections.
+    Residual connections and layer norms wrap the attention and the
+    feed-forward stage.
     """
-    check_finite(x, "cross-variate input")
-    *lead, n, p, d = x.shape
-    if p != params.positional.shape[0]:
+    x = as_tensor(x)
+    if x.shape[-2:] != params.positional.shape:
         raise ValueError(
-            f"block built for {params.positional.shape[0]} patch positions, got {p}"
+            f"positional table {params.positional.shape} does not match embeddings {x.shape}"
         )
-    if d != params.positional.shape[1]:
-        raise ValueError(f"block built for dim {params.positional.shape[1]}, got {d}")
+    x = add(x, params.positional)
+    check_finite(x, "cross-variate input")
     # per-position attention runs over the variate axis, so make the patch
     # position a leading (batch-like) axis: (..., P, N, d)
     by_pos = swapaxes(x, -3, -2)
@@ -175,13 +158,3 @@ def router_attention(
     out = params.ln2.apply(add(mixed, params.mlp.apply(mixed)))
     check_finite(out, "cross-variate output")
     return swapaxes(out, -3, -2)
-
-
-def cvpe_forward(
-    x,
-    params: CvpeParams,
-    cfg: AttentionConfig,
-    counter: ScoreCounter | None = None,
-) -> Tensor:
-    """Positional encoding followed by the cross-variate mixing block."""
-    return router_attention(add_positional(x, params.positional), params, cfg, counter)

@@ -163,6 +163,15 @@ def dataset_label(config: RunConfig) -> str:
     return Path(config.csv_path).name
 
 
+def _windows(segment: MultivariateSeries, name: str, context: int, horizon: int):
+    """``make_windows`` over one segment; a segment too short for a window
+    is named in the error (``name`` is train, validation or test)."""
+    try:
+        return make_windows(segment.values, context, horizon)
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}") from None
+
+
 def train_cell(
     segments: tuple[MultivariateSeries, MultivariateSeries, MultivariateSeries],
     config: RunConfig,
@@ -173,8 +182,8 @@ def train_cell(
     """Build one cell's model and train it on the train and validation
     segments; ``cvpe train`` and every grid cell train through here."""
     train_s, val_s, _ = segments
-    tw, tt = make_windows(train_s.values, config.context, horizon)
-    vw, vt = make_windows(val_s.values, config.context, horizon)
+    tw, tt = _windows(train_s, "train", config.context, horizon)
+    vw, vt = _windows(val_s, "validation", config.context, horizon)
     params = build_model(config, variant, horizon, seed)
     cfg = TrainConfig(
         epochs=config.epochs,
@@ -202,11 +211,11 @@ def run_cell(
     """Train one variant at one horizon and seed, then score it on test."""
     label = dataset_label(config)
     # cut first, so a test segment too short fails before any epoch runs
-    test = make_windows(segments[2].values, config.context, horizon)
+    test = _windows(segments[2], "test", config.context, horizon)
     try:
         params, result = train_cell(segments, config, variant, horizon, seed)
         metrics = score(params, test)
-    except (TrainingDiverged, NumericError, FloatingPointError) as exc:
+    except (TrainingDiverged, NumericError) as exc:
         return CellResult(
             dataset=label,
             variant=variant,

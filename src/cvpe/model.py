@@ -227,7 +227,8 @@ class ModelParams:
         if context < 1 or horizon < 1:
             raise ValueError("context and horizon must be positive")
         attn_cfg = AttentionConfig(heads)
-        attn_cfg.head_dim(model_dim)  # validate divisibility up front
+        if model_dim % heads != 0:
+            raise ValueError(f"model dim {model_dim} not divisible by {heads} heads")
         n_positions = patch_cfg.n_patches(context)
         backbone_rng = rng_from(seed, _STREAM_BACKBONE)
         cvpe = None

@@ -96,9 +96,4 @@ def patch(values: np.ndarray, cfg: PatchConfig) -> np.ndarray:
 
 def project_patches(patches: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine-map raw patches into model space: (..., P, length) -> (..., P, d)."""
-    patches = np.asarray(patches, dtype=np.float64)
-    if patches.shape[-1] != weight.shape[0]:
-        raise ValueError(
-            f"patch length {patches.shape[-1]} does not match projection fan-in {weight.shape[0]}"
-        )
-    return affine(patches, weight, bias)
+    return affine(np.asarray(patches, dtype=np.float64), weight, bias)

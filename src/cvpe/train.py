@@ -10,16 +10,16 @@ never interact, so a batch splits into two parts, and one persistent helper
 thread forecasts the second while the caller forecasts the first (numpy
 releases the GIL in BLAS and ufunc loops).  The first part is a whole number
 of ``SPLIT_BLOCK`` windows, so that the parts give the whole batch's bits
-(see ``SPLIT_BLOCK``).  The helper is started on first use and dropped in a
-forked child, whose copy has no thread behind it.  Training stays on one
-thread: summing the gradients of two halves would change their rounding.
+(see ``SPLIT_BLOCK``).  The helper's thread starts on first use, and a
+forked child makes a new helper, since its copy has no thread behind it.
+Training stays on one thread: summing the gradients of two halves would
+change their rounding.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
@@ -340,30 +340,24 @@ def evaluate(
 # horizon 4 over 32 channels differs in the last bit at a batch of 64.
 SPLIT_BLOCK = 8
 
-# The one helper thread of this process, started by the first split forecast.
-# One persistent thread rather than one per call: a new thread can land in a
-# new malloc arena, and per-call threads raised the peak RSS of a long
-# evaluation by up to 18%.
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
+
+# The one helper thread of this process.  One persistent thread rather than
+# one per call: a new thread can land in a new malloc arena, and per-call
+# threads raised the peak RSS of a long evaluation by up to 18%.  The
+# executor starts its thread on the first split forecast's submit, which is
+# thread-safe.
+_helper: ThreadPoolExecutor
 
 
-def _forget_helper() -> None:
-    # a forked child inherits the executor but not its thread, so work
-    # submitted to it would never run
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _forecast_helper() -> ThreadPoolExecutor:
+def _new_helper() -> None:
+    # at import, and in a forked child, which inherits the executor but not
+    # its thread, so work submitted to it would never run
     global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cvpe-forecast")
-        return _helper
+    _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cvpe-forecast")
+
+
+_new_helper()
+os.register_at_fork(after_in_child=_new_helper)
 
 
 def model_forecast_fn(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
@@ -384,7 +378,7 @@ def model_forecast_fn(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]
         mid = SPLIT_BLOCK * (len(windows) // (2 * SPLIT_BLOCK)) if windows.ndim == 3 else 0
         if mid == 0:
             return forecast(windows)
-        second = _forecast_helper().submit(forecast, windows[mid:])
+        second = _helper.submit(forecast, windows[mid:])
         try:
             first = forecast(windows[:mid])
         finally:

@@ -233,3 +233,74 @@ def backbone_layer_oracle(
     normed2 = np.asarray([layer_norm_oracle(mid[i], ln2_gain, ln2_bias, eps) for i in range(p)])
     ff = np.asarray([mlp_oracle(normed2[i], mlp_w1, mlp_b1, mlp_w2, mlp_b2) for i in range(p)])
     return mid + ff
+
+
+def forecast_oracle(windows, params, eps=1e-5):
+    """The whole forecaster, one window and one channel at a time:
+    (B, N, context) -> (B, N, horizon).
+
+    RevIN (population standard deviation clamped from below at 1e-5),
+    patching, the patch projection, the cross-variate block when the model
+    has one, reprogramming, every backbone layer, the head over the
+    flattened (P, width) encoding, and denormalisation.  ``params`` is a
+    ``ModelParams``; only its arrays and sizes are read.
+    """
+
+    def a(t):
+        return np.asarray(t.data, dtype=float)
+
+    windows = np.asarray(windows, dtype=float)
+    n_windows, n_channels, _ = windows.shape
+    proj_w, proj_b = a(params.patch_proj.w), a(params.patch_proj.b)
+    head_w, head_b = a(params.head.w), a(params.head.b)
+    rp, heads = params.reprogram, params.attn_cfg.heads
+    out = np.zeros((n_windows, n_channels, head_w.shape[1]))
+    for w in range(n_windows):
+        emb, stats = [], []
+        for c in range(n_channels):
+            series = [float(v) for v in windows[w, c]]
+            mean = sum(series) / len(series)
+            std = max(math.sqrt(sum((v - mean) ** 2 for v in series) / len(series)), 1e-5)
+            stats.append((mean, std))
+            patches = patch_oracle(
+                [(v - mean) / std for v in series], params.patch_cfg.length, params.patch_cfg.stride
+            )
+            rows = []
+            for row in patches:
+                rows.append([
+                    float(proj_b[o]) + sum(row[f] * proj_w[f, o] for f in range(len(row)))
+                    for o in range(proj_w.shape[1])
+                ])
+            emb.append(rows)
+        emb = np.asarray(emb)
+        if params.cvpe is not None:
+            blk = params.cvpe
+            emb = router_block_oracle(
+                emb, a(blk.positional), a(blk.routers.table),
+                a(blk.collect_out.w), a(blk.collect_out.b),
+                a(blk.dispatch_out.w), a(blk.dispatch_out.b),
+                a(blk.mlp.fc1.w), a(blk.mlp.fc1.b), a(blk.mlp.fc2.w), a(blk.mlp.fc2.b),
+                a(blk.ln1.gain), a(blk.ln1.bias), a(blk.ln2.gain), a(blk.ln2.bias),
+                heads, eps,
+            )
+        for c in range(n_channels):
+            x = cross_attention_oracle(
+                emb[c], a(rp.bank.table), a(rp.query.w), a(rp.key.w),
+                a(rp.value.w), a(rp.value.b), a(rp.out.w), a(rp.out.b), heads,
+            )
+            for layer in params.backbone:
+                x = backbone_layer_oracle(
+                    x, a(layer.ln1.gain), a(layer.ln1.bias), a(layer.q.w), a(layer.k.w),
+                    a(layer.v.w), a(layer.v.b), a(layer.out.w), a(layer.out.b),
+                    a(layer.ln2.gain), a(layer.ln2.bias),
+                    a(layer.mlp.fc1.w), a(layer.mlp.fc1.b), a(layer.mlp.fc2.w), a(layer.mlp.fc2.b),
+                    params.backbone_cfg.heads, eps,
+                )
+            flat = [float(v) for row in x for v in row]
+            mean, std = stats[c]
+            for h in range(head_w.shape[1]):
+                acc = float(head_b[h])
+                for f in range(len(flat)):
+                    acc += flat[f] * head_w[f, h]
+                out[w, c, h] = acc * std + mean
+    return out

@@ -3,6 +3,7 @@ benchmark tool."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -232,3 +233,68 @@ def test_outputs_are_compared_per_workload_and_seed(tmp_path, monkeypatch, capsy
     assert outputs["1"]["max_rel_diff"] == pytest.approx(3e-15, rel=0.2)
     assert "  outputs seed 0: identical in 2/3 pairs; not observed in 1\n" in printed
     assert "  outputs seed 1: identical in 2/3 pairs; moved in 1, largest relative difference 3" in printed
+
+
+def test_a_run_records_the_cpu_its_process_burnt(tmp_path):
+    # a stand-in benchmark that spins for about 0.2 s of CPU, then prints its
+    # JSON line; the tool's own arguments land in its sys.argv
+    burn = ("import json, time\n"
+            "end = time.process_time() + 0.2\n"
+            "while time.process_time() < end:\n"
+            "    pass\n"
+            "print(json.dumps({'metrics': {}}))\n")
+    result = ab_bench.run_once([sys.executable, "-c", burn], tmp_path, "train_cvpe", 0, 1)
+    host = result["host"]
+    assert host["cpu_s"] >= 0.2
+    assert isinstance(host["nivcsw"], int) and host["nivcsw"] >= 0
+    assert host["steal_ticks"] is None or host["steal_ticks"] >= 0
+
+
+@pytest.mark.parametrize(
+    "stat,ticks",
+    [
+        # user nice system idle iowait irq softirq steal guest guest_nice
+        ("cpu  2760031 0 65400 3446427 356 0 1140 54912 0 0\n"
+         "cpu0 1382249 0 32268 1721317 233 0 578 27419 0 0\nintr 1 2\n", 54912),
+        # a kernel that counts no steal, and a file without the cpu line
+        ("cpu  2760031 0 65400 3446427 356 0 1140\n", None),
+        ("intr 1 2\n", None),
+    ],
+)
+def test_steal_ticks_are_read_from_the_aggregate_cpu_line(tmp_path, stat, ticks):
+    path = tmp_path / "stat"
+    path.write_text(stat)
+    assert ab_bench.steal_ticks(path) == ticks
+    # a file that cannot be read gives None too
+    assert ab_bench.steal_ticks(tmp_path / "missing") is None
+
+
+def test_host_records_are_printed_per_run_and_as_medians(tmp_path, monkeypatch, capsys):
+    # the parent side's runs are switched out 10, 20 and 30 times; the
+    # change side could not read /proc/stat in its second run
+    calls = []
+
+    def fake_run(command, tree, workload, seed, seconds):
+        side = "parent" if tree != ab_bench.ROOT else "change"
+        k = sum(c == side for c in calls)
+        calls.append(side)
+        host = {"cpu_s": 30.0 + k, "nivcsw": 10 * (k + 1) if side == "parent" else 0,
+                "steal_ticks": None if (side, k) == ("change", 1) else k}
+        metrics = {"windows_per_s": {"value": 100.0, "unit": "1/s"}}
+        return {"correct": True, "attempted": 20, "failed": 0, "metrics": metrics, "env": None,
+                "host": host}
+
+    monkeypatch.setattr(ab_bench, "run_once", fake_run)
+    monkeypatch.setattr(ab_bench, "export_tree", lambda ref, dest: None)
+    monkeypatch.setattr(ab_bench, "resolve_commit", lambda ref: "f" * 40)
+    out = tmp_path / "bench.json"
+    argv = ["--pairs", "3", "--workloads", "train_vanilla", "--json", str(out)]
+    assert ab_bench.main(argv) == 0
+    printed = capsys.readouterr().out
+    host = json.loads(out.read_text())["workloads"]["train_vanilla"]["host"]
+    assert host["parent"]["medians"] == {"cpu_s": 31.0, "nivcsw": 20, "steal_ticks": 1}
+    assert host["change"]["medians"] == {"cpu_s": 31.0, "nivcsw": 0, "steal_ticks": 1.0}
+    assert [r["steal_ticks"] for r in host["change"]["runs"]] == [0, None, 2]
+    assert "train_vanilla change: failed 0/20 windows_per_s=100 cpu_s=31 nivcsw=0 steal_ticks=None" in printed
+    assert ("  host medians: parent cpu_s=31 nivcsw=20 steal_ticks=1; "
+            "change cpu_s=31 nivcsw=0 steal_ticks=1") in printed

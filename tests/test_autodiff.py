@@ -524,7 +524,7 @@ def test_attention_rejects_unsplittable_features():
 
 @pytest.mark.parametrize("hop", ["collect", "dispatch"])
 def test_attention_on_swapped_axes_views_as_the_router_hops_pass_them(hop):
-    # router_attention hands both hops the (B, P, N, d) swapaxes view of the
+    # cvpe_forward hands both hops the (B, P, N, d) swapaxes view of the
     # (B, N, P, d) embeddings: keys and values when the (P, c, d) router
     # table collects, queries when the variates read the (B, P, c, d)
     # collected routers back

@@ -99,6 +99,26 @@ class TestPrepare:
         assert "train-segment correlation with OT:" in out
         assert "lagged driver mean vs OT (lag 2):" in out
 
+    @pytest.mark.parametrize("header, target, reason", [
+        ("a,b", lambda i: i % 7, "no channel named 'OT'"),
+        ("a,OT", lambda i: 1, "target channel 'OT' is constant"),
+    ], ids=["no_target", "constant_target"])
+    def test_data_the_experiment_runs_prepares_without_correlations(
+        self, tmp_path, capsys, header, target, reason
+    ):
+        # the model needs no target that varies, so neither does prepare
+        csv = tmp_path / "data.csv"
+        rows = "".join(f"t{i},{i % 5},{target(i)}\n" for i in range(300))
+        csv.write_text(f"date,{header}\n{rows}")
+        raw = base_config(dataset={"kind": "csv", "path": str(csv)}, variants=["cvpe"])
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw))
+        assert main(["prepare", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "windows @ horizon 3: train=184 val=4 test=34" in out
+        assert out.endswith(f"correlations with OT skipped: {reason}\n")
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
 
 class TestGradcheck:
     def test_passes_on_healthy_gradients(self, config_file, capsys):
@@ -433,6 +453,12 @@ def _not_an_archive(tmp_path, content):
     return str(path)
 
 
+def _gradcheck_tiny():
+    # its 200 steps split 140/20/40: too short a validation segment for one
+    # window, although the training segment holds one
+    return (Path(__file__).resolve().parent.parent / "configs" / "gradcheck_tiny.json").read_text()
+
+
 def _with_hidden(hidden):
     raw = base_config()
     raw["model"]["backbone"]["hidden"] = hidden
@@ -549,6 +575,9 @@ _INPUT_FAILURES = {
     "experiment_nan_csv_cell_new_out": (
         lambda t: (_csv_config(t, "nan"), ["experiment", "--out", "new/out"]),
         "non-finite value 'nan'"),
+    "experiment_validation_segment_too_short": (
+        lambda t: (_gradcheck_tiny(), ["experiment", "--out", "new/out"]),
+        "error: validation segment of 20 steps too short for context 28 plus horizon 4"),
     "train_nan_csv_cell_new_out": (
         lambda t: (_csv_config(t, "nan"), ["train", "--out", "new/out"]),
         "non-finite value 'nan'"),

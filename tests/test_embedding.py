@@ -10,10 +10,8 @@ from cvpe.embedding import (
     CvpeParams,
     RouterBank,
     ScoreCounter,
-    add_positional,
     cvpe_forward,
     multi_head_attention,
-    router_attention,
 )
 from cvpe.layers import Affine, parameters_of
 from oracles import mha_oracle, router_block_oracle
@@ -264,7 +262,7 @@ class TestRouterBlock:
         for n in (2, 8):
             counter = ScoreCounter()
             x = np.random.default_rng(n).normal(size=(n, 5, 4))
-            router_attention(as_tensor(x), params, cfg, counter)
+            cvpe_forward(as_tensor(x), params, cfg, counter)
             # collect and dispatch each score heads * routers * variates
             # pairs at every position
             assert counter.count == 2 * 5 * 2 * 3 * n
@@ -282,18 +280,18 @@ class TestRouterBlock:
         params = random_params(3, 4, 2, seed=21)
         cfg = AttentionConfig(2)
         with pytest.raises(ValueError):
-            router_attention(as_tensor(np.zeros((2, 5, 4))), params, cfg)
+            cvpe_forward(as_tensor(np.zeros((2, 5, 4))), params, cfg)
         with pytest.raises(ValueError):
-            router_attention(as_tensor(np.zeros((2, 3, 6))), params, cfg)
+            cvpe_forward(as_tensor(np.zeros((2, 3, 6))), params, cfg)
         with pytest.raises(ValueError):
-            add_positional(np.zeros((2, 4, 4)), params.positional)
+            cvpe_forward(np.zeros((2, 4, 4)), params, cfg)
 
     def test_non_finite_input_is_named(self):
         params = random_params(2, 4, 2, seed=22)
         x = np.zeros((2, 2, 4))
         x[0, 0, 0] = np.nan
         with pytest.raises(NumericError, match="cross-variate input"):
-            router_attention(as_tensor(x), params, AttentionConfig(2))
+            cvpe_forward(as_tensor(x), params, AttentionConfig(2))
 
     def test_parameter_list_covers_every_learnable(self):
         params = random_params(3, 4, 2, seed=23)

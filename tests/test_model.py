@@ -23,7 +23,7 @@ from cvpe.model import (
     save_checkpoint,
 )
 from cvpe.preprocess import PatchConfig
-from oracles import backbone_layer_oracle, cross_attention_oracle
+from oracles import backbone_layer_oracle, cross_attention_oracle, forecast_oracle
 
 
 def arr(t):
@@ -141,6 +141,19 @@ class TestForecaster:
         batch = rng.normal(size=(3, 4, 32))
         out = arr(forecast_batch(batch, params))
         assert out.shape == (3, 4, 4)
+
+    @pytest.mark.parametrize("variant", ["vanilla", "cvpe"])
+    def test_matches_the_whole_forecast_loop_oracle(self, variant):
+        # two backbone layers, and every parameter moved off its initial
+        # value, so unit gains and zero biases hide no term
+        params = tiny_model(variant, backbone_cfg=BackboneConfig(n_layers=2, width=8, heads=2, hidden=16))
+        rng = np.random.default_rng(11)
+        for p in params.parameters():
+            p.data = p.data + rng.normal(0.0, 0.3, p.data.shape)
+        windows = rng.normal(size=(3, 4, 32))
+        np.testing.assert_allclose(
+            arr(forecast_batch(windows, params)), forecast_oracle(windows, params), rtol=1e-12
+        )
 
     def test_single_window_agrees_with_batch(self):
         # a window's forecast does not depend on the other windows in its batch

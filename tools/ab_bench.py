@@ -27,9 +27,16 @@ values in every pair, or else the largest relative difference.  A run that
 times out, prints nothing or does not end with a JSON object line is a
 failed run of its side: it is printed with its exit code, how it ended and
 the last lines of its stderr, its pair is left out of the comparison, the
-other runs go on, and the tool exits 1 at the end.  With ``--json PATH`` the same table, each
-run's values, the failed operations and runs, the command, the parent commit
-and the benchmark's environment line are also written to ``PATH``.
+other runs go on, and the tool exits 1 at the end.  Around each run the
+tool also records what the host did: the CPU seconds and involuntary context
+switches of the run's process and the children it waited for
+(``getrusage(RUSAGE_CHILDREN)``), and the steal ticks of ``/proc/stat``'s
+``cpu`` line (None where that file cannot be read).  A run that was switched
+out or had its CPU stolen shows there; each run's line prints them, and the
+table gives each side's medians.  With ``--json PATH`` the same table, each
+run's values and host record, the failed operations and runs, the command,
+the parent commit and the benchmark's environment line are also written to
+``PATH``.
 
 Nothing under ``perfbench/`` or in ``BENCHMARK.json`` is written, except the
 result files the benchmark itself leaves in ``perfbench/out/``.
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,6 +58,7 @@ SIDES = ("parent", "change")
 CLAIM_WIN_SHARE = 0.9
 CLAIM_MIN_PAIRS = 10
 STDERR_TAIL_LINES = 5
+HOST_FIELDS = ("cpu_s", "nivcsw", "steal_ticks")
 
 
 class RunFailed(Exception):
@@ -85,19 +94,49 @@ def export_tree(ref: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def steal_ticks(stat: Path = Path("/proc/stat")) -> int | None:
+    """The host's steal ticks so far: the eighth number of the aggregate
+    ``cpu`` line of ``stat``, or None if the file cannot be read or has no
+    such field."""
+    try:
+        lines = stat.read_text().splitlines()
+    except OSError:
+        return None
+    for fields in map(str.split, lines):
+        if fields and fields[0] == "cpu":
+            return int(fields[8]) if len(fields) > 8 and fields[8].isdigit() else None
+    return None
+
+
+def host_since(usage: resource.struct_rusage, steal: int | None) -> dict:
+    """What the host did since ``usage`` (a ``getrusage(RUSAGE_CHILDREN)``)
+    and ``steal`` (``steal_ticks()``) were read: the CPU seconds and
+    involuntary context switches of the children waited for since, and the
+    steal ticks, None if either reading of them is."""
+    now, steal_now = resource.getrusage(resource.RUSAGE_CHILDREN), steal_ticks()
+    return {
+        "cpu_s": now.ru_utime + now.ru_stime - usage.ru_utime - usage.ru_stime,
+        "nivcsw": now.ru_nivcsw - usage.ru_nivcsw,
+        "steal_ticks": None if steal is None or steal_now is None else steal_now - steal,
+    }
+
+
 def run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run; returns its final JSON line, with its environment
-    line under ``env`` (None if it printed none) and the ``observed`` values
-    of the result file it wrote (None if there are none).  Raises
+    line under ``env`` (None if it printed none), the ``observed`` values
+    of the result file it wrote (None if there are none) and what the host
+    did during the run under ``host`` (see ``host_since``).  Raises
     ``RunFailed`` when the run times out, prints nothing or does not end with
     a JSON object."""
     args = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", "0"]
     timeout = 10 * seconds + 600
+    usage, steal = resource.getrusage(resource.RUSAGE_CHILDREN), steal_ticks()
     try:
         done = subprocess.run(args, cwd=tree, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired as exc:
         raise RunFailed(f"timed out after {timeout:g} s", None, exc.stderr) from None
+    host = host_since(usage, steal)
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise RunFailed("printed nothing", done.returncode, done.stderr)
@@ -109,7 +148,7 @@ def run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: 
         result = None
     if not isinstance(result, dict):
         raise RunFailed("ended without a JSON object line", done.returncode, done.stderr)
-    return result | {"env": env, "observed": read_observed(tree, workload, seed)}
+    return result | {"env": env, "observed": read_observed(tree, workload, seed), "host": host}
 
 
 def read_observed(tree: Path, workload: str, seed: int) -> dict | None:
@@ -219,6 +258,21 @@ def summarise(name: str, row: dict) -> str:
             f"gain claimable: {'yes' if row['gain_claimable'] else 'no'}")
 
 
+def format_host(host: dict) -> str:
+    """A host record, or a side's medians of them, as ``name=value`` words."""
+    return " ".join(f"{k}={'None' if host[k] is None else format(host[k], '.4g')}" for k in HOST_FIELDS)
+
+
+def host_medians(results: list[dict | None]) -> dict:
+    """Per host field, the median over the runs that recorded it, or None if
+    none did."""
+    medians = {}
+    for key in HOST_FIELDS:
+        values = [r["host"][key] for r in results if r and r.get("host") and r["host"][key] is not None]
+        medians[key] = statistics.median(values) if values else None
+    return medians
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -258,6 +312,8 @@ def main(argv=None) -> int:
                         runs[(workload, side)].append(result)
                         values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
                                           for m in metrics if m["name"] in result["metrics"])
+                        if result.get("host"):
+                            values += " " + format_host(result["host"])
                         print(f"pair {pair} seed {seed} {workload} {side}: "
                               f"failed {result['failed']}/{result['attempted']} {values}", flush=True)
 
@@ -294,7 +350,13 @@ def main(argv=None) -> int:
         outputs = compare_outputs(args.seeds, parent_runs, change_runs)
         for seed, row in outputs.items():
             print(summarise_outputs(seed, row))
-        table[workload] = {"failed": failed, "failed_runs": lost, "metrics": rows, "outputs": outputs}
+        host = {side: {"medians": host_medians(runs[(workload, side)]),
+                       "runs": [r.get("host") if r else None for r in runs[(workload, side)]]}
+                for side in SIDES}
+        print("  host medians: " + "; ".join(f"{side} {format_host(host[side]['medians'])}"
+                                             for side in SIDES))
+        table[workload] = {"failed": failed, "failed_runs": lost, "metrics": rows, "outputs": outputs,
+                           "host": host}
 
     if args.json:
         args.json.write_text(json.dumps({
@@ -310,6 +372,9 @@ def main(argv=None) -> int:
                                               "not every change run beats every parent run"},
             "outputs_rule": "observed values of the parent and change runs of one pair "
                             "compared exactly; max_rel_diff is |change - parent| / |parent|",
+            "host_rule": "per run: cpu_s and nivcsw of the children waited for during it "
+                         "(getrusage RUSAGE_CHILDREN), steal_ticks from /proc/stat's cpu line "
+                         "(None where unreadable); runs is null for a failed run",
             "environment": env,
             "workloads": table,
         }, indent=2) + "\n")
