@@ -7,7 +7,7 @@ arithmetic is performed in 64-bit floats so that central finite differences
 can be used as a correctness oracle for every op (see ``train.grad_check``).
 
 Only the operations the program calls are implemented. The model uses the
-elementwise ``add``/``sub``/``mul``, ``matmul`` against a 2-D weight, the
+elementwise ``add`` and ``mul``, ``matmul`` against a 2-D weight, the
 whole-array mean ``tmean`` (the loss), the shape moves ``reshape``/``swapaxes``
 and the fused nodes below. The whole-array sum ``tsum``, ``gelu``, ``softmax``
 and ``power`` stay because the benchmark in ``perfbench/`` times or checks
@@ -439,19 +439,6 @@ def add(a, b) -> Tensor:
             _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return _make(out_data, (a, b), backward)
 

@@ -111,10 +111,14 @@ def cmd_prepare(args) -> int:
     except ValueError as exc:
         print(f"correlations with {config.target} skipped: {exc}")
         return 0
-    if ranked:
+    ranked_names = {name for name, _ in ranked}
+    constant = [n for n in train_s.channel_names if n != config.target and n not in ranked_names]
+    if ranked or constant:
         print(f"train-segment correlation with {config.target}:")
-        for name, r in ranked:
-            print(f"  {name:<12} r={r:+.4f}")
+    for name, r in ranked:
+        print(f"  {name:<12} r={r:+.4f}")
+    for name in constant:
+        print(f"  {name:<12} constant on the training segment, not ranked")
     if config.dataset_kind == "synthetic" and train_s.n_channels > 1:
         t_idx = train_s.channel_names.index(config.target)
         drivers = np.delete(train_s.values, t_idx, axis=0)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,10 +36,6 @@ class CsvFormatError(ValueError):
 
 class UndefinedCorrelationError(ValueError):
     """Pearson correlation requested against a zero-variance sequence."""
-
-
-class ConstantChannelWarning(UserWarning):
-    """A candidate channel had zero variance and was dropped from ranking."""
 
 
 @dataclass
@@ -194,12 +189,13 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] < 2:
         raise ValueError("need at least two points")
+    # a constant is told by its range: a zero centred sum of squares would
+    # depend on whether the mean came out exact
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+        raise UndefinedCorrelationError("correlation undefined for a constant sequence")
     xc = x - x.mean()
     yc = y - y.mean()
-    denom = np.sqrt(np.dot(xc, xc) * np.dot(yc, yc))
-    if denom == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for a constant sequence")
-    return float(np.dot(xc, yc) / denom)
+    return float(np.dot(xc, yc) / np.sqrt(np.dot(xc, xc) * np.dot(yc, yc)))
 
 
 def rank_channels(
@@ -209,8 +205,7 @@ def rank_channels(
 
     Correlations are computed on the first ``train_len`` steps only (full
     series when None) so selection never peeks past the training segment.
-    Zero-variance candidates are dropped with a warning; a zero-variance
-    target is an error.
+    Constant candidates are left out; a constant target is an error.
     """
     if target not in series.channel_names:
         raise ValueError(f"no channel named {target!r}")
@@ -222,20 +217,11 @@ def rank_channels(
     t_vals = values[t_idx]
     if np.ptp(t_vals) == 0.0:
         raise UndefinedCorrelationError(f"target channel {target!r} is constant")
-    ranked: list[tuple[int, str, float]] = []
-    for i, name in enumerate(series.channel_names):
-        if i == t_idx:
-            continue
-        try:
-            r = pearson(values[i], t_vals)
-        except UndefinedCorrelationError:
-            warnings.warn(
-                f"channel {name!r} is constant on the training segment; excluded from ranking",
-                ConstantChannelWarning,
-                stacklevel=2,
-            )
-            continue
-        ranked.append((i, name, r))
+    ranked = [
+        (i, name, pearson(values[i], t_vals))
+        for i, name in enumerate(series.channel_names)
+        if i != t_idx and np.ptp(values[i]) != 0.0
+    ]
     # strongest first; ties broken by original channel order
     ranked.sort(key=lambda item: (-abs(item[2]), item[0]))
     return [(name, r) for _, name, r in ranked]

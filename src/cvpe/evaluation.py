@@ -78,7 +78,7 @@ class AggregateRow:
 class ExperimentReport:
     dataset_label: str
     rows: list[CellResult]
-    aggregates: list[AggregateRow]
+    aggregates: dict[tuple[str, int], AggregateRow]  # by (variant, horizon), in grid order
     improvements: list[dict]
     config_echo: dict
 
@@ -86,18 +86,11 @@ class ExperimentReport:
     def any_failed(self) -> bool:
         return any(r.status != "ok" for r in self.rows)
 
-    def aggregate(self, variant: str, horizon: int) -> AggregateRow:
-        """The across-seed row of one cell; acceptance criteria 2 and 3 read it."""
-        for agg in self.aggregates:
-            if agg.variant == variant and agg.horizon == horizon:
-                return agg
-        raise KeyError(f"no aggregate for ({variant!r}, {horizon})")
-
     def to_json(self) -> str:
         payload = {
             "dataset": self.dataset_label,
             "cells": [asdict(r) for r in self.rows],
-            "aggregates": [asdict(a) for a in self.aggregates],
+            "aggregates": [asdict(a) for a in self.aggregates.values()],
             "improvements": self.improvements,
             "config": self.config_echo,
         }
@@ -121,7 +114,7 @@ class ExperimentReport:
         )
         lines.append(header)
         lines.append("-" * len(header))
-        for g in self.aggregates:
+        for g in self.aggregates.values():
             lines.append(
                 f"{g.variant:<10} {g.horizon:>7} {g.n_seeds:>6} "
                 f"{g.mean_mse:>12.6f} {g.std_mse:>12.6f} {g.mean_mae:>12.6f} {g.std_mae:>12.6f}"
@@ -135,18 +128,14 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def build_series(config: RunConfig) -> MultivariateSeries:
-    """Materialise the configured dataset (synthetic draw or CSV load)."""
-    if config.dataset_kind == "synthetic":
-        return generate_synthetic(config.synthetic)
-    return load_csv(config.csv_path, config.date_column)
-
-
 def prepare_segments(
     config: RunConfig,
 ) -> tuple[MultivariateSeries, MultivariateSeries, MultivariateSeries]:
-    """Load, optionally select channels (on training statistics), and split."""
-    series = build_series(config)
+    """Draw or load the dataset, optionally select channels (on training statistics), and split."""
+    if config.dataset_kind == "synthetic":
+        series = generate_synthetic(config.synthetic)
+    else:
+        series = load_csv(config.csv_path, config.date_column)
     train_end, _, _ = config.split.resolve(series.length)
     if config.select_top_k is not None:
         series = select_top_k(series, config.target, config.select_top_k, train_len=train_end)
@@ -239,37 +228,35 @@ def run_cell(
     )
 
 
-def _cell_worker(args: tuple[RunConfig, str, int, int]) -> CellResult:
-    config, variant, horizon, seed = args
-    return run_cell(prepare_segments(config), config, variant, horizon, seed)
-
-
 def run_experiment(config: RunConfig, jobs: int = 1) -> ExperimentReport:
     """Run the full grid and aggregate across seeds.
 
+    The data is read once, so a data error raises before any worker starts.
     A failed cell (divergence or a non-finite value) is recorded with its
     error and excluded from aggregates; the remaining cells still run.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
+    segments = prepare_segments(config)
     grid = [
         (variant, horizon, seed)
         for horizon in config.horizons
         for seed in config.seeds
         for variant in config.variants
     ]
+    variants, horizons, seeds = zip(*grid)
+    cells = ([segments] * len(grid), [config] * len(grid), variants, horizons, seeds)
     if jobs == 1:
-        segments = prepare_segments(config)
-        rows = [run_cell(segments, config, v, h, s) for v, h, s in grid]
+        rows = list(map(run_cell, *cells))
     else:
         # imported here, so only a --jobs run loads multiprocessing; the pool
         # forks all its workers up front, so start no more than cells
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
-            rows = list(pool.map(_cell_worker, [(config, v, h, s) for v, h, s in grid]))
+            rows = list(pool.map(run_cell, *cells))
 
-    aggregates = []
+    aggregates = {}
     for horizon in config.horizons:
         for variant in config.variants:
             ok = [
@@ -281,23 +268,20 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> ExperimentReport:
                 continue
             mses = np.array([r.mse for r in ok])
             maes = np.array([r.mae for r in ok])
-            aggregates.append(
-                AggregateRow(
-                    variant=variant,
-                    horizon=horizon,
-                    n_seeds=len(ok),
-                    mean_mse=float(mses.mean()),
-                    std_mse=float(mses.std()),
-                    mean_mae=float(maes.mean()),
-                    std_mae=float(maes.std()),
-                )
+            aggregates[variant, horizon] = AggregateRow(
+                variant=variant,
+                horizon=horizon,
+                n_seeds=len(ok),
+                mean_mse=float(mses.mean()),
+                std_mse=float(mses.std()),
+                mean_mae=float(maes.mean()),
+                std_mae=float(maes.std()),
             )
 
-    by_cell = {(a.variant, a.horizon): a for a in aggregates}
     improvements = []
     for horizon in config.horizons:
-        base = by_cell.get(("vanilla", horizon))
-        cross = by_cell.get(("cvpe", horizon))
+        base = aggregates.get(("vanilla", horizon))
+        cross = aggregates.get(("cvpe", horizon))
         if base is not None and cross is not None and base.mean_mse > 0:
             improvements.append(
                 {

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import NumericError, Tensor, as_tensor, no_grad, sub, tmean
+from .autodiff import NumericError, Tensor, add, as_tensor, no_grad, tmean
 from .model import ModelParams, forecast_batch
 
 EVAL_BATCH = 64
@@ -57,7 +57,8 @@ def mse_loss(pred, target) -> Tensor:
     target = np.asarray(target, dtype=np.float64)
     if tuple(pred.shape) != tuple(target.shape):
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    diff = sub(pred, target)
+    # IEEE negation is exact, so this is pred - target to the bit, in one node
+    diff = add(pred, -target)
     return tmean(diff * diff)
 
 

@@ -80,8 +80,8 @@ def test_channel_mixing_beats_baseline_on_coupled_data():
     started = time.monotonic()
     report = run_experiment(config, jobs=2)  # same bytes as jobs=1, on both cores
     elapsed = time.monotonic() - started
-    base = report.aggregate("vanilla", 8)
-    cross = report.aggregate("cvpe", 8)
+    base = report.aggregates[("vanilla", 8)]
+    cross = report.aggregates[("cvpe", 8)]
     (imp,) = [i for i in report.improvements if i["horizon"] == 8]
     improvement = imp["relative_improvement"]
     ok = (
@@ -107,8 +107,8 @@ def test_uncoupled_data_degrades_gracefully():
     started = time.monotonic()
     report = run_experiment(config, jobs=2)  # same bytes as jobs=1, on both cores
     elapsed = time.monotonic() - started
-    base = report.aggregate("vanilla", 8)
-    cross = report.aggregate("cvpe", 8)
+    base = report.aggregates[("vanilla", 8)]
+    cross = report.aggregates[("cvpe", 8)]
     degradation = (cross.mean_mse - base.mean_mse) / base.mean_mse
     ok = not report.any_failed and degradation <= 0.25
     detail = (

@@ -16,9 +16,18 @@ import pytest
 from cvpe import evaluation
 from cvpe.cli import OUTPUT_DIR_ENV, main
 from cvpe.config import parse_config
+from cvpe.data import CsvFormatError
 from cvpe.model import build_model, save_checkpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _src_env():
+    """This environment, with the repository's ``src`` first on the path of
+    a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def base_config(**overrides):
@@ -118,6 +127,23 @@ class TestPrepare:
         assert "windows @ horizon 3: train=184 val=4 test=34" in out
         assert out.endswith(f"correlations with OT skipped: {reason}\n")
         assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+    def test_a_constant_channel_is_named_in_a_plain_line(self, tmp_path):
+        csv = tmp_path / "data.csv"
+        rows = "".join(f"t{i},1.0,{i % 7}\n" for i in range(200))
+        csv.write_text(f"date,a,OT\n{rows}")
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(base_config(dataset={"kind": "csv", "path": str(csv)})))
+        # a fresh interpreter, so a warning would reach stderr as a user sees it
+        done = subprocess.run([sys.executable, "-m", "cvpe", "prepare", "--config", str(path)],
+                              capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "Warning" not in done.stderr
+        assert done.stdout.endswith(
+            "train-segment correlation with OT:\n"
+            "  a            constant on the training segment, not ranked\n"
+        )
 
 
 class TestGradcheck:
@@ -337,13 +363,13 @@ class TestExperiment:
             assert (dirs[1] / name).read_bytes() == (dirs[2] / name).read_bytes(), name
 
 
-def test_pool_never_starts_more_workers_than_cells(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every process pool started, in order; the
+    pools run their cells in this process, so no worker is started."""
     sizes = []
 
     class RecordingPool:
-        """Records ``max_workers`` and runs the cells in this process, so no
-        worker is started."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -353,33 +379,42 @@ def test_pool_never_starts_more_workers_than_cells(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
 
     # run_experiment imports the pool where it starts it
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_never_starts_more_workers_than_cells(pool_sizes):
     config = parse_config(base_config())  # one horizon, one seed, two variants
     report = evaluation.run_experiment(config, jobs=500)
     assert [r.status for r in report.rows] == ["ok", "ok"]
-    assert sizes == [2]
+    assert pool_sizes == [2]
+
+
+def test_a_data_error_in_a_parallel_grid_starts_no_pool(tmp_path, pool_sizes):
+    config = parse_config(json.loads(_csv_config(tmp_path, "oops")))
+    with pytest.raises(CsvFormatError, match="non-numeric value 'oops'"):
+        evaluation.run_experiment(config, jobs=2)
+    assert pool_sizes == []
 
 
 def test_importing_the_cli_loads_no_process_pool():
     # only a --jobs run starts a pool; a fresh interpreter shows what loads
     code = "import sys, cvpe.cli; print('multiprocessing' in sys.modules)"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_src_env(), timeout=120)
     assert done.stdout.strip() == "False", done.stderr
 
 
-def _die(args):
+def _die(*args):
     os._exit(9)
 
 
 def test_dead_worker_exits_two_with_one_line(config_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(evaluation, "_cell_worker", _die)
+    monkeypatch.setattr(evaluation, "run_cell", _die)
     outdir = tmp_path / "dead"
     code = main(["experiment", "--config", config_file(), "--out", str(outdir), "--jobs", "2"])
     err = capsys.readouterr().err
@@ -578,6 +613,10 @@ _INPUT_FAILURES = {
     "experiment_validation_segment_too_short": (
         lambda t: (_gradcheck_tiny(), ["experiment", "--out", "new/out"]),
         "error: validation segment of 20 steps too short for context 28 plus horizon 4"),
+    # the data is read before the pool starts its workers
+    "experiment_nan_csv_cell_jobs_2": (
+        lambda t: (_csv_config(t, "nan"), ["experiment", "--out", "new/out", "--jobs", "2"]),
+        "non-finite value 'nan'"),
     "train_nan_csv_cell_new_out": (
         lambda t: (_csv_config(t, "nan"), ["train", "--out", "new/out"]),
         "non-finite value 'nan'"),
@@ -591,11 +630,9 @@ def test_input_problems_exit_one_without_a_traceback(case, tmp_path):
     text, argv = build(tmp_path)
     cfg = tmp_path / "run.json"
     cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-m", "cvpe", argv[0], "--config", str(cfg), *argv[1:]],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        capture_output=True, text=True, env=_src_env(), cwd=tmp_path, timeout=120,
     )
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr

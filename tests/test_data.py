@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cvpe.data import (
-    ConstantChannelWarning,
     CsvFormatError,
     MultivariateSeries,
     SplitSpec,
@@ -191,14 +190,19 @@ class TestRanking:
         assert [n for n, _ in prefix][0] == "early"
         assert [n for n, _ in full][0] == "late"
 
-    def test_constant_candidate_warns_and_is_dropped(self):
+    # the mean of twenty 0.3s is not exactly 0.3, so a test on the centred
+    # sum of squares would not find that channel constant
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("level", [1.0, 0.3])
+    def test_constant_candidate_is_dropped(self, level):
         series = MultivariateSeries(
-            np.stack([np.ones(20), np.arange(20.0), np.arange(20.0) * 2]),
+            np.stack([np.full(20, level), np.arange(20.0), np.arange(20.0) * 2]),
             ["flat", "ok", "OT"],
         )
-        with pytest.warns(ConstantChannelWarning):
-            ranked = rank_channels(series, "OT")
+        ranked = rank_channels(series, "OT")
         assert [n for n, _ in ranked] == ["ok"]
+        with pytest.raises(UndefinedCorrelationError):
+            pearson(series.values[0], series.values[2])
 
     def test_constant_target_is_an_error(self):
         series = MultivariateSeries(

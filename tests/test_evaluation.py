@@ -165,7 +165,7 @@ class TestExperiment:
         assert len(report.rows) == 4  # 2 variants x 1 horizon x 2 seeds
         assert not report.any_failed
         for variant in ("vanilla", "cvpe"):
-            agg = report.aggregate(variant, 3)
+            agg = report.aggregates[(variant, 3)]
             cells = [r for r in report.rows if r.variant == variant]
             mses = np.array([r.mse for r in cells])
             maes = np.array([r.mae for r in cells])
@@ -174,8 +174,8 @@ class TestExperiment:
             assert agg.std_mse == pytest.approx(mses.std(), abs=1e-12)
             assert agg.mean_mae == pytest.approx(maes.mean(), abs=1e-12)
         (imp,) = report.improvements
-        base = report.aggregate("vanilla", 3).mean_mse
-        cross = report.aggregate("cvpe", 3).mean_mse
+        base = report.aggregates[("vanilla", 3)].mean_mse
+        cross = report.aggregates[("cvpe", 3)].mean_mse
         assert imp["horizon"] == 3
         assert imp["relative_improvement"] == pytest.approx(
             (base - cross) / base, abs=1e-12
@@ -213,7 +213,7 @@ class TestExperiment:
         assert report.any_failed
         assert all(r.status == "failed" for r in report.rows)
         assert all(r.error for r in report.rows)
-        assert report.aggregates == []
+        assert report.aggregates == {}
         assert report.improvements == []
         # reports still render
         assert "failed" in report.to_text()

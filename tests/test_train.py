@@ -63,6 +63,20 @@ class TestLossAndGradients:
         got = mse_loss(as_tensor(a), b).item()
         assert got == pytest.approx(np.mean((a - b) ** 2), abs=1e-12)
 
+    def test_mse_loss_is_numpys_closed_form_to_the_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            shape = tuple(rng.integers(1, 7, size=rng.integers(1, 5)))
+            scale = 10.0 ** rng.integers(-3, 4)
+            p = rng.normal(size=shape) * scale
+            t = rng.normal(size=shape) * scale
+            pred = parameter(p, "pred")
+            loss = mse_loss(pred, t)
+            (grad,) = backward(loss, [pred])
+            d = p - t
+            assert np.float64(loss.item()).tobytes() == np.mean(d * d).tobytes(), shape
+            assert grad.tobytes() == (d * (2.0 / d.size)).tobytes(), shape
+
     def test_mse_shape_mismatch(self):
         with pytest.raises(ValueError):
             mse_loss(as_tensor(np.zeros((2, 3))), np.zeros((3, 2)))
