@@ -538,11 +538,7 @@ def gelu(a) -> Tensor:
     docstring), in whole-array passes."""
     a = as_tensor(a)
     x = a.data
-    den = np.empty(x.shape)
-    # without a tape no backward reads den, so the quotient overwrites it:
-    # one activation-sized buffer fewer
-    taped = _GRAD_ENABLED.get() and a.requires_grad
-    out_data = np.empty(x.shape) if taped else den
+    den, out_data = np.empty(x.shape), np.empty(x.shape)
     _gelu_block(x, den, out_data)
 
     def backward(g):
@@ -703,7 +699,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     if taped:
         pre, den, act = np.empty((m, hidden)), np.empty((m, hidden)), np.empty((m, hidden))
     else:
-        # the activation overwrites den, as in a no-tape ``gelu``
+        # no backward reads den, so the activation overwrites it
         pre, den = np.empty((min(m, step), hidden)), np.empty((min(m, step), hidden))
         act = den
     out_data = np.empty((m, n))

@@ -28,20 +28,19 @@ import numpy as np
 
 from .autodiff import NumericError
 from .config import ConfigError, RunConfig, load_config
-from .data import lagged_driver_mean, pearson, rank_channels
+from .data import SyntheticSpec, lagged_driver_mean, pearson, rank_channels
 from .evaluation import (
     OutputDirectoryExists,
     _windows,
     dataset_label,
     prepare_segments,
     run_experiment,
-    score,
     train_cell,
     write_experiment,
     write_loss_curve,
 )
 from .model import VARIANTS, build_model, load_checkpoint, save_checkpoint
-from .train import TrainingDiverged, grad_check
+from .train import TrainingDiverged, evaluate, grad_check, model_forecast_fn
 
 OUTPUT_DIR_ENV = "CVPE_OUTPUT_DIR"
 DEFAULT_FAULT_TARGET = "head.b"
@@ -119,14 +118,12 @@ def cmd_prepare(args) -> int:
         print(f"  {name:<12} r={r:+.4f}")
     for name in constant:
         print(f"  {name:<12} constant on the training segment, not ranked")
-    if config.dataset_kind == "synthetic" and train_s.n_channels > 1:
+    if isinstance(config.dataset, SyntheticSpec) and train_s.n_channels > 1:
+        lag = config.dataset.lag
         t_idx = train_s.channel_names.index(config.target)
         drivers = np.delete(train_s.values, t_idx, axis=0)
-        driven = lagged_driver_mean(drivers, config.synthetic.lag)
-        r = pearson(driven, train_s.values[t_idx])
-        print(
-            f"lagged driver mean vs {config.target} (lag {config.synthetic.lag}): r={r:+.4f}"
-        )
+        r = pearson(lagged_driver_mean(drivers, lag), train_s.values[t_idx])
+        print(f"lagged driver mean vs {config.target} (lag {lag}): r={r:+.4f}")
     return 0
 
 
@@ -161,7 +158,8 @@ def cmd_evaluate(args) -> int:
             ]
         )
     _, _, test_s = prepare_segments(config)
-    metrics = score(params, _windows(test_s, "test", params.context, params.horizon))
+    test = _windows(test_s, "test", params.context, params.horizon)
+    metrics = evaluate(model_forecast_fn(params), *test)
     print(f"variant: {params.variant}  horizon: {params.horizon}")
     print(f"test mse: {metrics.mse:.6f}")
     print(f"test mae: {metrics.mae:.6f}")
@@ -285,7 +283,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (OutputDirectoryExists, FileNotFoundError, ValueError) as exc:
+    # OSError: any file a command reads or writes, OutputDirectoryExists too
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # BrokenExecutor is the base of the process pool's BrokenProcessPool

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
-from .data import SplitSpec, SyntheticSpec, TARGET_CHANNEL
+from .data import CsvSpec, SplitSpec, SyntheticSpec, TARGET_CHANNEL
 from .model import BackboneConfig, VARIANTS
 from .preprocess import PatchConfig
 
@@ -35,10 +35,7 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated experiment description."""
 
-    dataset_kind: str  # "synthetic" or "csv"
-    synthetic: SyntheticSpec | None
-    csv_path: str | None
-    date_column: str
+    dataset: SyntheticSpec | CsvSpec
     split: SplitSpec
     target: str
     select_top_k: int | None
@@ -171,12 +168,12 @@ def _ints(minimum: int):
     )
 
 
-# A dataset's kind decides which other keys it holds.
+# A dataset's kind decides its spec and which other keys it holds.
 _DATASET_KIND = {"kind": str}
 _DATASETS = {
-    "synthetic": {"n_channels": POSITIVE, "length": POSITIVE, "coupling": float, "lag": POSITIVE,
-                  "noise_std": float, "seed": (int, 0)},
-    "csv": {"path": str, "date_column": (str, "date")},
+    "synthetic": (SyntheticSpec, {"n_channels": POSITIVE, "length": POSITIVE, "coupling": float,
+                                  "lag": POSITIVE, "noise_std": float, "seed": (int, 0)}),
+    "csv": (CsvSpec, {"path": str, "date_column": (str, "date")}),
 }
 _SPLIT = {"protocol": (object, _UNSET), "boundaries": (object, _UNSET)}
 
@@ -199,7 +196,7 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["configuration root must be a JSON object"])
     f = _Fields()
-    cfg = SimpleNamespace(synthetic=None, echo=raw)  # RunConfig's fields, set as they are read
+    cfg = SimpleNamespace(echo=raw)  # RunConfig's fields, set as they are read
 
     def dataset(value, where):
         # the kind alone first, as the other keys, and so the unknown ones, depend on it
@@ -207,13 +204,10 @@ def parse_config(raw: dict) -> RunConfig:
         if kind not in _DATASETS:
             if kind is not None:
                 f.fail(f"{where}.kind must be {' or '.join(map(repr, _DATASETS))}, got {kind!r}")
-            return {}
-        _, *values = f.read(value, _DATASET_KIND | _DATASETS[kind], where).values()
-        if kind == "csv":
-            path, date_column = values
-            return dict(dataset_kind=kind, synthetic=None, csv_path=path, date_column=date_column or "date")
-        synthetic = f.build(where, SyntheticSpec, *values)
-        return dict(dataset_kind=kind, synthetic=synthetic, csv_path=None, date_column="date")
+            return None
+        spec, keys = _DATASETS[kind]
+        _, *values = f.read(value, _DATASET_KIND | keys, where).values()
+        return f.build(where, spec, *values)
 
     def split(value, where):
         args = [value] if isinstance(value, str) else f.read(value, _SPLIT, where).values()
@@ -260,9 +254,9 @@ def parse_config(raw: dict) -> RunConfig:
     }, into=vars(cfg))
 
     # checks that need several valid pieces at once
-    if cfg.synthetic is not None and cfg.split is not None:
+    if isinstance(cfg.dataset, SyntheticSpec) and cfg.split is not None:
         try:
-            a, _, _ = cfg.split.resolve(cfg.synthetic.length)
+            a, _, _ = cfg.split.resolve(cfg.dataset.length)
         except ValueError as exc:
             f.fail(f"split: {exc}")
         else:

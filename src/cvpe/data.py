@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -131,12 +131,17 @@ def chronological_split(
     return make(0, a), make(a, b), make(b, c)
 
 
+@dataclass(frozen=True)
+class CsvSpec:
+    """A CSV dataset: the file :func:`load_csv` reads and its timestamp column."""
+
+    path: str
+    date_column: str
+
+
 def load_csv(path: str | Path, date_column: str = "date") -> MultivariateSeries:
     """Load an ETT-style CSV: timestamp column first, one column per channel."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with path.open(newline="") as fh:
+    with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -20,6 +20,7 @@ from .autodiff import NumericError
 from .config import RunConfig
 from .data import (
     MultivariateSeries,
+    SyntheticSpec,
     chronological_split,
     generate_synthetic,
     load_csv,
@@ -28,7 +29,7 @@ from .data import (
 from .model import ModelParams, build_model
 from .train import (
     EpochRecord,
-    MetricPair,
+    MetricPair,  # imported from here by callers
     TrainConfig,
     TrainingDiverged,
     TrainResult,
@@ -132,10 +133,11 @@ def prepare_segments(
     config: RunConfig,
 ) -> tuple[MultivariateSeries, MultivariateSeries, MultivariateSeries]:
     """Draw or load the dataset, optionally select channels (on training statistics), and split."""
-    if config.dataset_kind == "synthetic":
-        series = generate_synthetic(config.synthetic)
+    spec = config.dataset
+    if isinstance(spec, SyntheticSpec):
+        series = generate_synthetic(spec)
     else:
-        series = load_csv(config.csv_path, config.date_column)
+        series = load_csv(spec.path, spec.date_column)
     train_end, _, _ = config.split.resolve(series.length)
     if config.select_top_k is not None:
         series = select_top_k(series, config.target, config.select_top_k, train_len=train_end)
@@ -143,13 +145,13 @@ def prepare_segments(
 
 
 def dataset_label(config: RunConfig) -> str:
-    if config.dataset_kind == "synthetic":
-        s = config.synthetic
+    s = config.dataset
+    if isinstance(s, SyntheticSpec):
         return (
             f"synthetic(n={s.n_channels}, T={s.length}, coupling={s.coupling}, "
             f"lag={s.lag}, noise={s.noise_std}, seed={s.seed})"
         )
-    return Path(config.csv_path).name
+    return Path(s.path).name
 
 
 def _windows(segment: MultivariateSeries, name: str, context: int, horizon: int):
@@ -184,12 +186,6 @@ def train_cell(
     return params, train_loop(params, tw, tt, vw, vt, cfg)
 
 
-def score(params: ModelParams, test: tuple[np.ndarray, np.ndarray]) -> MetricPair:
-    """Test MSE and MAE of a model on cut (windows, targets); ``cvpe
-    evaluate`` and every grid cell score through here."""
-    return evaluate(model_forecast_fn(params), *test)
-
-
 def run_cell(
     segments: tuple[MultivariateSeries, MultivariateSeries, MultivariateSeries],
     config: RunConfig,
@@ -203,7 +199,7 @@ def run_cell(
     test = _windows(segments[2], "test", config.context, horizon)
     try:
         params, result = train_cell(segments, config, variant, horizon, seed)
-        metrics = score(params, test)
+        metrics = evaluate(model_forecast_fn(params), *test)
     except (TrainingDiverged, NumericError) as exc:
         return CellResult(
             dataset=label,

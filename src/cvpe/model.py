@@ -383,8 +383,6 @@ def save_checkpoint(path: str | Path, params: ModelParams):
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Rebuild a saved model; a checkpoint that cannot be one raises ``ValueError``."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such checkpoint: {path}")
     if path.is_dir():
         raise ValueError(f"checkpoint {path} is a directory, not a saved .npz file")
     try:

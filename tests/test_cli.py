@@ -511,6 +511,13 @@ def _with_protocol(protocol):
     return json.dumps(base_config(split={"protocol": protocol}))
 
 
+def _out_holding(tmp_path, name):
+    """An output directory in which ``name``, a file the command writes, is
+    a directory."""
+    (tmp_path / "out" / name).mkdir(parents=True)
+    return str(tmp_path / "out")
+
+
 def _under_a_file(tmp_path):
     (tmp_path / "file").touch()
     return str(tmp_path / "file" / "sub")
@@ -620,6 +627,20 @@ _INPUT_FAILURES = {
     "train_nan_csv_cell_new_out": (
         lambda t: (_csv_config(t, "nan"), ["train", "--out", "new/out"]),
         "non-finite value 'nan'"),
+    # a file a command reads or writes that is a directory: the last
+    # --config given is the one argparse keeps
+    "config_is_a_directory": (
+        lambda t: (_GOOD, ["prepare", "--config", str(t)]), "error: [Errno 21] Is a directory"),
+    "csv_path_is_a_directory": (
+        lambda t: (json.dumps(base_config(dataset={"kind": "csv", "path": str(t)})), ["prepare"]),
+        "error: [Errno 21] Is a directory"),
+    "train_overwrite_checkpoint_is_a_directory": (
+        lambda t: (_GOOD, ["train", "--variant", "vanilla", "--overwrite",
+                           "--out", _out_holding(t, "model_vanilla_h3_seed0.npz")]),
+        "error: [Errno 21] Is a directory"),
+    "experiment_overwrite_loss_curve_is_a_directory": (
+        lambda t: (_GOOD, ["experiment", "--overwrite", "--out", _out_holding(t, "loss_cvpe_h3_seed0.csv")]),
+        "error: [Errno 21] Is a directory"),
 }
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cvpe.config import ConfigError, load_config, parse_config
+from cvpe.data import CsvSpec, SyntheticSpec
 from cvpe.model import BackboneConfig
 
 
@@ -34,7 +35,7 @@ def minimal(**overrides):
 class TestParsing:
     def test_minimal_config_fills_documented_defaults(self):
         cfg = parse_config(minimal())
-        assert cfg.dataset_kind == "synthetic"
+        assert isinstance(cfg.dataset, SyntheticSpec)
         assert cfg.target == "OT"
         assert cfg.select_top_k is None
         assert cfg.split.protocol == "ratio_70_10_20"
@@ -177,10 +178,23 @@ class TestParsing:
         raw = minimal()
         raw["dataset"] = {"kind": "csv", "path": "data/x.csv"}
         cfg = parse_config(raw)
-        assert (cfg.csv_path, cfg.date_column) == ("data/x.csv", "date")
+        assert cfg.dataset == CsvSpec("data/x.csv", "date")
         raw["dataset"] = {"kind": "tape"}
         with pytest.raises(ConfigError, match="kind"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("dataset, errors", [
+        ({"path": "data/x.csv"}, ["missing required field 'dataset.kind'"]),
+        ({"kind": "tape", "path": "x"}, ["dataset.kind must be 'synthetic' or 'csv', got 'tape'"]),
+        ({"kind": 3}, ["dataset.kind must be str, got int"]),
+        ({"kind": "csv", "path": "data/x.csv", "date_column": 5}, ["dataset.date_column must be str, got int"]),
+        ({"kind": "csv", "date_column": None},
+         ["missing required field 'dataset.path'", "dataset.date_column must be str, got NoneType"]),
+    ])
+    def test_dataset_problems_are_named(self, dataset, errors):
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal(dataset=dataset))
+        assert info.value.errors == errors
 
     def test_backbone_hidden_defaults_to_twice_the_width(self):
         cfg = parse_config(minimal(model={"backbone": {"width": 8, "heads": 2}}))
