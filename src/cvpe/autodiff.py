@@ -63,10 +63,21 @@ cost, and the copy measured slower (1.0 against 0.54 ms). The other
 products (probabilities by values, and the query, key and value gradients)
 measured no faster with copied operands.
 
-Every dense layer is one BLAS call over a 2-D ``(rows, features)`` matrix.
+The softmax makes one pass fewer over the scores than a textbook one. The
+``1/sqrt(hd)`` scale multiplies the smaller of ``q`` and ``k`` before the
+score product (the router table in the collect hop, the collected routers
+in the dispatch hop, the prototype keys in reprogramming), and the gradient
+of the other operand takes it in the backward; at the model's head size 4
+the scale is 1/2, a power of two, so the scores keep their bits. The sums
+are inverted once per row and the probabilities multiplied by the
+reciprocal instead of divided, which moves last bits: forecasts of the wide
+evaluation moved by at most 3.2e-16 of the largest, well inside the
+README's relative 1e-10.
+
+Every dense layer is a BLAS GEMM over a 2-D ``(rows, features)`` matrix.
 ``affine`` and ``matmul`` flatten every leading axis of the input into rows
 once (which copies a non-contiguous view, such as the router block's swapped
-axes): the forward is one GEMM, the input and weight gradients are one GEMM
+axes): the forward is a GEMM, the input and weight gradients are a GEMM
 each over those rows, and the bias gradient is ``ones @ rows``, a GEMV.
 Given a 4-D input, numpy instead runs one small GEMM per leading index (numpy
 2.4 and OpenBLAS 0.3.31 on a 2-vCPU x86-64 machine, at training shapes: 42 us
@@ -74,12 +85,29 @@ for a (32, 8, 5, 16) input against 21.5 us for its (1280, 16) rows, and 46 us
 for their column sum against 10 us for the GEMV).
 ``layer_norm`` reduces over a last axis of only 16 features, which numpy does
 row by row, so it runs through BLAS as well: ``rows @ (I - 1/d)`` centres
-every row in one GEMM (the centring matrix is cached per ``d``), the variance
+every row in a GEMM (the centring matrix is cached per ``d``), the variance
 is an ``einsum`` row dot, the gain and bias gradients are GEMVs, and the input
-gradient is centred by one GEMM whose matrix has the gain folded into its
+gradient is centred by a GEMM whose matrix has the gain folded into its
 rows. On the same machine at (32, 8, 5, 16) that took the forward from 271
 to 147 us and the backward from 307 to 170 us; outputs and gradients agree
 with the reductions to about 1e-14.
+
+A wide GEMM runs in blocks of rows. OpenBLAS 0.3.31 on x86-64 hands a GEMM
+whose M*N*K is at most 1e6 (``_SMALL_GEMM``) to its small-matrix kernel,
+and a larger one to its general kernel, which at the model's narrow shapes
+runs at half the speed: on the same machine (960, 16) @ (16, 64) took 41 us
+and (1024, 16) @ (16, 64) 62 us, and (5120, 16) @ (16, 16) ran at 25.5
+GFLOP/s against 52.5 at 2,048 rows (45-55 GFLOP/s below the limit, 25-34
+above it). Half of the benchmark's wide evaluation batch is 5,120 rows, so
+every product of the model crossed the limit there. ``_gemm`` runs such a
+product as consecutive blocks of rows, each a multiple of 8 rows and within
+the limit: the dense forward and input gradient, both centring products of
+``layer_norm``, and ``mlp``'s GEMMs, whose blocks shrink to fit (below).
+The weight gradients contract over the rows and stay whole. Every block
+starts on a BLAS row tile of the whole product, and at the model's shapes
+with 8 or more output columns the blocks give the whole GEMM's bits; one
+with fewer, such as a horizon-4 head, can differ from the whole GEMM in the
+last bit.
 
 ``gelu`` is computed in the logistic form ``x / (1 + exp(-2u))`` with
 ``u = sqrt(2/pi) * (x + 0.044715 x^3)``, equal to the tanh form
@@ -95,24 +123,25 @@ per-block forward and derivative once over the whole array; the arithmetic
 is elementwise, so the bits are those of the blocked passes.
 
 The feed-forward is the model's widest layer: its hidden size is four times
-the block's width, so at the benchmark's wide no-grad evaluation (batch 64,
-32 variates) the hidden activation is a (10240, 64) array of 5.2 MB, and a
-chain ``affine -> gelu -> affine`` held two of them at once. ``mlp`` walks
-the input rows in blocks of ``_GELU_BLOCK // hidden``: per block it runs the
-first GEMM into a block buffer, adds the bias, runs the GELU passes and
-writes the second GEMM into that block's rows of the output; the second bias
-is added once at the end. Without a tape two block buffers serve every
-block and no hidden-size array is allocated: the ``tracemalloc`` peak of
-the cvpe block's no-grad forward at those shapes fell from 14.6 to 8.3 MB,
-and the benchmark's peak resident memory with it. With a
-tape the pre-activation, the GELU's ``den`` and the activation are written
-into full arrays for the backward, which computes the second layer's
-gradients and ``g @ w2.T`` as whole GEMMs, applies the GELU derivative to
-that product in place block by block, and computes the first layer's
-gradients as whole GEMMs. At the model's shapes (hidden 32 and 64) the
-blocked GEMMs give the bits of whole ones, so the node equals the chain bit
-for bit; at hidden sizes of 512 and more OpenBLAS may round a block of rows
-differently from the whole matrix in the last digits.
+the block's width, so at the benchmark's wide no-grad evaluation (batch 64, 32
+variates) the hidden activation is a (10240, 64) array of 5.2 MB, and a chain
+``affine -> gelu -> affine`` held two of them at once. ``mlp`` walks the input
+rows in blocks of ``_GELU_BLOCK // hidden``, or fewer where that keeps both of
+a block's GEMMs within ``_SMALL_GEMM`` (976 rows at width 16 and hidden 64):
+per block it runs the first GEMM into a block buffer, adds the bias, runs the
+GELU passes and writes the second GEMM into that block's rows of the output;
+the second bias is added once at the end. Without a tape two block buffers
+serve every block and no hidden-size array is allocated: the ``tracemalloc``
+peak of the cvpe block's no-grad forward at those shapes fell from 14.6 to 8.3
+MB, and the benchmark's peak resident memory with it. With a tape the
+pre-activation, the GELU's ``den`` and the activation are written into full
+arrays for the backward, which computes the second layer's gradients as whole
+GEMMs, then per block ``g @ w2.T`` and the GELU derivative applied to it in
+place, and then the first layer's gradients, the input gradient in ``_gemm``'s
+blocks. At the model's shapes (hidden 32 and 64) the blocked GEMMs give the
+bits of whole ones, so the node equals the chain bit for bit; at hidden sizes
+of 512 and more OpenBLAS may round a block of rows differently from the whole
+matrix in the last digits.
 
 ``_accumulate`` copies a first gradient, because the array may be the
 upstream gradient itself, or a view of it, that another input receives as
@@ -637,22 +666,50 @@ def _centring(d: int) -> np.ndarray:
     return centring
 
 
+# OpenBLAS runs a GEMM with M*N*K up to this in its small-matrix kernel, which
+# at the model's shapes is about twice as fast as the general one (see the
+# module docstring)
+_SMALL_GEMM = 1_000_000
+
+
+def _block_rows(k: int, n: int) -> int:
+    """Rows per block of a (rows, k) @ (k, n) product that keeps each block's
+    GEMM within ``_SMALL_GEMM``: a multiple of 8, so every block starts on a
+    BLAS row tile of the whole product."""
+    return max(8, _SMALL_GEMM // (k * n) // 8 * 8)
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-D ``a`` and ``b``, as consecutive blocks of
+    ``_block_rows`` rows when the whole product would exceed
+    ``_SMALL_GEMM``."""
+    (m, k), n = a.shape, b.shape[1]
+    if m * k * n <= _SMALL_GEMM:
+        return a @ b
+    out = np.empty((m, n))
+    for lo, hi in _blocks(m, _block_rows(k, n)):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
+
+
 def _dense(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    """``x @ w`` (plus ``b``) for a 2-D ``w`` as one GEMM over ``x``'s rows.
+    """``x @ w`` (plus ``b``) for a 2-D ``w`` as a GEMM over ``x``'s rows.
 
     ``x`` is flattened once to (rows, k), which copies a non-contiguous view;
     the backward reuses those rows for the weight gradient, and the input
-    gradient is one GEMM on the gradient rows."""
+    gradient is a GEMM on the gradient rows.  The forward and input-gradient
+    GEMMs run in row blocks (``_gemm``); the weight gradient contracts over
+    the rows and stays whole."""
     k, n = w.shape
     rows = x.data.reshape(-1, k)
-    out_data = rows @ w.data
+    out_data = _gemm(rows, w.data)
     if b is not None:
         out_data += b.data
 
     def backward(g):
         g_rows = g.reshape(-1, n)
         if x.requires_grad:
-            _hand_over(x, (g_rows @ w.data.T).reshape(x.shape))
+            _hand_over(x, _gemm(g_rows, w.data.T).reshape(x.shape))
         if w.requires_grad:
             _accumulate(w, rows.T @ g_rows)
         if b is not None and b.requires_grad:
@@ -675,10 +732,11 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     """The feed-forward ``gelu(x @ w1 + b1) @ w2 + b2`` as one node: ``w1`` is
     (k, hidden), ``w2`` is (hidden, n), ``x`` is (..., k).
 
-    The rows of ``x`` run in blocks of ``_GELU_BLOCK // hidden``: each block's
-    first GEMM, bias, GELU passes and second GEMM run while its hidden-size
-    slice is still in cache. Without a tape two block buffers serve every
-    block, so no hidden-size array is allocated; with one, the
+    The rows of ``x`` run in blocks of ``_GELU_BLOCK // hidden`` rows, or fewer
+    where that keeps both GEMMs of a block within ``_SMALL_GEMM``: each
+    block's first GEMM, bias, GELU passes and second GEMM run while its
+    hidden-size slice is still in cache. Without a tape two block buffers
+    serve every block, so no hidden-size array is allocated; with one, the
     pre-activation, the GELU's ``den`` and the activation are written into
     full arrays that the backward keeps (see the module docstring)."""
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
@@ -694,7 +752,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     (k, hidden), n = w1.shape, w2.shape[1]
     rows = x.data.reshape(-1, k)
     m = len(rows)
-    step = max(1, _GELU_BLOCK // hidden)
+    step = min(max(1, _GELU_BLOCK // hidden), _block_rows(k, hidden), _block_rows(hidden, n))
     taped = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     if taped:
         pre, den, act = np.empty((m, hidden)), np.empty((m, hidden)), np.empty((m, hidden))
@@ -722,12 +780,13 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
             _accumulate(w2, act.T @ g_rows)
         if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
             return
-        # the GELU derivative multiplies the activation gradient in place,
-        # block by block
-        g_pre = g_rows @ w2.data.T
+        # per block, the activation gradient's GEMM, then the GELU derivative
+        # multiplies it in place
+        g_pre = np.empty((m, hidden))
         d, s, t = (np.empty((min(m, step), hidden)) for _ in range(3))
         for lo, hi in _blocks(m, step):
             at = slice(0, hi - lo)
+            np.matmul(g_rows[lo:hi], w2.data.T, out=g_pre[lo:hi])
             _gelu_grad_block(pre[lo:hi], den[lo:hi], d[at], s[at], t[at])
             g_pre[lo:hi] *= d[at]
         if b1.requires_grad:
@@ -735,7 +794,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
         if w1.requires_grad:
             _accumulate(w1, rows.T @ g_pre)
         if x.requires_grad:
-            _hand_over(x, (g_pre @ w1.data.T).reshape(x.shape))
+            _hand_over(x, _gemm(g_pre, w1.data.T).reshape(x.shape))
 
     return _make(out_data.reshape(*x.shape[:-1], n), parents, backward)
 
@@ -746,7 +805,7 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
     centring = _centring(d)
-    xhat = x.data.reshape(-1, d) @ centring
+    xhat = _gemm(x.data.reshape(-1, d), centring)
     var = np.einsum("ij,ij->i", xhat, xhat)
     var /= d
     var += eps
@@ -772,7 +831,7 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
             dot = g_xhat @ gain.data
             dot *= rstd
             dot /= d
-            gx = g_rows @ (gain.data[:, None] * centring)
+            gx = _gemm(g_rows, gain.data[:, None] * centring)
             gx *= rstd[:, None]
             gx -= xhat * dot[:, None]
             _hand_over(x, gx.reshape(x.shape))
@@ -825,17 +884,25 @@ def attention(q, k, v, heads: int) -> Tensor:
         qd, lead = q.data, np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
         out_shape = (*lead, *q.shape[-2:])
     n_q, n_k = qd.shape[-2], k.shape[-2]
+    # the 1/sqrt(hd) scale multiplies the smaller of q and k before the score
+    # product, not the scores after it; the gradient of the other operand
+    # takes it in the backward
     scale = 1.0 / np.sqrt(d // heads)
-    qh, kh, vh = (_split_heads(a, heads) for a in (qd, k.data, v.data))
+    scale_q = qd.size <= k.data.size
+    kd = k.data
+    if scale_q:
+        qd = qd * scale
+    else:
+        kd = kd * scale
+    qh, kh, vh = (_split_heads(a, heads) for a in (qd, kd, v.data))
     # the (n_k, *lead, heads, n_q) score buffer: the softmax reduces over its
     # outer axis, and the products read and write it through this view
     probs = np.empty((n_k, *lead, heads, n_q))
     rows = np.moveaxis(probs, 0, -1)
     np.matmul(qh, _transposed(kh, shared), out=rows)
-    probs *= scale
     probs -= probs.max(axis=0)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=0)
+    probs *= 1.0 / probs.sum(axis=0)
     out_data = np.empty((*lead, n_q, d))
     np.matmul(rows, vh, out=_split_heads(out_data, heads))
 
@@ -857,13 +924,15 @@ def attention(q, k, v, heads: int) -> Tensor:
             gq = np.empty((*lead, n_q, d))
             np.matmul(gs_rows, kh, out=_split_heads(gq, heads))
             gq = _unbroadcast(gq.reshape(out_shape), q.shape)
-            gq *= scale
+            if scale_q:
+                gq *= scale
             _hand_over(q, gq)
         if k.requires_grad:
             gk = np.empty((*lead, n_k, d))
             np.matmul(np.swapaxes(gs_rows, -1, -2), qh, out=_split_heads(gk, heads))
             gk = _unbroadcast(gk, k.shape)
-            gk *= scale
+            if not scale_q:
+                gk *= scale
             _hand_over(k, gk)
 
     return _make(out_data.reshape(out_shape), (q, k, v), backward)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import math
 import os
 import sys
@@ -33,6 +34,8 @@ from .evaluation import (
     OutputDirectoryExists,
     _windows,
     dataset_label,
+    experiment_files,
+    loss_curve_name,
     prepare_segments,
     run_experiment,
     train_cell,
@@ -76,6 +79,14 @@ def _output_directory(outdir: Path):
                 path.rmdir()  # refused unless empty
             except OSError:
                 break
+
+
+def _refuse_directories(paths) -> None:
+    """Fail before any training when a file the command will write is an
+    existing directory, which the write at the end would meet."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _cell_args(config: RunConfig, args) -> tuple[str, int, int]:
@@ -136,6 +147,7 @@ def cmd_train(args) -> int:
         ckpt = outdir / f"model_{variant}_h{horizon}_seed{seed}.npz"
         if ckpt.exists() and not args.overwrite:
             raise OutputDirectoryExists(f"{ckpt} already exists; pass --overwrite to replace")
+        _refuse_directories((ckpt, outdir / loss_curve_name(variant, horizon, seed)))
         params, result = train_cell(segments, config, variant, horizon, seed)
         save_checkpoint(ckpt, params)
         write_loss_curve(outdir, variant, horizon, seed, result.history)
@@ -198,6 +210,7 @@ def cmd_experiment(args) -> int:
             raise OutputDirectoryExists(
                 f"output directory {outdir} already has contents; pass --overwrite to replace"
             )
+        _refuse_directories(outdir / name for name in experiment_files(config))
         report = run_experiment(config, jobs=args.jobs)
         write_experiment(report, outdir, overwrite=True)
         sys.stdout.write(report.to_text())

@@ -295,22 +295,38 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> ExperimentReport:
     )
 
 
+# the files ``write_experiment`` writes besides the loss curves
+REPORT_FILES = ("config.json", "report.json", "report.txt")
+
+
 def write_experiment(report: ExperimentReport, outdir: str | Path, overwrite: bool = False):
-    """Emit config echo, JSON and text reports, and per-cell loss curves."""
+    """Emit per-cell loss curves, then the config echo and the JSON and text
+    reports, so a failed write leaves no report naming a missing curve."""
     outdir = Path(outdir)
     if outdir.exists() and any(outdir.iterdir()) and not overwrite:
         raise OutputDirectoryExists(
             f"output directory {outdir} already has contents; pass overwrite to replace"
         )
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.json").write_text(
-        json.dumps(report.config_echo, indent=2, sort_keys=True) + "\n"
-    )
-    (outdir / "report.json").write_text(report.to_json())
-    (outdir / "report.txt").write_text(report.to_text())
     for row in report.rows:
         if row.history:
             write_loss_curve(outdir, row.variant, row.horizon, row.seed, row.history)
+    config, as_json, as_text = REPORT_FILES
+    (outdir / config).write_text(json.dumps(report.config_echo, indent=2, sort_keys=True) + "\n")
+    (outdir / as_json).write_text(report.to_json())
+    (outdir / as_text).write_text(report.to_text())
+
+
+def loss_curve_name(variant: str, horizon: int, seed: int) -> str:
+    """The file name of one cell's loss curve."""
+    return f"loss_{variant}_h{horizon}_seed{seed}.csv"
+
+
+def experiment_files(config: RunConfig) -> list[str]:
+    """The names of every file ``write_experiment`` may write for the grid of
+    ``config``."""
+    cells = ((v, h, s) for h in config.horizons for s in config.seeds for v in config.variants)
+    return [*REPORT_FILES, *(loss_curve_name(*cell) for cell in cells)]
 
 
 def write_loss_curve(outdir: Path, variant: str, horizon: int, seed: int, history: list[EpochRecord]) -> None:
@@ -321,5 +337,4 @@ def write_loss_curve(outdir: Path, variant: str, horizon: int, seed: int, histor
     lines = ["epoch,train_mse,val_mse"]
     for rec in history:
         lines.append(f"{rec.epoch},{rec.train_mse!r},{rec.val_mse!r}")
-    name = f"loss_{variant}_h{horizon}_seed{seed}.csv"
-    (Path(outdir) / name).write_text("\n".join(lines) + "\n")
+    (Path(outdir) / loss_curve_name(variant, horizon, seed)).write_text("\n".join(lines) + "\n")

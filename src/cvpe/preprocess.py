@@ -44,8 +44,13 @@ def revin_normalize(window: np.ndarray) -> tuple[np.ndarray, RevinState]:
     if not np.all(np.isfinite(window)):
         raise ValueError("window must be finite")
     mean = window.mean(axis=-1, keepdims=True)
-    std = np.maximum(window.std(axis=-1, keepdims=True), REVIN_EPS)
-    return (window - mean) / std, RevinState(mean=mean, std=std)
+    # the variance is a row dot of the one centred array
+    centred = window - mean
+    var = np.einsum("...t,...t->...", centred, centred)[..., None]
+    var /= window.shape[-1]
+    std = np.maximum(np.sqrt(var), REVIN_EPS)
+    centred /= std
+    return centred, RevinState(mean=mean, std=std)
 
 
 def revin_denormalize(values: np.ndarray | Tensor, state: RevinState) -> Tensor:

@@ -9,8 +9,9 @@ The no-grad forecaster (:func:`model_forecast_fn`) uses both cores: windows
 never interact, so a batch splits into two parts, and one persistent helper
 thread forecasts the second while the caller forecasts the first (numpy
 releases the GIL in BLAS and ufunc loops).  The first part is a whole number
-of ``SPLIT_BLOCK`` windows, so that the parts give the whole batch's bits at
-the bundled and benchmark shapes, and hold to the README's relative 1e-10
+of ``SPLIT_BLOCK`` windows, and the dense nodes' GEMM blocks start on
+multiples of 8 rows, so that the parts give the whole batch's bits at the
+bundled and benchmark shapes, and hold to the README's relative 1e-10
 elsewhere (see ``SPLIT_BLOCK``).  The helper's thread starts on first use,
 and a forked child makes a new helper, since its copy has no thread behind
 it.  Training stays on one thread: summing the gradients of two halves would
@@ -337,11 +338,14 @@ def evaluate(
 # on a multiple of 8 rows of every GEMM keeps each row in the tile it had in
 # the whole batch.  Splitting at ``len // 2`` instead changed the last bit of
 # ETTh1-shaped forecasts (7 channels x 31 patches a window) at most sizes.
-# One inequality remains, in the BLAS and not in the rows: with OpenBLAS's
-# AVX-512 kernels a GEMM of fewer than 8 output columns rounds differently
-# on either side of its small-matrix limit (M*N*K = 1e6), so a head of
-# horizon 4 over 32 channels differs in the last bit at a batch of 64, by
-# about 1e-15 of the batch's largest forecast.
+# The dense nodes run a GEMM above OpenBLAS's small-matrix limit (M*N*K =
+# 1e6) in blocks of rows that are multiples of 8 too (``autodiff._gemm``), so
+# a row keeps its tile in a block of the whole batch and of either part, and
+# every block runs in the same kernel.  With OpenBLAS's AVX-512 kernels a
+# GEMM of fewer than 8 output columns rounds differently on either side of
+# that limit; before the blocks, a head of horizon 4 over 32 channels crossed
+# it between the whole batch of 64 and its parts and differed in the last
+# bit, by about 1e-15 of the batch's largest forecast.
 SPLIT_BLOCK = 8
 
 

@@ -298,3 +298,11 @@ def test_host_records_are_printed_per_run_and_as_medians(tmp_path, monkeypatch, 
     assert "train_vanilla change: failed 0/20 windows_per_s=100 cpu_s=31 nivcsw=0 steal_ticks=None" in printed
     assert ("  host medians: parent cpu_s=31 nivcsw=20 steal_ticks=1; "
             "change cpu_s=31 nivcsw=0 steal_ticks=1") in printed
+    # a run whose steal ticks are above zero is marked, and each side's
+    # marked runs are counted
+    assert [r["disturbed"] for r in host["parent"]["runs"]] == [False, True, True]
+    assert [r["disturbed"] for r in host["change"]["runs"]] == [False, False, True]
+    assert (host["parent"]["disturbed"], host["change"]["disturbed"]) == (2, 1)
+    assert "train_vanilla parent: failed 0/20 windows_per_s=100 cpu_s=32 nivcsw=30 steal_ticks=2 disturbed" in printed
+    assert "train_vanilla parent: failed 0/20 windows_per_s=100 cpu_s=30 nivcsw=10 steal_ticks=0\n" in printed
+    assert "  disturbed runs (steal_ticks > 0): parent 2/3, change 1/3" in printed

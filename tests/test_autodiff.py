@@ -658,8 +658,11 @@ def _mlp_chain(x, w1, b1, w2, b2):
 
 
 # leaf shape and the view of it the feed-forward node sees, at the model's
-# width 16 and hidden size 64: a block is _GELU_BLOCK // 64 rows
-_MLP_BLOCK_ROWS = autodiff._GELU_BLOCK // 64
+# width 16 and hidden size 64: a block is _GELU_BLOCK // 64 rows, or fewer
+# where that keeps both of its GEMMs within OpenBLAS's small-matrix kernel
+_MLP_BLOCK_ROWS = min(
+    autodiff._GELU_BLOCK // 64, autodiff._block_rows(16, 64), autodiff._block_rows(64, 16)
+)
 _MLP_LAYOUTS = {
     "one-row": ((1, 16), lambda t: t),
     "one-block": ((_MLP_BLOCK_ROWS, 16), lambda t: t),
@@ -742,6 +745,83 @@ def test_mlp_without_a_tape_allocates_no_hidden_size_array():
         tracemalloc.stop()
     assert out.shape == x.shape
     assert peak < hidden_bytes, f"peak {peak / 1e6:.2f} MB, one hidden-size array {hidden_bytes / 1e6:.2f} MB"
+
+
+# (rows, k, n) of dense products whose whole GEMM crosses OpenBLAS's
+# small-matrix limit (M*N*K = 1e6), so the nodes run them in row blocks:
+# a training batch (32 windows x 8 channels x 5 patches), halves of the wide
+# evaluation batch (32 x 32 x 5) and an ETTh1 batch (32 x 7 x 30)
+_WIDE_GEMMS = [(1280, 16, 64), (5120, 16, 16), (5120, 16, 32), (5120, 16, 64), (5120, 24, 16), (6720, 16, 16)]
+
+
+def _whole_products(op, x, params, g):
+    """``op``'s output and its gradients for ``x`` and then ``params``, from
+    whole products: (rows, k) inputs, ``matmul`` and ``affine`` from k to n,
+    ``layer_norm`` over k, and ``mlp`` from k through n back to k."""
+    ones = np.ones(len(x))
+    if op in ("matmul", "affine"):
+        w = params[0]
+        out = x @ w
+        grads = [g @ w.T, x.T @ g]
+        if op == "affine":
+            out += params[1]
+            grads.append(ones @ g)
+        return out, grads
+    if op == "layer_norm":
+        gain, bias = params
+        d = x.shape[1]
+        centring = np.eye(d) - 1.0 / d
+        xhat = x @ centring
+        var = np.einsum("ij,ij->i", xhat, xhat)
+        var /= d
+        var += 1e-5
+        rstd = 1.0 / np.sqrt(var)
+        xhat *= rstd[:, None]
+        g_xhat = g * xhat
+        dot = g_xhat @ gain
+        dot *= rstd
+        dot /= d
+        gx = g @ (gain[:, None] * centring)
+        gx *= rstd[:, None]
+        gx -= xhat * dot[:, None]
+        return xhat * gain + bias, [gx, ones @ g_xhat, ones @ g]
+    w1, b1, w2, b2 = params
+    pre = x @ w1 + b1
+    act = _gelu_unblocked(pre)
+    with np.errstate(over="ignore"):
+        g_pre = _gelu_grad_unblocked(pre, g @ w2.T)
+    return act @ w2 + b2, [g_pre @ w1.T, x.T @ g_pre, ones @ g_pre, act.T @ g, ones @ g]
+
+
+@pytest.mark.parametrize("op", ["matmul", "affine", "layer_norm", "mlp"])
+@pytest.mark.parametrize("rows,k,n", _WIDE_GEMMS)
+def test_row_blocked_nodes_give_the_whole_products_bits(op, rows, k, n):
+    # forward with and without a tape, and every gradient
+    rng = np.random.default_rng(rows + k + n)
+    x = rng.normal(0.0, 2.0, size=(rows, k))
+    shapes = {
+        "matmul": [(k, n)],
+        "affine": [(k, n), (n,)],
+        "layer_norm": [(k,), (k,)],
+        "mlp": [(k, n), (n,), (n, k), (k,)],
+    }[op]
+    params = [rng.uniform(-0.5, 0.5, size=shape) for shape in shapes]
+    node = {
+        "matmul": matmul,
+        "affine": affine,
+        "layer_norm": lambda *a: layer_norm(*a, 1e-5),
+        "mlp": mlp,
+    }[op]
+    g = rng.normal(size=(rows, n if op in ("matmul", "affine") else k))
+    out_want, grads_want = _whole_products(op, x, params, g)
+    with no_grad():
+        np.testing.assert_array_equal(node(x, *params).data, out_want)
+    leaves = [parameter(a, f"p{i}") for i, a in enumerate([x, *params])]
+    out = node(*leaves)
+    np.testing.assert_array_equal(out.data, out_want)
+    out._backward(g)
+    for leaf, want in zip(leaves, grads_want):
+        np.testing.assert_array_equal(leaf.grad, want, err_msg=leaf.name)
 
 
 def test_fused_nodes_hand_over_fresh_gradients_to_intermediates():

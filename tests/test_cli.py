@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvpe import evaluation
+from cvpe import cli, evaluation
 from cvpe.cli import OUTPUT_DIR_ENV, main
 from cvpe.config import parse_config
 from cvpe.data import CsvFormatError
@@ -516,6 +516,37 @@ def _out_holding(tmp_path, name):
     a directory."""
     (tmp_path / "out" / name).mkdir(parents=True)
     return str(tmp_path / "out")
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("trained although an output file is a directory")
+
+
+# every file ``cvpe experiment`` writes for base_config's grid
+_EXPERIMENT_FILES = [
+    "config.json", "report.json", "report.txt", "loss_vanilla_h3_seed0.csv", "loss_cvpe_h3_seed0.csv",
+]
+
+
+@pytest.mark.parametrize("name", _EXPERIMENT_FILES)
+def test_experiment_checks_its_output_files_before_training(name, config_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", _never)
+    out = _out_holding(tmp_path, name)
+    assert main(["experiment", "--config", config_file(), "--overwrite", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: '{Path(out) / name}'\n"
+    assert [p.name for p in Path(out).iterdir()] == [name]
+
+
+@pytest.mark.parametrize("name", ["model_vanilla_h3_seed0.npz", "loss_vanilla_h3_seed0.csv"])
+def test_train_checks_its_output_files_before_training(name, config_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "train_cell", _never)
+    out = _out_holding(tmp_path, name)
+    argv = ["train", "--config", config_file(), "--variant", "vanilla", "--overwrite", "--out", out]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: '{Path(out) / name}'\n"
+    assert [p.name for p in Path(out).iterdir()] == [name]
 
 
 def _under_a_file(tmp_path):

@@ -14,10 +14,12 @@ import pytest
 from cvpe import autodiff
 from cvpe.config import parse_config
 from cvpe.evaluation import (
+    REPORT_FILES,
     MetricPair,
     OutputDirectoryExists,
     dataset_label,
     evaluate,
+    experiment_files,
     model_forecast_fn,
     prepare_segments,
     run_cell,
@@ -285,6 +287,8 @@ class TestWriting:
             "report.json",
             "report.txt",
         ]
+        # the names the CLI checks before training are the files written
+        assert names == sorted(experiment_files(config))
         echoed = json.loads((outdir / "config.json").read_text())
         assert echoed == report.config_echo
         first = (outdir / "loss_vanilla_h3_seed0.csv").read_text().splitlines()
@@ -299,6 +303,15 @@ class TestWriting:
         epoch, train_mse, val_mse = lines[1].split(",")
         assert float(train_mse) == row.history[0].train_mse
         assert float(val_mse) == row.history[0].val_mse
+
+    def test_a_failed_loss_curve_write_leaves_no_report(self, tmp_path):
+        # the curves are written first, so no report names a missing curve
+        report = run_experiment(tiny_config())
+        outdir = tmp_path / "run"
+        (outdir / "loss_cvpe_h3_seed0.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            write_experiment(report, outdir, overwrite=True)
+        assert not any((outdir / name).exists() for name in REPORT_FILES)
 
     def test_refuses_to_clobber_without_overwrite(self, tmp_path):
         report = run_experiment(tiny_config())

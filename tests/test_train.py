@@ -428,11 +428,26 @@ class TestSplitForecaster:
         assert np.array_equal(model_forecast_fn(params)(windows), whole)
 
     @pytest.mark.parametrize("variant", ["vanilla", "cvpe"])
+    def test_wide_evaluation_shapes_give_the_whole_batch_bits(self, variant):
+        # the benchmark's wide evaluation: 32 channels, batch 64, the
+        # synthetic_ab model.  Each half's GEMMs cross OpenBLAS's small-matrix
+        # limit and run in row blocks, and the whole batch's blocks fall
+        # differently from the halves'
+        params = ModelParams.build(
+            variant, 64, 8, PatchConfig(24, 8), 16, 4, 16, 4, BackboneConfig(1, 16, 4, 32), 0
+        )
+        windows = np.random.default_rng(0).normal(size=(64, 32, 64))
+        with no_grad():
+            whole = forecast_batch(windows, params).data
+        assert np.array_equal(model_forecast_fn(params)(windows), whole)
+
+    @pytest.mark.parametrize("variant", ["vanilla", "cvpe"])
     @pytest.mark.parametrize("batch", [63, 64])
     def test_a_narrow_head_holds_to_the_stated_bar(self, variant, batch):
-        # 32 channels, horizon 4: the head GEMM's 4 output columns round
-        # differently in the whole batch and its parts (see SPLIT_BLOCK), so
-        # the parts are held to the grid's relative 1e-10, not to its bits.
+        # 32 channels, horizon 4: a GEMM of 4 output columns rounds
+        # differently on either side of OpenBLAS's small-matrix limit (see
+        # SPLIT_BLOCK), so the parts are held to the grid's relative 1e-10,
+        # not to its bits.
         # The gap is taken against the batch's largest forecast: an entry near
         # zero takes its gap from the terms it sums, and one of about 2e-7
         # here differs by 4e-10 of itself.  The test metrics are held to it too.

@@ -33,10 +33,12 @@ switches of the run's process and the children it waited for
 (``getrusage(RUSAGE_CHILDREN)``), and the steal ticks of ``/proc/stat``'s
 ``cpu`` line (None where that file cannot be read).  A run that was switched
 out or had its CPU stolen shows there; each run's line prints them, and the
-table gives each side's medians.  With ``--json PATH`` the same table, each
-run's values and host record, the failed operations and runs, the command,
-the parent commit and the benchmark's environment line are also written to
-``PATH``.
+table gives each side's medians.  A run during which the host counted steal
+ticks is marked ``disturbed`` on its line and in its host record, and the
+table gives each side's count of such runs per workload.  With ``--json
+PATH`` the same table, each run's values and host record, the failed
+operations and runs, the command, the parent commit and the benchmark's
+environment line are also written to ``PATH``.
 
 Nothing under ``perfbench/`` or in ``BENCHMARK.json`` is written, except the
 result files the benchmark itself leaves in ``perfbench/out/``.
@@ -119,6 +121,11 @@ def host_since(usage: resource.struct_rusage, steal: int | None) -> dict:
         "nivcsw": now.ru_nivcsw - usage.ru_nivcsw,
         "steal_ticks": None if steal is None or steal_now is None else steal_now - steal,
     }
+
+
+def disturbed(host: dict | None) -> bool:
+    """Whether the host took CPU from a run: its record counts steal ticks."""
+    return bool(host) and (host.get("steal_ticks") or 0) > 0
 
 
 def run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -314,6 +321,9 @@ def main(argv=None) -> int:
                                           for m in metrics if m["name"] in result["metrics"])
                         if result.get("host"):
                             values += " " + format_host(result["host"])
+                            result["host"]["disturbed"] = disturbed(result["host"])
+                            if result["host"]["disturbed"]:
+                                values += " disturbed"
                         print(f"pair {pair} seed {seed} {workload} {side}: "
                               f"failed {result['failed']}/{result['attempted']} {values}", flush=True)
 
@@ -353,8 +363,12 @@ def main(argv=None) -> int:
         host = {side: {"medians": host_medians(runs[(workload, side)]),
                        "runs": [r.get("host") if r else None for r in runs[(workload, side)]]}
                 for side in SIDES}
+        for side in SIDES:
+            host[side]["disturbed"] = sum(disturbed(h) for h in host[side]["runs"])
         print("  host medians: " + "; ".join(f"{side} {format_host(host[side]['medians'])}"
                                              for side in SIDES))
+        print("  disturbed runs (steal_ticks > 0): " + ", ".join(
+            f"{side} {host[side]['disturbed']}/{len(runs[(workload, side)])}" for side in SIDES))
         table[workload] = {"failed": failed, "failed_runs": lost, "metrics": rows, "outputs": outputs,
                            "host": host}
 
@@ -374,7 +388,9 @@ def main(argv=None) -> int:
                             "compared exactly; max_rel_diff is |change - parent| / |parent|",
             "host_rule": "per run: cpu_s and nivcsw of the children waited for during it "
                          "(getrusage RUSAGE_CHILDREN), steal_ticks from /proc/stat's cpu line "
-                         "(None where unreadable); runs is null for a failed run",
+                         "(None where unreadable); runs is null for a failed run; a run is "
+                         "disturbed when its steal_ticks are above zero, and disturbed counts "
+                         "a side's disturbed runs",
             "environment": env,
             "workloads": table,
         }, indent=2) + "\n")
