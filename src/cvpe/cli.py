@@ -31,7 +31,6 @@ from .autodiff import NumericError
 from .config import ConfigError, RunConfig, load_config
 from .data import SyntheticSpec, lagged_driver_mean, pearson, rank_channels
 from .evaluation import (
-    OutputDirectoryExists,
     _windows,
     dataset_label,
     experiment_files,
@@ -146,14 +145,14 @@ def cmd_train(args) -> int:
     with _output_directory(outdir):
         ckpt = outdir / f"model_{variant}_h{horizon}_seed{seed}.npz"
         if ckpt.exists() and not args.overwrite:
-            raise OutputDirectoryExists(f"{ckpt} already exists; pass --overwrite to replace")
+            raise FileExistsError(f"{ckpt} already exists; pass --overwrite to replace")
         _refuse_directories((ckpt, outdir / loss_curve_name(variant, horizon, seed)))
         params, result = train_cell(segments, config, variant, horizon, seed)
         save_checkpoint(ckpt, params)
         write_loss_curve(outdir, variant, horizon, seed, result.history)
         print(f"trained {variant} (horizon {horizon}, seed {seed})")
         print(f"epochs run: {len(result.history)}  best epoch: {result.best_epoch}")
-        print(f"best val mse: {result.best_val_mse:.6f}")
+        print(f"best val mse: {result.history[result.best_epoch].val_mse:.6f}")
         print(f"window order digest: {result.window_order_digest}")
         print(f"checkpoint: {ckpt}")
         return 0
@@ -207,7 +206,7 @@ def cmd_experiment(args) -> int:
     with _output_directory(outdir):
         if any(outdir.iterdir()) and not args.overwrite:
             # refuse before burning compute on the grid
-            raise OutputDirectoryExists(
+            raise FileExistsError(
                 f"output directory {outdir} already has contents; pass --overwrite to replace"
             )
         _refuse_directories(outdir / name for name in experiment_files(config))
@@ -296,7 +295,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    # OSError: any file a command reads or writes, OutputDirectoryExists too
+    # OSError: any file a command reads or writes, an existing output too
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

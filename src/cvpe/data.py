@@ -34,10 +34,6 @@ class CsvFormatError(ValueError):
         self.column = column
 
 
-class UndefinedCorrelationError(ValueError):
-    """Pearson correlation requested against a zero-variance sequence."""
-
-
 @dataclass
 class MultivariateSeries:
     """A multivariate series: ``values[i, t]`` is channel i at time t."""
@@ -197,7 +193,7 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     # a constant is told by its range: a zero centred sum of squares would
     # depend on whether the mean came out exact
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for a constant sequence")
+        raise ValueError("correlation undefined for a constant sequence")
     xc = x - x.mean()
     yc = y - y.mean()
     return float(np.dot(xc, yc) / np.sqrt(np.dot(xc, xc) * np.dot(yc, yc)))
@@ -221,7 +217,7 @@ def rank_channels(
     t_idx = series.channel_names.index(target)
     t_vals = values[t_idx]
     if np.ptp(t_vals) == 0.0:
-        raise UndefinedCorrelationError(f"target channel {target!r} is constant")
+        raise ValueError(f"target channel {target!r} is constant")
     ranked = [
         (i, name, pearson(values[i], t_vals))
         for i, name in enumerate(series.channel_names)

@@ -29,8 +29,6 @@ from .data import (
 from .model import ModelParams, build_model
 from .train import (
     EpochRecord,
-    MetricPair,  # imported from here by callers
-    TrainConfig,
     TrainingDiverged,
     TrainResult,
     evaluate,
@@ -38,10 +36,6 @@ from .train import (
     model_forecast_fn,
     train_loop,
 )
-
-
-class OutputDirectoryExists(FileExistsError):
-    """Refusing to clobber an existing non-empty output directory."""
 
 
 @dataclass
@@ -176,14 +170,7 @@ def train_cell(
     tw, tt = _windows(train_s, "train", config.context, horizon)
     vw, vt = _windows(val_s, "validation", config.context, horizon)
     params = build_model(config, variant, horizon, seed)
-    cfg = TrainConfig(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        lr=config.lr,
-        patience=config.patience,
-        seed=seed,
-    )
-    return params, train_loop(params, tw, tt, vw, vt, cfg)
+    return params, train_loop(params, tw, tt, vw, vt, config, seed)
 
 
 def run_cell(
@@ -194,34 +181,19 @@ def run_cell(
     seed: int,
 ) -> CellResult:
     """Train one variant at one horizon and seed, then score it on test."""
-    label = dataset_label(config)
+    row = CellResult(dataset_label(config), variant, horizon, seed, status="ok")
     # cut first, so a test segment too short fails before any epoch runs
     test = _windows(segments[2], "test", config.context, horizon)
     try:
         params, result = train_cell(segments, config, variant, horizon, seed)
         metrics = evaluate(model_forecast_fn(params), *test)
     except (TrainingDiverged, NumericError) as exc:
-        return CellResult(
-            dataset=label,
-            variant=variant,
-            horizon=horizon,
-            seed=seed,
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return CellResult(
-        dataset=label,
-        variant=variant,
-        horizon=horizon,
-        seed=seed,
-        status="ok",
-        mse=metrics.mse,
-        mae=metrics.mae,
-        best_epoch=result.best_epoch,
-        epochs_run=len(result.history),
-        window_order_digest=result.window_order_digest,
-        history=result.history,
-    )
+        row.status, row.error = "failed", f"{type(exc).__name__}: {exc}"
+        return row
+    row.mse, row.mae = metrics.mse, metrics.mae
+    row.best_epoch, row.epochs_run = result.best_epoch, len(result.history)
+    row.window_order_digest, row.history = result.window_order_digest, result.history
+    return row
 
 
 def run_experiment(config: RunConfig, jobs: int = 1) -> ExperimentReport:
@@ -304,7 +276,7 @@ def write_experiment(report: ExperimentReport, outdir: str | Path, overwrite: bo
     reports, so a failed write leaves no report naming a missing curve."""
     outdir = Path(outdir)
     if outdir.exists() and any(outdir.iterdir()) and not overwrite:
-        raise OutputDirectoryExists(
+        raise FileExistsError(
             f"output directory {outdir} already has contents; pass overwrite to replace"
         )
     outdir.mkdir(parents=True, exist_ok=True)

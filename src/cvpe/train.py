@@ -24,13 +24,16 @@ import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .autodiff import NumericError, Tensor, add, as_tensor, no_grad, tmean
 from .layers import rng_from
 from .model import ModelParams, forecast_batch
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 EVAL_BATCH = 64
 GRAD_CHECK_STEP = 1e-5
@@ -239,27 +242,6 @@ def adam_step(state: AdamState, params: list[Tensor], grads: list[np.ndarray]):
         p.data = data[lo:hi].reshape(p.data.shape)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimisation settings for one training run."""
-
-    epochs: int
-    batch_size: int
-    lr: float
-    patience: int
-    seed: int
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("need at least one epoch")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be positive")
-        if self.lr < 0:
-            raise ValueError("learning rate cannot be negative")
-        if self.patience < 1:
-            raise ValueError("patience must be positive")
-
-
 @dataclass
 class EpochRecord:
     epoch: int
@@ -273,7 +255,6 @@ class TrainResult:
 
     history: list[EpochRecord]
     best_epoch: int
-    best_val_mse: float
     window_order_digest: str
 
 
@@ -291,10 +272,6 @@ def schedule_digest(schedule: np.ndarray) -> str:
 class MetricPair:
     mse: float
     mae: float
-
-    def __post_init__(self):
-        if self.mse < 0 or self.mae < 0:
-            raise ValueError("metrics cannot be negative")
 
 
 def evaluate(
@@ -402,20 +379,23 @@ def train_loop(
     train_targets: np.ndarray,
     val_windows: np.ndarray,
     val_targets: np.ndarray,
-    cfg: TrainConfig,
+    config: RunConfig,
+    seed: int,
 ) -> TrainResult:
     """Mini-batch Adam with early stopping on validation MSE.
 
-    The best-validation parameters are restored before returning, so the
-    caller always ends up with the selected model, not the last one.  The
-    full shuffled schedule is planned ahead of training; its digest is
-    independent of where early stopping lands.
+    ``config`` gives the epochs, batch size, learning rate and patience, and
+    ``seed`` the batch schedule.  The best-validation parameters are
+    restored before returning, so the caller always ends up with the
+    selected model, not the last one.  The full shuffled schedule is planned
+    ahead of training; its digest is independent of where early stopping
+    lands.
     """
     if train_windows.shape[0] < 1 or val_windows.shape[0] < 1:
         raise ValueError("training and validation window sets must be non-empty")
     leaves = params.parameters()
-    state = AdamState.init(leaves, lr=cfg.lr)
-    schedule = plan_schedule(train_windows.shape[0], cfg.epochs, cfg.seed)
+    state = AdamState.init(leaves, lr=config.lr)
+    schedule = plan_schedule(train_windows.shape[0], config.epochs, seed)
     digest = schedule_digest(schedule)
 
     history: list[EpochRecord] = []
@@ -423,11 +403,11 @@ def train_loop(
     best_epoch = -1
     best_snapshot: list[np.ndarray] | None = None
     since_best = 0
-    for epoch in range(cfg.epochs):
+    for epoch in range(config.epochs):
         order = schedule[epoch]
         sq_sum = 0.0
-        for b, lo in enumerate(range(0, order.size, cfg.batch_size)):
-            sel = order[lo : lo + cfg.batch_size]
+        for b, lo in enumerate(range(0, order.size, config.batch_size)):
+            sel = order[lo : lo + config.batch_size]
             loss = mse_loss(forecast_batch(train_windows[sel], params), train_targets[sel])
             value = loss.item()
             if not np.isfinite(value):
@@ -447,14 +427,9 @@ def train_loop(
             since_best = 0
         else:
             since_best += 1
-            if since_best >= cfg.patience:
+            if since_best >= config.patience:
                 break
     if best_snapshot is not None:
         for p, data in zip(leaves, best_snapshot):
             p.data = data
-    return TrainResult(
-        history=history,
-        best_epoch=best_epoch,
-        best_val_mse=float(best_val),
-        window_order_digest=digest,
-    )
+    return TrainResult(history=history, best_epoch=best_epoch, window_order_digest=digest)

@@ -271,7 +271,8 @@ def test_steal_ticks_are_read_from_the_aggregate_cpu_line(tmp_path, stat, ticks)
 
 def test_host_records_are_printed_per_run_and_as_medians(tmp_path, monkeypatch, capsys):
     # the parent side's runs are switched out 10, 20 and 30 times; the
-    # change side could not read /proc/stat in its second run
+    # change side could not read /proc/stat in its second run; the third run
+    # of each side had 2,000 ticks stolen, the parent's second only 5
     calls = []
 
     def fake_run(command, tree, workload, seed, seconds):
@@ -279,7 +280,7 @@ def test_host_records_are_printed_per_run_and_as_medians(tmp_path, monkeypatch, 
         k = sum(c == side for c in calls)
         calls.append(side)
         host = {"cpu_s": 30.0 + k, "nivcsw": 10 * (k + 1) if side == "parent" else 0,
-                "steal_ticks": None if (side, k) == ("change", 1) else k}
+                "steal_ticks": None if (side, k) == ("change", 1) else [0, 5, 2000][k]}
         metrics = {"windows_per_s": {"value": 100.0, "unit": "1/s"}}
         return {"correct": True, "attempted": 20, "failed": 0, "metrics": metrics, "env": None,
                 "host": host}
@@ -292,17 +293,55 @@ def test_host_records_are_printed_per_run_and_as_medians(tmp_path, monkeypatch, 
     assert ab_bench.main(argv) == 0
     printed = capsys.readouterr().out
     host = json.loads(out.read_text())["workloads"]["train_vanilla"]["host"]
-    assert host["parent"]["medians"] == {"cpu_s": 31.0, "nivcsw": 20, "steal_ticks": 1}
-    assert host["change"]["medians"] == {"cpu_s": 31.0, "nivcsw": 0, "steal_ticks": 1.0}
-    assert [r["steal_ticks"] for r in host["change"]["runs"]] == [0, None, 2]
+    assert host["parent"]["medians"] == {"cpu_s": 31.0, "nivcsw": 20, "steal_ticks": 5}
+    assert host["change"]["medians"] == {"cpu_s": 31.0, "nivcsw": 0, "steal_ticks": 1000.0}
+    assert [r["steal_ticks"] for r in host["change"]["runs"]] == [0, None, 2000]
     assert "train_vanilla change: failed 0/20 windows_per_s=100 cpu_s=31 nivcsw=0 steal_ticks=None" in printed
-    assert ("  host medians: parent cpu_s=31 nivcsw=20 steal_ticks=1; "
-            "change cpu_s=31 nivcsw=0 steal_ticks=1") in printed
-    # a run whose steal ticks are above zero is marked, and each side's
-    # marked runs are counted
-    assert [r["disturbed"] for r in host["parent"]["runs"]] == [False, True, True]
+    assert ("  host medians: parent cpu_s=31 nivcsw=20 steal_ticks=5; "
+            "change cpu_s=31 nivcsw=0 steal_ticks=1000") in printed
+    # a run whose steal ticks exceed 1% of its CPU ticks is marked, and each
+    # side's marked runs are counted
+    assert [r["disturbed"] for r in host["parent"]["runs"]] == [False, False, True]
     assert [r["disturbed"] for r in host["change"]["runs"]] == [False, False, True]
-    assert (host["parent"]["disturbed"], host["change"]["disturbed"]) == (2, 1)
-    assert "train_vanilla parent: failed 0/20 windows_per_s=100 cpu_s=32 nivcsw=30 steal_ticks=2 disturbed" in printed
+    assert (host["parent"]["disturbed"], host["change"]["disturbed"]) == (1, 1)
+    assert "train_vanilla parent: failed 0/20 windows_per_s=100 cpu_s=32 nivcsw=30 steal_ticks=2000 disturbed" in printed
+    assert "train_vanilla parent: failed 0/20 windows_per_s=100 cpu_s=31 nivcsw=20 steal_ticks=5\n" in printed
     assert "train_vanilla parent: failed 0/20 windows_per_s=100 cpu_s=30 nivcsw=10 steal_ticks=0\n" in printed
-    assert "  disturbed runs (steal_ticks > 0): parent 2/3, change 1/3" in printed
+    assert "  disturbed runs (steal_ticks > 1% of cpu ticks): parent 1/3, change 1/3" in printed
+
+
+@pytest.mark.parametrize(
+    "host,marked",
+    [
+        # records of a committed 20-pair table on a shared host: a few ticks
+        # in a quiet run, over a thousand in a run the host slowed
+        ({"cpu_s": 57.8, "nivcsw": 900, "steal_ticks": 15.5}, False),
+        ({"cpu_s": 42.6, "nivcsw": 900, "steal_ticks": 1229}, True),
+        ({"cpu_s": 42.6, "nivcsw": 900, "steal_ticks": None}, False),
+        (None, False),
+    ],
+)
+def test_a_run_is_disturbed_above_one_percent_of_its_cpu_ticks(host, marked):
+    assert ab_bench.disturbed(host) is marked
+
+
+def test_each_workload_and_seed_runs_each_side_first_in_half_its_pairs(monkeypatch):
+    calls = []
+
+    def fake_run(command, tree, workload, seed, seconds):
+        calls.append((workload, seed, "parent" if tree != ab_bench.ROOT else "change"))
+        metrics = {"windows_per_s": {"value": 100.0, "unit": "1/s"}}
+        return {"correct": True, "attempted": 20, "failed": 0, "metrics": metrics, "env": None}
+
+    monkeypatch.setattr(ab_bench, "run_once", fake_run)
+    monkeypatch.setattr(ab_bench, "export_tree", lambda ref, dest: None)
+    monkeypatch.setattr(ab_bench, "resolve_commit", lambda ref: "f" * 40)
+    workloads = ["train_cvpe", "train_vanilla", "infer_wide"]
+    assert ab_bench.main(["--pairs", "4", "--seeds", "0", "1", "--workloads", *workloads]) == 0
+    # the runs come in sides of one (workload, seed) slot at a time
+    firsts = [calls[i] for i in range(0, len(calls), 2)]
+    assert all(calls[i][:2] == calls[i + 1][:2] for i in range(0, len(calls), 2))
+    for workload in workloads:
+        for seed in (0, 1):
+            sides = [side for w, s, side in firsts if (w, s) == (workload, seed)]
+            assert len(sides) == 4 and sides.count("parent") == 2, (workload, seed, sides)

@@ -10,6 +10,7 @@ suite's runtime.
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -321,7 +322,7 @@ def test_hourly_benchmark_smoke():
         pytest.skip("ETTh1 CSV not available")
     config = load_config(CONFIGS / "etth1_smoke.json")
     from cvpe.evaluation import prepare_segments
-    from cvpe.train import TrainConfig, make_windows, train_loop
+    from cvpe.train import make_windows, train_loop
 
     train_s, val_s, test_s = prepare_segments(config)
     split_ok = (
@@ -342,10 +343,7 @@ def test_hourly_benchmark_smoke():
         backbone_cfg=config.backbone,
         seed=0,
     )
-    result = train_loop(
-        params, tw, tt, vw, vt,
-        TrainConfig(epochs=5, batch_size=config.batch_size, lr=config.lr, patience=5, seed=0),
-    )
+    result = train_loop(params, tw, tt, vw, vt, replace(config, epochs=5, patience=5), 0)
     vals = [r.val_mse for r in result.history]
     train_ok = all(np.isfinite(vals)) and min(vals[1:]) < vals[0]
     ok = split_ok and train_ok

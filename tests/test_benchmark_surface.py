@@ -3,10 +3,13 @@
 The benchmark imports names from ``cvpe``, some of them inside functions,
 and reads attributes of the model's parameter objects.  A change under
 ``src/`` that drops one would otherwise fail only when the benchmark runs;
-this walks each of them at the benchmark's tiny sizes.
+this finds the names in the benchmark's source and walks the model at the
+benchmark's tiny sizes.
 """
 
+import ast
 import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -18,23 +21,38 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))  # perfbench is a package at the repository root
 
-# names perfbench/selfcheck.py and perfbench/probe.py import or call inside functions
-_LATE_NAMES = {
-    "cvpe.autodiff": ("parameter", "power", "tsum"),
-    "cvpe.train": ("backward", "make_windows", "plan_schedule"),
-    "cvpe.evaluation": ("prepare_segments",),
-    "cvpe.config": ("parse_config",),
-}
+
+def names_the_benchmark_reads() -> set[tuple[str, str]]:
+    """(module, name) for every ``from cvpe... import name`` in
+    ``perfbench/*.py``, at any depth, and every attribute the benchmark reads
+    of a ``cvpe`` submodule it imports (``train.plan_schedule``)."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> imported cvpe submodule
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cvpe":
+                for alias in node.names:
+                    sub = f"cvpe.{alias.name}"
+                    if node.module == "cvpe" and importlib.util.find_spec(sub) is not None:
+                        modules[alias.asname or alias.name] = sub
+                    else:
+                        names.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                names.add((modules[node.value.id], node.attr))
+    return names
 
 
 def test_the_benchmark_finds_every_name_it_reads():
-    # workloads imports layer_times, specs and tracing, and the program's
-    # names at module level
-    from perfbench import layer_times, specs, workloads  # noqa: F401
+    names = names_the_benchmark_reads()
+    # names read inside functions: an import and a submodule's attribute
+    assert {("cvpe.autodiff", "power"), ("cvpe.train", "plan_schedule")} <= names
+    missing = sorted((m, n) for m, n in names if not hasattr(importlib.import_module(m), n))
+    assert not missing, f"cvpe lacks {missing}"
 
-    for module, names in _LATE_NAMES.items():
-        missing = [n for n in names if not hasattr(importlib.import_module(module), n)]
-        assert not missing, f"{module} lacks {missing}"
+    from perfbench import layer_times, specs
 
     cfg = parse_config(specs.raw_config("infer_wide", specs.DEFAULT_SEED, "tiny"))
     horizon = cfg.horizons[0]

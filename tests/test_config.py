@@ -156,6 +156,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="training segment"):
             parse_config(raw)
 
+    def test_train_epochs_batch_size_and_patience_must_be_positive(self):
+        for key in ("epochs", "batch_size", "patience"):
+            with pytest.raises(ConfigError, match=f"train.{key} must be positive, got 0"):
+                parse_config(minimal(train={"epochs": 1, key: 0}))
+
     def test_lr_zero_allowed_negative_rejected(self):
         cfg = parse_config(minimal(train={"epochs": 1, "lr": 0.0}))
         assert cfg.lr == 0.0

@@ -15,8 +15,6 @@ from cvpe import autodiff
 from cvpe.config import parse_config
 from cvpe.evaluation import (
     REPORT_FILES,
-    MetricPair,
-    OutputDirectoryExists,
     dataset_label,
     evaluate,
     experiment_files,
@@ -74,10 +72,6 @@ class TestMetrics:
             scores = evaluate(lambda w: w, a, b)
             assert scores.mse == pytest.approx(mse_oracle(a, b), abs=1e-12)
             assert scores.mae == pytest.approx(mae_oracle(a, b), abs=1e-12)
-
-    def test_metric_pair_rejects_negatives(self):
-        with pytest.raises(ValueError):
-            MetricPair(mse=-1.0, mae=0.0)
 
 
 class TestEvaluate:
@@ -317,7 +311,7 @@ class TestWriting:
         report = run_experiment(tiny_config())
         outdir = tmp_path / "run"
         write_experiment(report, outdir)
-        with pytest.raises(OutputDirectoryExists):
+        with pytest.raises(FileExistsError, match="already has contents; pass overwrite to replace"):
             write_experiment(report, outdir)
         write_experiment(report, outdir, overwrite=True)
 

@@ -11,9 +11,11 @@ import grid_diff  # noqa: E402
 
 
 def _cell(variant, seed, mse, mae, best_epoch=3, epochs_run=9):
+    history = [{"epoch": e, "train_mse": 2.0 / (e + 1), "val_mse": 3.0 / (e + 1)}
+               for e in range(epochs_run)]
     return {"variant": variant, "horizon": 8, "seed": seed, "status": "ok",
             "mse": mse, "mae": mae, "best_epoch": best_epoch, "epochs_run": epochs_run,
-            "window_order_digest": f"digest{seed}"}
+            "window_order_digest": f"digest{seed}", "history": history}
 
 
 REPORT = {"cells": [_cell("vanilla", 0, 3.7598, 1.51), _cell("cvpe", 0, 3.8215, 1.53),
@@ -59,3 +61,21 @@ def test_a_missing_cell_fails():
     diffs, problems = grid_diff.compare_reports(REPORT, change)
     assert problems == ["cell ('cvpe', 8, 1) only in the parent report"]
     assert len(diffs) == 3
+
+
+@pytest.mark.parametrize("field", ["train_mse", "val_mse"])
+def test_a_history_move_above_the_bar_fails_naming_cell_epoch_and_field(field):
+    change = _changed(lambda cells: cells[3]["history"][5].update(
+        {field: cells[3]["history"][5][field] * (1 + 1e-8)}))
+    diffs, problems = grid_diff.compare_reports(REPORT, change)
+    assert len(problems) == 1
+    assert problems[0].startswith(f"cell ('cvpe', 8, 1): epoch 5 {field} ")
+    assert diffs[("cvpe", 8, 1)] == pytest.approx(1e-8, rel=1e-3)
+
+
+def test_a_history_move_below_the_bar_passes_and_is_reported():
+    change = _changed(lambda cells: cells[0]["history"][2].update(
+        val_mse=cells[0]["history"][2]["val_mse"] * (1 + 1e-14)))
+    diffs, problems = grid_diff.compare_reports(REPORT, change)
+    assert problems == []
+    assert 0.0 < diffs[("vanilla", 8, 0)] < 1e-13

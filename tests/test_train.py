@@ -3,17 +3,19 @@
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cvpe.autodiff import NumericError, as_tensor, no_grad, parameter, power, tsum
+from cvpe.config import load_config
 from cvpe.data import SyntheticSpec, generate_synthetic
 from cvpe.model import BackboneConfig, ModelParams, forecast_batch
 from cvpe.preprocess import PatchConfig
 from cvpe.train import (
     AdamState,
-    TrainConfig,
     TrainingDiverged,
     adam_step,
     backward,
@@ -43,8 +45,12 @@ def tiny_model(variant, seed=0, context=24, horizon=3):
     )
 
 
-def train_config(epochs, seed, batch_size=16, lr=1e-2, patience=10):
-    return TrainConfig(epochs, batch_size, lr, patience, seed)
+_RUN = load_config(Path(__file__).resolve().parent.parent / "configs" / "gradcheck_tiny.json")
+
+
+def train_config(epochs, batch_size=16, lr=1e-2, patience=10):
+    """A parsed run config with these training settings."""
+    return replace(_RUN, epochs=epochs, batch_size=batch_size, lr=lr, patience=patience)
 
 
 def tiny_dataset(seed=0, n=3, length=160):
@@ -185,17 +191,6 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(state, [p], [np.zeros(3)])
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            train_config(epochs=0, seed=0)
-        with pytest.raises(ValueError):
-            train_config(epochs=1, seed=0, batch_size=0)
-        with pytest.raises(ValueError):
-            train_config(epochs=1, seed=0, lr=-0.1)
-        with pytest.raises(ValueError):
-            train_config(epochs=1, seed=0, patience=0)
-        train_config(epochs=1, seed=0, lr=0.0)  # zero is allowed: a frozen run
-
 
 class TestWindows:
     def test_shapes_and_alignment(self):
@@ -323,9 +318,7 @@ class TestTrainLoop:
             wins = 0
             for seed in (0, 1, 2):
                 params = tiny_model(variant, seed=seed)
-                result = train_loop(
-                    params, tw, tt, vw, vt, train_config(epochs=3, seed=seed)
-                )
+                result = train_loop(params, tw, tt, vw, vt, train_config(epochs=3), seed)
                 if result.history[-1].train_mse < result.history[0].train_mse:
                     wins += 1
             assert wins >= 2, f"{variant}: train loss failed to drop in {3 - wins} of 3 seeds"
@@ -335,29 +328,23 @@ class TestTrainLoop:
         histories = []
         for _ in range(2):
             params = tiny_model("cvpe", seed=4)
-            result = train_loop(
-                params, tw, tt, vw, vt, train_config(epochs=2, seed=4)
-            )
+            result = train_loop(params, tw, tt, vw, vt, train_config(epochs=2), 4)
             histories.append([(r.train_mse, r.val_mse) for r in result.history])
         assert histories[0] == histories[1]
 
     def test_best_parameters_are_restored(self):
         (tw, tt), (vw, vt) = tiny_dataset()
         params = tiny_model("vanilla", seed=5)
-        result = train_loop(
-            params, tw, tt, vw, vt, train_config(epochs=4, seed=5)
-        )
+        result = train_loop(params, tw, tt, vw, vt, train_config(epochs=4), 5)
         final_val = evaluate(model_forecast_fn(params), vw, vt).mse
-        assert final_val == pytest.approx(result.best_val_mse, rel=1e-12)
-        assert result.best_val_mse == min(r.val_mse for r in result.history)
+        best_val = result.history[result.best_epoch].val_mse
+        assert final_val == pytest.approx(best_val, rel=1e-12)
+        assert best_val == min(r.val_mse for r in result.history)
 
     def test_early_stopping_respects_patience(self):
         (tw, tt), (vw, vt) = tiny_dataset()
         params = tiny_model("vanilla", seed=6)
-        result = train_loop(
-            params, tw, tt, vw, vt,
-            train_config(epochs=50, seed=6, lr=0.0, patience=2),
-        )
+        result = train_loop(params, tw, tt, vw, vt, train_config(epochs=50, lr=0.0, patience=2), 6)
         # frozen parameters: epoch 0 is best, the next two exhaust patience
         assert len(result.history) == 3
         assert result.best_epoch == 0
@@ -368,7 +355,7 @@ class TestTrainLoop:
         params = tiny_model("vanilla", seed=7)
         params.head.w.data = params.head.w.data * 1e200
         with pytest.raises((TrainingDiverged, NumericError)):
-            train_loop(params, tw, tt, vw, vt, train_config(epochs=1, seed=7))
+            train_loop(params, tw, tt, vw, vt, train_config(epochs=1), 7)
 
     def test_non_finite_validation_loss_raises_at_batch_minus_one(self):
         (tw, tt), (vw, vt) = tiny_dataset()
@@ -378,27 +365,25 @@ class TestTrainLoop:
         vt = vt.copy()
         vt[-1, :, -1] = 1e200
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as err:
-            train_loop(params, tw, tt, vw, vt, train_config(epochs=2, seed=7))
+            train_loop(params, tw, tt, vw, vt, train_config(epochs=2), 7)
         assert (err.value.epoch, err.value.batch) == (0, -1)
         assert str(err.value) == "non-finite validation loss at epoch 0"
 
     def test_empty_window_sets_are_rejected(self):
         (tw, tt), (vw, vt) = tiny_dataset()
         params = tiny_model("vanilla")
-        cfg = train_config(epochs=1, seed=0, batch_size=8)
+        cfg = train_config(epochs=1, batch_size=8)
         with pytest.raises(ValueError):
-            train_loop(params, tw[:0], tt[:0], vw, vt, cfg)
+            train_loop(params, tw[:0], tt[:0], vw, vt, cfg, 0)
         with pytest.raises(ValueError):
-            train_loop(params, tw, tt, vw[:0], vt[:0], cfg)
+            train_loop(params, tw, tt, vw[:0], vt[:0], cfg, 0)
 
     def test_paired_variants_see_identical_schedules(self):
         (tw, tt), (vw, vt) = tiny_dataset()
         digests = {}
         for variant in ("vanilla", "cvpe"):
             params = tiny_model(variant, seed=8)
-            result = train_loop(
-                params, tw, tt, vw, vt, train_config(epochs=2, seed=8)
-            )
+            result = train_loop(params, tw, tt, vw, vt, train_config(epochs=2), 8)
             digests[variant] = result.window_order_digest
         assert digests["vanilla"] == digests["cvpe"]
 

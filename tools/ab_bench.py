@@ -7,9 +7,10 @@ The committed files of ``--parent`` are exported (``git archive``) into a
 temporary directory, so the repository's own state is left untouched.  Then,
 for each pair, seed and workload, the benchmark command from
 ``BENCHMARK.json`` runs with ``--trace 0`` for the benchmark's
-``run_seconds`` once on the parent copy and once on the working tree,
-alternating which side goes first.  Every run prints one line as it
-finishes.  At the end, for each workload and end-to-end metric, the table
+``run_seconds`` once on the parent copy and once on the working tree.  The
+parent goes first in even pairs and the change in odd ones, so each
+workload and seed runs each side first in half of its pairs.  Every run
+prints one line as it finishes.  At the end, for each workload and end-to-end metric, the table
 gives each side's median and quartiles, the share of pairs the change won
 (ties count for neither), whether the metric regressed, and whether a gain
 may be claimed.  The regression verdict uses the metric's ``bound`` from
@@ -33,12 +34,16 @@ switches of the run's process and the children it waited for
 (``getrusage(RUSAGE_CHILDREN)``), and the steal ticks of ``/proc/stat``'s
 ``cpu`` line (None where that file cannot be read).  A run that was switched
 out or had its CPU stolen shows there; each run's line prints them, and the
-table gives each side's medians.  A run during which the host counted steal
-ticks is marked ``disturbed`` on its line and in its host record, and the
-table gives each side's count of such runs per workload.  With ``--json
-PATH`` the same table, each run's values and host record, the failed
-operations and runs, the command, the parent commit and the benchmark's
-environment line are also written to ``PATH``.
+table gives each side's medians.  A run whose steal ticks exceed
+``DISTURBED_STEAL_SHARE`` (1%) of the CPU ticks of its children
+(``cpu_s`` times ``SC_CLK_TCK``) is marked ``disturbed`` on its line and in
+its host record, and the table gives each side's count of such runs per
+workload.  A shared host steals a few ticks in almost every 30 s run
+(medians of 4 to 15.5 in a committed 20-pair table), and the runs it really
+slowed lost over 1,200.  With ``--json PATH`` the same table, each run's
+values and host record, the failed operations and runs, the command, the
+parent commit and the benchmark's environment line are also written to
+``PATH``.
 
 Nothing under ``perfbench/`` or in ``BENCHMARK.json`` is written, except the
 result files the benchmark itself leaves in ``perfbench/out/``.
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -61,6 +67,8 @@ CLAIM_WIN_SHARE = 0.9
 CLAIM_MIN_PAIRS = 10
 STDERR_TAIL_LINES = 5
 HOST_FIELDS = ("cpu_s", "nivcsw", "steal_ticks")
+# a run is disturbed when its steal ticks exceed this share of its CPU ticks
+DISTURBED_STEAL_SHARE = 0.01
 
 
 class RunFailed(Exception):
@@ -124,8 +132,12 @@ def host_since(usage: resource.struct_rusage, steal: int | None) -> dict:
 
 
 def disturbed(host: dict | None) -> bool:
-    """Whether the host took CPU from a run: its record counts steal ticks."""
-    return bool(host) and (host.get("steal_ticks") or 0) > 0
+    """Whether the host took CPU from a run: its record counts more steal
+    ticks than ``DISTURBED_STEAL_SHARE`` of the CPU ticks its children
+    burnt.  A record without steal ticks is quiet."""
+    if not host or host.get("steal_ticks") is None:
+        return False
+    return host["steal_ticks"] > DISTURBED_STEAL_SHARE * host["cpu_s"] * os.sysconf("SC_CLK_TCK")
 
 
 def run_once(command: list[str], tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -300,12 +312,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab_parent_") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         export_tree(parent_commit, trees["parent"])
-        turn = 0
         for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for seed in args.seeds:
                 for workload in args.workloads:
-                    order = SIDES if turn % 2 == 0 else SIDES[::-1]
-                    turn += 1
                     for side in order:
                         try:
                             result = run_once(bench["command"], trees[side], workload, seed,
@@ -367,7 +377,7 @@ def main(argv=None) -> int:
             host[side]["disturbed"] = sum(disturbed(h) for h in host[side]["runs"])
         print("  host medians: " + "; ".join(f"{side} {format_host(host[side]['medians'])}"
                                              for side in SIDES))
-        print("  disturbed runs (steal_ticks > 0): " + ", ".join(
+        print(f"  disturbed runs (steal_ticks > {DISTURBED_STEAL_SHARE:.0%} of cpu ticks): " + ", ".join(
             f"{side} {host[side]['disturbed']}/{len(runs[(workload, side)])}" for side in SIDES))
         table[workload] = {"failed": failed, "failed_runs": lost, "metrics": rows, "outputs": outputs,
                            "host": host}
@@ -389,8 +399,8 @@ def main(argv=None) -> int:
             "host_rule": "per run: cpu_s and nivcsw of the children waited for during it "
                          "(getrusage RUSAGE_CHILDREN), steal_ticks from /proc/stat's cpu line "
                          "(None where unreadable); runs is null for a failed run; a run is "
-                         "disturbed when its steal_ticks are above zero, and disturbed counts "
-                         "a side's disturbed runs",
+                         f"disturbed when its steal_ticks exceed {DISTURBED_STEAL_SHARE:.0%} of "
+                         "cpu_s x SC_CLK_TCK, and disturbed counts a side's disturbed runs",
             "environment": env,
             "workloads": table,
         }, indent=2) + "\n")

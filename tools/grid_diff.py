@@ -11,7 +11,8 @@ file from the repository root, so only the code differs.
 
 The bar is met when both reports hold the same cells, each cell has the same
 ``status``, ``window_order_digest``, ``best_epoch`` and ``epochs_run``, and
-its ``mse`` and ``mae`` agree within a relative 1e-10.  A flipped
+its ``mse`` and ``mae``, and the ``train_mse`` and ``val_mse`` of each epoch
+of its ``history``, agree within a relative 1e-10.  A flipped
 early-stopping decision is a result change, not rounding.  Moving every
 parameter of an initial model by one unit in the last place moved the test
 MSE of two ``synthetic_ab`` cells by a relative 3.7e-15 and 8.1e-15, so the
@@ -35,6 +36,7 @@ from ab_bench import ROOT, export_tree, relative_difference, resolve_commit
 RTOL = 1e-10
 EXACT_FIELDS = ("status", "window_order_digest", "best_epoch", "epochs_run")
 METRIC_FIELDS = ("mse", "mae")
+HISTORY_FIELDS = ("train_mse", "val_mse")
 
 
 def cells_of(report: dict) -> dict[tuple, dict]:
@@ -43,8 +45,9 @@ def cells_of(report: dict) -> dict[tuple, dict]:
 
 
 def compare_reports(parent: dict, change: dict) -> tuple[dict[tuple, float], list[str]]:
-    """Each common cell's largest relative difference in ``mse`` and ``mae``,
-    and one problem line for each cell or field that breaks the bar."""
+    """Each common cell's largest relative difference in ``mse``, ``mae`` and
+    its history's losses, and one problem line for each cell, epoch or field
+    that breaks the bar."""
     old, new = cells_of(parent), cells_of(change)
     problems = [f"cell {key} only in the {side} report"
                 for side, mine, other in (("parent", old, new), ("change", new, old))
@@ -54,11 +57,16 @@ def compare_reports(parent: dict, change: dict) -> tuple[dict[tuple, float], lis
         p, c = old[key], new[key]
         problems += [f"cell {key}: {name} {p.get(name)!r} -> {c.get(name)!r}"
                      for name in EXACT_FIELDS if p.get(name) != c.get(name)]
-        for name in METRIC_FIELDS:
-            diff = relative_difference({name: p.get(name)}, {name: c.get(name)})
+        # a history of another length shows as ``epochs_run`` above
+        values = [("", name, p, c) for name in METRIC_FIELDS]
+        values += [(f"epoch {pe['epoch']} ", name, pe, ce)
+                   for pe, ce in zip(p.get("history", []), c.get("history", []))
+                   for name in HISTORY_FIELDS]
+        for where, name, pv, cv in values:
+            diff = relative_difference({name: pv.get(name)}, {name: cv.get(name)})
             diffs[key] = max(diffs.get(key, 0.0), diff)
             if not diff <= RTOL:  # a NaN breaks the bar too
-                problems.append(f"cell {key}: {name} {p.get(name)!r} -> {c.get(name)!r} "
+                problems.append(f"cell {key}: {where}{name} {pv.get(name)!r} -> {cv.get(name)!r} "
                                 f"(relative {diff:.3g} > {RTOL:g})")
     return dict(sorted(diffs.items())), problems
 
