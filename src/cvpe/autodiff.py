@@ -74,6 +74,30 @@ reciprocal instead of divided, which moves last bits: forecasts of the wide
 evaluation moved by at most 3.2e-16 of the largest, well inside the
 README's relative 1e-10.
 
+Without a tape, attention runs in blocks. The backward needs the whole
+probabilities, but an untaped call needs each score only until the
+weighted sum, so it runs the forward kernel ``_attend`` over consecutive
+blocks of the output's first axis, each with a score buffer of about
+``_ATTENTION_BLOCK`` bytes (1 MiB), and each block writes its slice of one
+output array, as ``mlp`` does with its hidden activation. Against 2-D shared
+keys a block is a multiple of 8 query rows; otherwise it is a slice of the
+first broadcast axis, and an operand that broadcasts on that axis (the
+collect hop's ``(P, c, d)`` router table) enters every block whole. The
+taped call runs the same kernel once over the whole input. The blocks are
+as many as the budget needs and of even size: a shared-key block of up to
+about 190 rows against 32 prototypes runs its score GEMM in another OpenBLAS
+kernel than the whole product and rounds differently, so a short last block
+of such rows would move last bits. With even blocks the forecasts of the
+benchmark's wide evaluation and of ETT-like shapes (7 channels, contexts 96
+to 512, batches of 1 to 80 windows, whole or split over two threads) keep
+their bits. At ``configs/etth1_smoke.json``'s model with a 512-step context
+and 64 windows (62 patches), the backbone's whole score buffer is 55 MB and
+the reprogramming layer's 28 MB; the blocks took the ``tracemalloc`` peak
+of a no-grad forecast from 92.5 to 37.5 MB, and at context 256 from 31.0 to
+18.2 MB. At the wide evaluation no batched score buffer reaches 1 MiB and
+only the prototype attention runs in blocks, three of about 1,700 rows per
+half batch.
+
 Every dense layer is a BLAS GEMM over a 2-D ``(rows, features)`` matrix.
 ``affine`` and ``matmul`` flatten every leading axis of the input into rows
 once (which copies a non-contiguous view, such as the router block's swapped
@@ -90,7 +114,10 @@ is an ``einsum`` row dot, the gain and bias gradients are GEMVs, and the input
 gradient is centred by a GEMM whose matrix has the gain folded into its
 rows. On the same machine at (32, 8, 5, 16) that took the forward from 271
 to 147 us and the backward from 307 to 170 us; outputs and gradients agree
-with the reductions to about 1e-14.
+with the reductions to about 1e-14. Without a tape no backward reads the
+normalised rows, so the gain and bias are applied in place over them; that
+took the no-grad cvpe forecast's ``tracemalloc`` peak at an ETT-like
+context of 512 (above) from 27.4 to 25.0 MB.
 
 A wide GEMM runs in blocks of rows. OpenBLAS 0.3.31 on x86-64 hands a GEMM
 whose M*N*K is at most 1e6 (``_SMALL_GEMM``) to its small-matrix kernel,
@@ -209,6 +236,7 @@ import contextlib
 import contextvars
 import ctypes
 import functools
+import math
 import sys
 from typing import Sequence
 
@@ -436,8 +464,14 @@ def _hand_over(t: Tensor, g: np.ndarray) -> None:
         _accumulate(t, g)
 
 
+def _taped(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a tape node: outside ``no_grad``,
+    with an input that needs a gradient."""
+    return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    tracked = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+    tracked = _taped(parents)
     out = Tensor(data, requires_grad=tracked)
     if tracked:
         out._parents = tuple(parents)
@@ -753,7 +787,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     rows = x.data.reshape(-1, k)
     m = len(rows)
     step = min(max(1, _GELU_BLOCK // hidden), _block_rows(k, hidden), _block_rows(hidden, n))
-    taped = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+    taped = _taped(parents)
     if taped:
         pre, den, act = np.empty((m, hidden)), np.empty((m, hidden)), np.empty((m, hidden))
     else:
@@ -811,7 +845,13 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     var += eps
     rstd = 1.0 / np.sqrt(var)
     xhat *= rstd[:, None]
-    out_data = xhat * gain.data
+    parents = (x, gain, bias)
+    if _taped(parents):
+        out_data = xhat * gain.data
+    else:
+        # no backward reads xhat, so the output overwrites it
+        out_data = xhat
+        out_data *= gain.data
     out_data += bias.data
 
     def backward(g):
@@ -836,7 +876,7 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
             gx -= xhat * dot[:, None]
             _hand_over(x, gx.reshape(x.shape))
 
-    return _make(out_data.reshape(x.shape), (x, gain, bias), backward)
+    return _make(out_data.reshape(x.shape), parents, backward)
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -859,6 +899,56 @@ def _transposed(a: np.ndarray, shared: bool) -> np.ndarray:
     return at if shared else np.ascontiguousarray(at)
 
 
+# bytes of one block's score buffer in untaped ``attention``: about 1 MiB,
+# which bounds the no-grad forward's working memory (see the module docstring)
+_ATTENTION_BLOCK = 1 << 20
+
+
+def _attend(q, k, v, heads: int, scale: float, scale_q: bool, shared: bool, out: np.ndarray):
+    """The attention forward over one block: ``scale`` multiplies ``q`` when
+    ``scale_q``, else ``k``; the scores, their max-shifted softmax over the
+    keys and the weighted sum of values, written into the head-split ``out``
+    (..., heads, n_q, hd).  Returns the (n_k, ..., heads, n_q) probabilities,
+    their (..., heads, n_q, n_k) view and the head-split operands the
+    backward reads."""
+    if scale_q:
+        q = q * scale
+    else:
+        k = k * scale
+    qh, kh, vh = (_split_heads(a, heads) for a in (q, k, v))
+    # the score buffer: the softmax reduces over its outer axis, and the
+    # products read and write it through this view
+    probs = np.empty((k.shape[-2], *out.shape[:-1]))
+    rows = np.moveaxis(probs, 0, -1)
+    np.matmul(qh, _transposed(kh, shared), out=rows)
+    probs -= probs.max(axis=0)
+    np.exp(probs, out=probs)
+    probs *= 1.0 / probs.sum(axis=0)
+    np.matmul(rows, vh, out=out)
+    return probs, rows, qh, kh, vh
+
+
+def _attend_in_blocks(q, k, v, heads: int, scale: float, scale_q: bool, shared: bool, out: np.ndarray):
+    """``_attend`` over consecutive blocks of ``out``'s first axis, each
+    within about ``_ATTENTION_BLOCK`` bytes of scores: query rows against
+    shared keys, a multiple of 8 rows each, else slices of the first
+    broadcast axis, which an operand that broadcasts on it enters whole.
+    The blocks are as many as the budget needs and of even size, so that no
+    shared-key block is a short GEMM that OpenBLAS runs in another kernel
+    (see the module docstring)."""
+    n = len(out)
+    # score bytes per index of the first axis; an empty axis is one block
+    unit = k.shape[-2] * heads * math.prod(out.shape[1:-1]) * 8
+    count = max(1, -(-n // max(1, _ATTENTION_BLOCK // max(1, unit))))
+    step = max(1, -(-n // count))
+    if shared:
+        step = -(-step // 8) * 8
+    cut = (True, False, False) if shared else [a.ndim == out.ndim and len(a) > 1 for a in (q, k, v)]
+    for lo, hi in _blocks(n, step):
+        qb, kb, vb = (a[lo:hi] if c else a for a, c in zip((q, k, v), cut))
+        _attend(qb, kb, vb, heads, scale, scale_q, shared, _split_heads(out[lo:hi], heads))
+
+
 def attention(q, k, v, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over the last two axes.
 
@@ -867,7 +957,9 @@ def attention(q, k, v, heads: int) -> Tensor:
     output is (..., n_q, d) with the heads merged back; no projections.
     Scores are stored with the key axis first, batched keys and values are
     read through contiguous transposed copies, and 2-D keys and values see
-    every query row at once (see the module docstring).
+    every query row at once.  Without a tape the forward runs in blocks whose
+    score buffer stays within ``_ATTENTION_BLOCK`` bytes (see the module
+    docstring).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if min(q.ndim, k.ndim, v.ndim) < 2:
@@ -889,22 +981,14 @@ def attention(q, k, v, heads: int) -> Tensor:
     # takes it in the backward
     scale = 1.0 / np.sqrt(d // heads)
     scale_q = qd.size <= k.data.size
-    kd = k.data
-    if scale_q:
-        qd = qd * scale
-    else:
-        kd = kd * scale
-    qh, kh, vh = (_split_heads(a, heads) for a in (qd, kd, v.data))
-    # the (n_k, *lead, heads, n_q) score buffer: the softmax reduces over its
-    # outer axis, and the products read and write it through this view
-    probs = np.empty((n_k, *lead, heads, n_q))
-    rows = np.moveaxis(probs, 0, -1)
-    np.matmul(qh, _transposed(kh, shared), out=rows)
-    probs -= probs.max(axis=0)
-    np.exp(probs, out=probs)
-    probs *= 1.0 / probs.sum(axis=0)
     out_data = np.empty((*lead, n_q, d))
-    np.matmul(rows, vh, out=_split_heads(out_data, heads))
+    parents = (q, k, v)
+    if not _taped(parents):
+        _attend_in_blocks(qd, k.data, v.data, heads, scale, scale_q, shared, out_data)
+        return Tensor(out_data.reshape(out_shape))
+    probs, rows, qh, kh, vh = _attend(
+        qd, k.data, v.data, heads, scale, scale_q, shared, _split_heads(out_data, heads)
+    )
 
     def backward(g):
         gh = _split_heads(g.reshape(*lead, n_q, d), heads)
@@ -935,7 +1019,7 @@ def attention(q, k, v, heads: int) -> Tensor:
                 gk *= scale
             _hand_over(k, gk)
 
-    return _make(out_data.reshape(out_shape), (q, k, v), backward)
+    return _make(out_data.reshape(out_shape), parents, backward)
 
 
 def check_finite(t: Tensor | np.ndarray, stage: str) -> None:

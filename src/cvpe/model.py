@@ -168,17 +168,20 @@ class BackboneLayer:
         )
 
 
+def _project_qkv(layer: BackboneLayer, h) -> tuple[Tensor, Tensor, Tensor]:
+    """The query, key and value projections of ``h``, which this frame alone
+    holds."""
+    return layer.q.apply(h), layer.k.apply(h), layer.v.apply(h)
+
+
 def backbone_forward(x, layers: list[BackboneLayer], cfg: BackboneConfig) -> Tensor:
     """Pre-norm transformer encoder over the patch axis, per channel."""
     attn_cfg = AttentionConfig(cfg.heads)
     for layer in layers:
-        h = layer.ln1.apply(x)
-        attended = multi_head_attention(
-            layer.q.apply(h), layer.k.apply(h), layer.v.apply(h), attn_cfg, layer.out
-        )
-        x = add(x, attended)
-        h = layer.ln2.apply(x)
-        x = add(x, layer.mlp.apply(h))
+        # no name holds a normalised input or the attention's output, so
+        # without a tape each is freed once the node after it returns
+        x = add(x, multi_head_attention(*_project_qkv(layer, layer.ln1.apply(x)), attn_cfg, layer.out))
+        x = add(x, layer.mlp.apply(layer.ln2.apply(x)))
     return x
 
 
@@ -341,31 +344,32 @@ def forecast_batch(
     original scale of the inputs.  The batch is read in C order, so a strided
     view (a slice of ``make_windows``'s windows) is copied once, and no
     forecast's bits depend on the strides of its input.
+
+    One name ``x`` carries each stage's output into the next, so without a
+    tape a stage's input (the C-ordered copy, the normalised windows, the
+    embeddings, the block's output) is freed once the next stage returns;
+    with one, the tape holds what the backward needs.
     """
-    windows = np.ascontiguousarray(windows, dtype=np.float64)
-    if windows.ndim != 3:
-        raise ValueError(f"expected (batch, channels, context) windows, got {windows.shape}")
-    if windows.shape[-1] != params.context:
-        raise ValueError(
-            f"model built for context {params.context}, got windows of {windows.shape[-1]}"
-        )
-    normalized, state = revin_normalize(windows)
-    patches = patch(normalized, params.patch_cfg)
-    emb = project_patches(patches, params.patch_proj.w, params.patch_proj.b)
-    check_finite(emb, "patch projection")
+    x = np.ascontiguousarray(windows, dtype=np.float64)
+    if x.ndim != 3:
+        raise ValueError(f"expected (batch, channels, context) windows, got {x.shape}")
+    if x.shape[-1] != params.context:
+        raise ValueError(f"model built for context {params.context}, got windows of {x.shape[-1]}")
+    b, n = x.shape[0], x.shape[1]
+    x, state = revin_normalize(x)
+    x = project_patches(patch(x, params.patch_cfg), params.patch_proj.w, params.patch_proj.b)
+    check_finite(x, "patch projection")
     if params.cvpe is not None:
-        emb = cvpe_forward(emb, params.cvpe, params.attn_cfg, counter)
-    rep = reprogram(emb, params.reprogram, params.attn_cfg, counter)
-    check_finite(rep, "reprogramming")
-    encoded = backbone_forward(rep, params.backbone, params.backbone_cfg)
-    check_finite(encoded, "backbone")
-    b, n = windows.shape[0], windows.shape[1]
-    flat = reshape(encoded, (b, n, params.n_positions * params.backbone_cfg.width))
-    pred = params.head.apply(flat)
-    check_finite(pred, "forecast head")
-    out = revin_denormalize(pred, state)
-    check_finite(out, "denormalisation")
-    return out
+        x = cvpe_forward(x, params.cvpe, params.attn_cfg, counter)
+    x = reprogram(x, params.reprogram, params.attn_cfg, counter)
+    check_finite(x, "reprogramming")
+    x = backbone_forward(x, params.backbone, params.backbone_cfg)
+    check_finite(x, "backbone")
+    x = params.head.apply(reshape(x, (b, n, params.n_positions * params.backbone_cfg.width)))
+    check_finite(x, "forecast head")
+    x = revin_denormalize(x, state)
+    check_finite(x, "denormalisation")
+    return x
 
 
 def save_checkpoint(path: str | Path, params: ModelParams):

@@ -259,9 +259,17 @@ class TrainResult:
 
 
 def plan_schedule(n_windows: int, epochs: int, seed: int) -> np.ndarray:
-    """Shuffled window indices for every epoch, drawn up front: (epochs, W)."""
+    """Shuffled window indices for every epoch, drawn up front: (epochs, W).
+
+    Each row is shuffled in place in one preallocated array, so the schedule
+    is never held twice; the draws are those of ``rng.permutation(W)`` per
+    epoch, which shuffles an ``arange`` the same way."""
     rng = rng_from(seed, _SHUFFLE_STREAM)
-    return np.stack([rng.permutation(n_windows) for _ in range(epochs)])
+    schedule = np.empty((epochs, n_windows), dtype=np.int64)
+    schedule[:] = np.arange(n_windows)
+    for row in schedule:
+        rng.shuffle(row)
+    return schedule
 
 
 def schedule_digest(schedule: np.ndarray) -> str:

@@ -1,6 +1,7 @@
 """Reverse-mode engine checks: values against numpy, gradients against
 central finite differences, and the bookkeeping around both."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -651,6 +652,96 @@ def test_attention_bits_do_not_depend_on_operand_strides(layout):
         runs.append([out.data, q.grad, k.grad, v.grad])
     for strided, contiguous in zip(*runs):
         np.testing.assert_array_equal(strided, contiguous)
+
+
+def _score_bytes(q, k, heads):
+    """Bytes of ``attention``'s whole score buffer for these operands."""
+    if k.ndim == 2:
+        return k.shape[0] * heads * (q.size // q.shape[-1]) * 8
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+    return k.shape[-2] * heads * q.shape[-2] * math.prod(lead) * 8
+
+
+def _untaped_in_blocks(monkeypatch, budget, q, k, v, heads):
+    """Untaped ``attention`` with a score budget of ``budget`` bytes: its
+    output and the length of each block it ran."""
+    monkeypatch.setattr(autodiff, "_ATTENTION_BLOCK", budget)
+    lengths = []
+    kernel = autodiff._attend
+
+    def spy(qb, kb, vb, heads, scale, scale_q, shared, out):
+        # out is the head-split block: (heads, rows, hd) against shared
+        # keys, else (block, ..., heads, n_q, hd)
+        lengths.append(out.shape[1] if shared else out.shape[0])
+        return kernel(qb, kb, vb, heads, scale, scale_q, shared, out)
+
+    monkeypatch.setattr(autodiff, "_attend", spy)
+    return attention(q, k, v, heads).data, lengths
+
+
+@pytest.mark.parametrize(
+    "layout", ["router-collect", "router-dispatch", "backbone-same-lead", "prototype-bank"]
+)
+def test_untaped_attention_in_blocks_gives_the_bits_of_the_taped_whole_call(layout, monkeypatch):
+    # the collect hop's (P, c, d) table enters every block whole; the
+    # budget leaves a last block shorter than the others
+    q, k, v, heads = _call_site_views(layout)
+    taped = attention(Tensor(q, requires_grad=True), k, v, heads).data
+    whole = _score_bytes(q, k, heads)
+    budget = whole // 4 if k.ndim == 2 else whole * 2 // 3
+    untaped, lengths = _untaped_in_blocks(monkeypatch, budget, q, k, v, heads)
+    assert len(lengths) > 1 and lengths[-1] < lengths[0], lengths
+    assert sum(lengths) == (q.size // q.shape[-1] if k.ndim == 2 else len(taped))
+    np.testing.assert_array_equal(untaped, taped)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["batched-keys", "shared-keys"])
+def test_untaped_attention_blocks_shift_scores_near_800(shared, monkeypatch):
+    # as in the whole call, each block's softmax subtracts its rows' maxima
+    # before the exponential, which would overflow on the raw scores
+    rng = np.random.default_rng(25)
+    heads, d = 2, 4
+    sign = np.array([[1.0], [-1.0], [1.0]])  # per query row
+    q = sign * 24.0 + rng.normal(0.0, 0.02, size=(5, 3, d))
+    k = 24.0 + rng.normal(0.0, 0.02, size=(5, d) if shared else (5, 5, d))
+    v = rng.normal(size=k.shape)
+    taped = attention(Tensor(q, requires_grad=True), k, v, heads).data
+    # 8 of the 15 query rows against shared keys, 2 of the 5 batch entries
+    budget = _score_bytes(q, k, heads) * 8 // 15 if shared else _score_bytes(q, k, heads) * 2 // 5
+    untaped, lengths = _untaped_in_blocks(monkeypatch, budget, q, k, v, heads)
+    assert lengths == ([8, 7] if shared else [2, 2, 1])
+    assert np.isfinite(untaped).all()
+    np.testing.assert_array_equal(untaped, taped)
+    np.testing.assert_allclose(untaped, _attention_oracle(q, k, v, heads), rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "q_shape,kv_shape", [((0, 4), (3, 4)), ((2, 0, 4), (2, 3, 4)), ((0, 5, 4), (0, 3, 4))],
+    ids=["no-query-rows", "no-queries", "empty-batch"],
+)
+def test_untaped_attention_of_empty_operands_gives_an_empty_output(q_shape, kv_shape):
+    # an empty batch runs no block rather than dividing by zero blocks
+    q, kv = np.zeros(q_shape), np.ones(kv_shape)
+    out = attention(q, kv, kv, 2)
+    assert out.shape == q_shape
+    assert out.shape == attention(Tensor(q, requires_grad=True), kv, kv, 2).shape
+
+
+def test_untaped_attention_at_backbone_shapes_allocates_less_than_one_score_buffer():
+    # the backbone's self-attention at an ETT-like context of 256: 64 windows
+    # x 7 channels x 30 patches of width 16; one whole score buffer is 12.9 MB
+    rng = np.random.default_rng(34)
+    q, k, v = (rng.normal(size=(64, 7, 30, 16)) for _ in range(3))
+    whole = _score_bytes(q, k, 4)
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = attention(q, k, v, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == q.shape
+    assert peak < whole, f"peak {peak / 1e6:.2f} MB, one score buffer {whole / 1e6:.2f} MB"
 
 
 def _mlp_chain(x, w1, b1, w2, b2):

@@ -1,11 +1,14 @@
 """Full forecaster: reprogramming, backbone, variants, checkpoints."""
 
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import identity_block
 
+from cvpe.autodiff import no_grad
 from cvpe.config import load_config
 from cvpe.embedding import AttentionConfig, ScoreCounter
 from cvpe.layers import rng_from
@@ -257,6 +260,24 @@ class TestForecaster:
     def test_vanilla_has_no_block_parameters(self):
         names = [p.name for p in tiny_model("vanilla").parameters()]
         assert not any(n.startswith("cvpe.") for n in names)
+
+    def test_untaped_forecast_at_an_ett_like_context_of_512_peaks_under_40_mb(self):
+        # configs/etth1_smoke.json's model at the 512-step context of
+        # Time-LLM's ETT runs: 64 windows x 7 channels x 62 patches.  Whole
+        # score buffers (the backbone's alone 55 MB) and every stage's input
+        # held to the end peaked at 94 MB
+        config = load_config(Path(__file__).resolve().parent.parent / "configs" / "etth1_smoke.json")
+        params = build_model(replace(config, context=512), "cvpe", 96, 0)
+        windows = np.random.default_rng(14).normal(size=(64, 7, 512)).cumsum(axis=-1)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = forecast_batch(windows, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (64, 7, 96)
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestCheckpoints:
