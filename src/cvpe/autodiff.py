@@ -80,17 +80,21 @@ weighted sum, so it runs the forward kernel ``_attend`` over consecutive
 blocks of the output's first axis, each with a score buffer of about
 ``_ATTENTION_BLOCK`` bytes (1 MiB), and each block writes its slice of one
 output array, as ``mlp`` does with its hidden activation. Against 2-D shared
-keys a block is a multiple of 8 query rows; otherwise it is a slice of the
-first broadcast axis, and an operand that broadcasts on that axis (the
-collect hop's ``(P, c, d)`` router table) enters every block whole. The
-taped call runs the same kernel once over the whole input. The blocks are
-as many as the budget needs and of even size: a shared-key block of up to
-about 190 rows against 32 prototypes runs its score GEMM in another OpenBLAS
-kernel than the whole product and rounds differently, so a short last block
-of such rows would move last bits. With even blocks the forecasts of the
-benchmark's wide evaluation and of ETT-like shapes (7 channels, contexts 96
-to 512, batches of 1 to 80 windows, whole or split over two threads) keep
-their bits. At ``configs/etth1_smoke.json``'s model with a 512-step context
+keys a block is a run of query rows; otherwise it is a slice of the first
+broadcast axis, and an operand that broadcasts on that axis (the collect
+hop's ``(P, c, d)`` router table) enters every block whole. The taped call
+runs the same kernel once over the whole input. The blocks are as many as
+the budget needs and split the axis evenly: against shared keys each starts
+on a tile of 8 query rows and no two differ by more than 8 rows. A
+shared-key block of up to about 190 rows against 32 prototypes runs its
+score GEMM in another OpenBLAS kernel than the whole product and rounds
+differently, so a short last block of such rows would move last bits. An
+even split gives no block much under half the budget's rows, which are
+1,024 at 32 prototypes and 4 heads; only a bank of several hundred
+prototypes would make the budget itself that short. With even blocks the
+forecasts of the benchmark's wide evaluation and of ETT-like shapes (7
+channels, contexts 96 to 512, batches of 1 to 80 windows, whole or split
+over two threads) keep their bits. At ``configs/etth1_smoke.json``'s model with a 512-step context
 and 64 windows (62 patches), the backbone's whole score buffer is 55 MB and
 the reprogramming layer's 28 MB; the blocks took the ``tracemalloc`` peak
 of a no-grad forecast from 92.5 to 37.5 MB, and at context 256 from 31.0 to
@@ -931,20 +935,21 @@ def _attend(q, k, v, heads: int, scale: float, scale_q: bool, shared: bool, out:
 def _attend_in_blocks(q, k, v, heads: int, scale: float, scale_q: bool, shared: bool, out: np.ndarray):
     """``_attend`` over consecutive blocks of ``out``'s first axis, each
     within about ``_ATTENTION_BLOCK`` bytes of scores: query rows against
-    shared keys, a multiple of 8 rows each, else slices of the first
-    broadcast axis, which an operand that broadcasts on it enters whole.
-    The blocks are as many as the budget needs and of even size, so that no
-    shared-key block is a short GEMM that OpenBLAS runs in another kernel
-    (see the module docstring)."""
+    shared keys, else slices of the first broadcast axis, which an operand
+    that broadcasts on it enters whole.  The blocks are as many as the
+    budget needs and split the axis evenly in tiles of 8 query rows against
+    shared keys (else of 1 index): every block starts on a tile, and no two
+    differ by more than 8 rows, so no shared-key block is a short GEMM that
+    OpenBLAS runs in another kernel (see the module docstring)."""
     n = len(out)
-    # score bytes per index of the first axis; an empty axis is one block
+    tile = 8 if shared else 1
+    tiles = -(-n // tile)
+    # score bytes per index of the first axis; an empty axis runs no block
     unit = k.shape[-2] * heads * math.prod(out.shape[1:-1]) * 8
-    count = max(1, -(-n // max(1, _ATTENTION_BLOCK // max(1, unit))))
-    step = max(1, -(-n // count))
-    if shared:
-        step = -(-step // 8) * 8
+    count = min(tiles, -(-n // max(1, _ATTENTION_BLOCK // max(1, unit))))
+    bounds = [tile * (i * tiles // count) for i in range(count)] + [n]
     cut = (True, False, False) if shared else [a.ndim == out.ndim and len(a) > 1 for a in (q, k, v)]
-    for lo, hi in _blocks(n, step):
+    for lo, hi in zip(bounds, bounds[1:]):
         qb, kb, vb = (a[lo:hi] if c else a for a, c in zip((q, k, v), cut))
         _attend(qb, kb, vb, heads, scale, scale_q, shared, _split_heads(out[lo:hi], heads))
 

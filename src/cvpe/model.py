@@ -168,19 +168,17 @@ class BackboneLayer:
         )
 
 
-def _project_qkv(layer: BackboneLayer, h) -> tuple[Tensor, Tensor, Tensor]:
-    """The query, key and value projections of ``h``, which this frame alone
-    holds."""
-    return layer.q.apply(h), layer.k.apply(h), layer.v.apply(h)
-
-
 def backbone_forward(x, layers: list[BackboneLayer], cfg: BackboneConfig) -> Tensor:
     """Pre-norm transformer encoder over the patch axis, per channel."""
     attn_cfg = AttentionConfig(cfg.heads)
     for layer in layers:
-        # no name holds a normalised input or the attention's output, so
-        # without a tape each is freed once the node after it returns
-        x = add(x, multi_head_attention(*_project_qkv(layer, layer.ln1.apply(x)), attn_cfg, layer.out))
+        h = layer.ln1.apply(x)
+        q, k, v = layer.q.apply(h), layer.k.apply(h), layer.v.apply(h)
+        # without a tape, the normalised input is freed before the scores are
+        # allocated, and the projections before the feed-forward runs
+        del h
+        x = add(x, multi_head_attention(q, k, v, attn_cfg, layer.out))
+        del q, k, v
         x = add(x, layer.mlp.apply(layer.ln2.apply(x)))
     return x
 

@@ -259,17 +259,9 @@ class TrainResult:
 
 
 def plan_schedule(n_windows: int, epochs: int, seed: int) -> np.ndarray:
-    """Shuffled window indices for every epoch, drawn up front: (epochs, W).
-
-    Each row is shuffled in place in one preallocated array, so the schedule
-    is never held twice; the draws are those of ``rng.permutation(W)`` per
-    epoch, which shuffles an ``arange`` the same way."""
+    """Shuffled window indices for every epoch, drawn up front: (epochs, W)."""
     rng = rng_from(seed, _SHUFFLE_STREAM)
-    schedule = np.empty((epochs, n_windows), dtype=np.int64)
-    schedule[:] = np.arange(n_windows)
-    for row in schedule:
-        rng.shuffle(row)
-    return schedule
+    return np.stack([rng.permutation(n_windows) for _ in range(epochs)])
 
 
 def schedule_digest(schedule: np.ndarray) -> str:

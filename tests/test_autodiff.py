@@ -684,14 +684,27 @@ def _untaped_in_blocks(monkeypatch, budget, q, k, v, heads):
 )
 def test_untaped_attention_in_blocks_gives_the_bits_of_the_taped_whole_call(layout, monkeypatch):
     # the collect hop's (P, c, d) table enters every block whole; the
-    # budget leaves a last block shorter than the others
+    # budget splits the first axis into blocks of unequal length
     q, k, v, heads = _call_site_views(layout)
     taped = attention(Tensor(q, requires_grad=True), k, v, heads).data
     whole = _score_bytes(q, k, heads)
     budget = whole // 4 if k.ndim == 2 else whole * 2 // 3
     untaped, lengths = _untaped_in_blocks(monkeypatch, budget, q, k, v, heads)
-    assert len(lengths) > 1 and lengths[-1] < lengths[0], lengths
+    assert len(set(lengths)) > 1, lengths
     assert sum(lengths) == (q.size // q.shape[-1] if k.ndim == 2 else len(taped))
+    np.testing.assert_array_equal(untaped, taped)
+
+
+def test_untaped_shared_key_blocks_split_the_rows_evenly(monkeypatch):
+    # 201 query rows at a budget of 40: blocks of at most the budget, rounded
+    # up to 8 rows, would be five of 40 and a last of 1, a short GEMM; the
+    # even split in tiles of 8 rows gives six within 8 rows of each other
+    rng = np.random.default_rng(35)
+    q = rng.normal(size=(67, 3, 8))
+    k, v = rng.normal(size=(7, 8)), rng.normal(size=(7, 8))
+    taped = attention(Tensor(q, requires_grad=True), k, v, 4).data
+    untaped, lengths = _untaped_in_blocks(monkeypatch, 40 * 7 * 4 * 8, q, k, v, 4)
+    assert lengths == [32, 32, 40, 32, 32, 33]
     np.testing.assert_array_equal(untaped, taped)
 
 
@@ -709,7 +722,7 @@ def test_untaped_attention_blocks_shift_scores_near_800(shared, monkeypatch):
     # 8 of the 15 query rows against shared keys, 2 of the 5 batch entries
     budget = _score_bytes(q, k, heads) * 8 // 15 if shared else _score_bytes(q, k, heads) * 2 // 5
     untaped, lengths = _untaped_in_blocks(monkeypatch, budget, q, k, v, heads)
-    assert lengths == ([8, 7] if shared else [2, 2, 1])
+    assert lengths == ([8, 7] if shared else [1, 2, 2])
     assert np.isfinite(untaped).all()
     np.testing.assert_array_equal(untaped, taped)
     np.testing.assert_allclose(untaped, _attention_oracle(q, k, v, heads), rtol=1e-9, atol=1e-12)

@@ -35,15 +35,18 @@ def test_it_refuses_the_real_files_name(tmp_path, where, capsys):
     # may take its place
     target = tmp_path / where
     target.parent.mkdir(parents=True, exist_ok=True)
-    assert ett_like.main([str(target), "--rows", "10"]) == 1
+    assert ett_like.main([str(target)]) == 1
     assert "ETTh1.csv" in capsys.readouterr().err
     assert not target.exists()
 
 
 def test_experiment_runs_the_papers_context_on_a_cut_down_csv(tmp_path, capsys):
-    # configs/etth1_smoke.json's model, context 256 and horizon 96 on 1,400
-    # hourly rows, one epoch: load_csv and 30-patch windows end to end
-    csv = ett_like.write_csv(tmp_path / "ett_like.csv", rows=1_400)
+    # configs/etth1_smoke.json's model, context 256 and horizon 96 on the
+    # first 1,400 hourly rows, one epoch: load_csv and 30-patch windows end
+    # to end
+    lines = ett_like.write_csv(tmp_path / "ett_like.csv").read_text().splitlines(keepends=True)
+    csv = tmp_path / "cut.csv"
+    csv.write_text("".join(lines[:1_401]))
     raw = json.loads((ROOT / "configs" / "etth1_smoke.json").read_text())
     raw["dataset"]["path"] = str(csv)
     raw["split"] = {"boundaries": [600, 1000, 1400]}

@@ -12,11 +12,9 @@ import pytest
 from cvpe.autodiff import NumericError, as_tensor, no_grad, parameter, power, tsum
 from cvpe.config import load_config
 from cvpe.data import SyntheticSpec, generate_synthetic
-from cvpe.layers import rng_from
 from cvpe.model import BackboneConfig, ModelParams, forecast_batch
 from cvpe.preprocess import PatchConfig
 from cvpe.train import (
-    _SHUFFLE_STREAM,
     AdamState,
     TrainingDiverged,
     adam_step,
@@ -312,26 +310,6 @@ class TestSchedule:
         assert a == b
         assert a != c
 
-    def test_draws_and_digest_are_those_of_one_permutation_per_epoch(self):
-        # rows shuffled in place in one array give the draws, dtype and
-        # digest of the stacked per-epoch permutations the loop once used
-        rng = rng_from(5, _SHUFFLE_STREAM)
-        stacked = np.stack([rng.permutation(300) for _ in range(7)])
-        schedule = plan_schedule(300, 7, seed=5)
-        np.testing.assert_array_equal(schedule, stacked)
-        assert schedule.dtype == stacked.dtype
-        assert schedule_digest(schedule) == schedule_digest(stacked)
-
-    def test_schedule_is_never_held_twice(self):
-        # a list of rows stacked into a new array held the schedule twice
-        tracemalloc.start()
-        try:
-            schedule = plan_schedule(10_000, 50, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * schedule.nbytes, f"peak {peak / 1e6:.2f} MB for a {schedule.nbytes / 1e6:.2f} MB schedule"
-
 
 class TestTrainLoop:
     def test_loss_decreases_within_first_epochs(self):
@@ -437,10 +415,10 @@ class TestSplitForecaster:
     @pytest.mark.parametrize("variant", ["vanilla", "cvpe"])
     def test_even_prototype_blocks_give_the_whole_batch_bits(self, variant):
         # 37 windows of 5 channels x 10 patches are 1,850 rows of prototype
-        # attention, the parts 800 and 1,050.  Untaped attention runs them in
-        # blocks of even size: blocks of at most 1,024 rows left the second
-        # part a last block of 26 rows, whose score GEMM OpenBLAS runs in
-        # another kernel, and its forecasts moved in the last bit
+        # attention, the parts 800 and 1,050.  Untaped attention splits the
+        # rows evenly: blocks of at most 1,024 rows left the second part a
+        # last block of 26 rows, whose score GEMM OpenBLAS runs in another
+        # kernel, and its forecasts moved in the last bit
         params = ModelParams.build(
             variant, 96, 24, PatchConfig(16, 8), 16, 4, 32, 4, BackboneConfig(2, 16, 4, 32), 0
         )

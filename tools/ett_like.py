@@ -1,14 +1,15 @@
 """Write a deterministic, ETTh1-shaped CSV of synthetic data.
 
-    python3 tools/ett_like.py OUT.csv [--rows 17420] [--seed 0]
+    python3 tools/ett_like.py OUT.csv
 
 The file has the layout of the ETTh1 benchmark file: a ``date`` column of
 hourly timestamps from 2016-07-01 00:00:00, then the six load channels
 ``HUFL``, ``HULL``, ``MUFL``, ``MULL``, ``LUFL`` and ``LULL`` and the oil
-temperature ``OT`` last, with 3 decimals, 17,420 rows by default.  The values
-are synthetic: each load is a level plus daily and weekly cycles and an AR(1)
+temperature ``OT`` last, with 3 decimals, 17,420 rows.  The values are
+synthetic: each load is a level plus daily and weekly cycles and an AR(1)
 disturbance, and ``OT`` follows a smoothed, lagged mix of the loads plus a
-yearly cycle.  The same rows and seed always give the same bytes.
+yearly cycle.  The values come from seed 0, so the file is the same bytes
+every time.
 
 It lets ``configs/etth1_smoke.json``'s shapes (context 256, 7 channels, the
 ``ett_hourly`` split) be run and measured without the real data.  It refuses
@@ -33,9 +34,10 @@ AR_COEF = 0.95
 OT_LAG = 6  # hours by which the oil temperature follows the loads
 
 
-def generate(rows: int = ROWS, seed: int = 0) -> np.ndarray:
-    """The (rows, 7) values, loads first and ``OT`` last."""
-    rng = np.random.default_rng(seed)
+def generate() -> np.ndarray:
+    """The (ROWS, 7) values, loads first and ``OT`` last."""
+    rows = ROWS
+    rng = np.random.default_rng(0)
     n = len(LOADS)
     hours = np.arange(rows, dtype=np.float64)
     level = rng.uniform(-2.0, 12.0, n)
@@ -63,16 +65,14 @@ def generate(rows: int = ROWS, seed: int = 0) -> np.ndarray:
     return np.column_stack([loads, ot])
 
 
-def write_csv(path: str | Path, rows: int = ROWS, seed: int = 0) -> Path:
-    """Write ``rows`` hourly rows to ``path``; ``ValueError`` for a file
-    named ``ETTh1.csv`` or fewer than 1 row."""
+def write_csv(path: str | Path) -> Path:
+    """Write the file to ``path``; ``ValueError`` for a file named
+    ``ETTh1.csv``."""
     path = Path(path)
     if path.name == REFUSED_NAME:
         raise ValueError(f"refusing to write {path}: a synthetic file must not take the name of the real {REFUSED_NAME}")
-    if rows < 1:
-        raise ValueError(f"need at least 1 row, got {rows}")
-    values = generate(rows, seed)
-    stamps = START + np.arange(rows) * np.timedelta64(1, "h")
+    values = generate()
+    stamps = START + np.arange(ROWS) * np.timedelta64(1, "h")
     lines = [",".join(("date", *NAMES))]
     for stamp, row in zip(np.datetime_as_string(stamps, unit="s"), values):
         lines.append(stamp.replace("T", " ") + "," + ",".join(f"{v:.3f}" for v in row))
@@ -83,11 +83,9 @@ def write_csv(path: str | Path, rows: int = ROWS, seed: int = 0) -> Path:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="the CSV file to write")
-    parser.add_argument("--rows", type=int, default=ROWS, help=f"hourly rows (default {ROWS})")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     try:
-        write_csv(args.out, args.rows, args.seed)
+        write_csv(args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
