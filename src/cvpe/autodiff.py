@@ -20,7 +20,7 @@ instead of one per elementary step:
 
 * ``affine(x, w, b)``: ``x @ w + b``.
 * ``mlp(x, w1, b1, w2, b2)``: the feed-forward ``gelu(x @ w1 + b1) @ w2 +
-  b2``, run in cache-sized blocks of rows (below).
+  b2``, run in cache-sized row blocks (below).
 * ``layer_norm(x, gain, bias, eps)``: normalisation over the last axis; the
   node saves only the normalised input and ``1/sqrt(var + eps)``.
 * ``attention(q, k, v, heads)``: head split, scaled scores, max-shifted
@@ -74,30 +74,19 @@ reciprocal instead of divided, which moves last bits: forecasts of the wide
 evaluation moved by at most 3.2e-16 of the largest, well inside the
 README's relative 1e-10.
 
-Without a tape, attention runs in blocks. The backward needs the whole
-probabilities, but an untaped call needs each score only until the
-weighted sum, so it runs the forward kernel ``_attend`` over consecutive
-blocks of the output's first axis, each with a score buffer of about
-``_ATTENTION_BLOCK`` bytes (1 MiB), and each block writes its slice of one
-output array, as ``mlp`` does with its hidden activation. Against 2-D shared
-keys a block is a run of query rows; otherwise it is a slice of the first
+Without a tape, attention runs in row blocks (below). The backward needs
+the whole probabilities, but an untaped call needs each score only until
+the weighted sum, so it runs the forward kernel ``_attend`` over blocks of
+the output's first axis, and each block writes its slice of one output
+array, as ``mlp`` does with its hidden activation. Against 2-D shared keys
+a block is a run of query rows; otherwise it is a slice of the first
 broadcast axis, and an operand that broadcasts on that axis (the collect
 hop's ``(P, c, d)`` router table) enters every block whole. The taped call
-runs the same kernel once over the whole input. The blocks are as many as
-the budget needs and split the axis evenly: against shared keys each starts
-on a tile of 8 query rows and no two differ by more than 8 rows. A
-shared-key block of up to about 190 rows against 32 prototypes runs its
-score GEMM in another OpenBLAS kernel than the whole product and rounds
-differently, so a short last block of such rows would move last bits. An
-even split gives no block much under half the budget's rows, which are
-1,024 at 32 prototypes and 4 heads; only a bank of several hundred
-prototypes would make the budget itself that short. With even blocks the
-forecasts of the benchmark's wide evaluation and of ETT-like shapes (7
-channels, contexts 96 to 512, batches of 1 to 80 windows, whole or split
-over two threads) keep their bits. At ``configs/etth1_smoke.json``'s model with a 512-step context
-and 64 windows (62 patches), the backbone's whole score buffer is 55 MB and
-the reprogramming layer's 28 MB; the blocks took the ``tracemalloc`` peak
-of a no-grad forecast from 92.5 to 37.5 MB, and at context 256 from 31.0 to
+runs the same kernel once over the whole input. At
+``configs/etth1_smoke.json``'s model with a 512-step context and 64
+windows (62 patches), the backbone's whole score buffer is 55 MB and the
+reprogramming layer's 28 MB; the blocks took the ``tracemalloc`` peak of a
+no-grad forecast from 92.5 to 37.5 MB, and at context 256 from 31.0 to
 18.2 MB. At the wide evaluation no batched score buffer reaches 1 MiB and
 only the prototype attention runs in blocks, three of about 1,700 rows per
 half batch.
@@ -123,22 +112,59 @@ normalised rows, so the gain and bias are applied in place over them; that
 took the no-grad cvpe forecast's ``tracemalloc`` peak at an ETT-like
 context of 512 (above) from 27.4 to 25.0 MB.
 
-A wide GEMM runs in blocks of rows. OpenBLAS 0.3.31 on x86-64 hands a GEMM
-whose M*N*K is at most 1e6 (``_SMALL_GEMM``) to its small-matrix kernel,
-and a larger one to its general kernel, which at the model's narrow shapes
-runs at half the speed: on the same machine (960, 16) @ (16, 64) took 41 us
-and (1024, 16) @ (16, 64) 62 us, and (5120, 16) @ (16, 16) ran at 25.5
-GFLOP/s against 52.5 at 2,048 rows (45-55 GFLOP/s below the limit, 25-34
-above it). Half of the benchmark's wide evaluation batch is 5,120 rows, so
-every product of the model crossed the limit there. ``_gemm`` runs such a
-product as consecutive blocks of rows, each a multiple of 8 rows and within
-the limit: the dense forward and input gradient, both centring products of
-``layer_norm``, and ``mlp``'s GEMMs, whose blocks shrink to fit (below).
-The weight gradients contract over the rows and stay whole. Every block
-starts on a BLAS row tile of the whole product, and at the model's shapes
-with 8 or more output columns the blocks give the whole GEMM's bits; one
-with fewer, such as a horizon-4 head, can differ from the whole GEMM in the
-last bit.
+Row blocks. Four loops cut an array's rows into blocks: ``_gemm``,
+``mlp``, untaped ``attention`` and, over windows, the no-grad forecaster's
+split into two threads (``train.model_forecast_fn``). One function,
+``_row_blocks(n, most, tile)``, decides where the three in this module cut:
+it returns the fewest blocks that cover ``n`` rows with at most ``most``
+rows each, ``most`` first rounded down to whole tiles and at least one
+tile, and block ``i`` of ``count`` starts at row ``tile * (i * tiles //
+count)``. So every block starts on a tile, and no two blocks differ by more
+than one tile: none is a short remainder. The tile is ``ROW_TILE``, 8 rows,
+except for untaped attention's batched blocks, which cut a broadcast axis
+one index at a time. Each loop has its own budget, measured for its own
+reason:
+
+* ``_SMALL_GEMM``, an M*N*K of 1e6, for ``_gemm``: the dense forward and
+  input gradient and both centring products of ``layer_norm``. OpenBLAS
+  0.3.31 on x86-64 hands a GEMM up to that size to its small-matrix kernel,
+  and a larger one to its general kernel, which at the model's narrow
+  shapes runs at half the speed: on the same machine (960, 16) @ (16, 64)
+  took 41 us and (1024, 16) @ (16, 64) 62 us, and (5120, 16) @ (16, 16) ran
+  at 25.5 GFLOP/s against 52.5 at 2,048 rows (45-55 GFLOP/s below the
+  limit, 25-34 above it). Half of the benchmark's wide evaluation batch is
+  5,120 rows, so every product of the model crossed the limit there. The
+  weight gradients contract over the rows and stay whole.
+* ``_GELU_BLOCK``, 65,536 elements (512 KiB), for ``mlp``: a block's GELU
+  passes run while its hidden-size slice is still in a core's cache, and the
+  block is smaller still where that keeps both of its GEMMs within
+  ``_SMALL_GEMM``. With ``_SMALL_GEMM`` alone, ``mlp`` ran 2-7% slower at
+  width 8 and 61,440 rows.
+* ``_ATTENTION_BLOCK``, 1 MiB of scores, for untaped ``attention``: it
+  bounds the no-grad forward's working memory (above).
+
+The bits: a BLAS GEMM tiles its rows from the first, and a row's last bit
+can depend on the tile it falls in, so a block that starts on a tile keeps
+every row in the tile it had in the whole product. A row block of a GEMM
+with 8 or more output columns then gives the whole product's bits at any
+length above one row (a 1-row block is a GEMV): a probe found 0 of 150
+lengths that differed at k and n of 16, 32 and 64. Short blocks were still
+a hazard on one AVX-512 machine, where shared-key score blocks of up to
+about 190 rows against 32 prototypes ran in another OpenBLAS kernel than
+the whole product; an even split gives no block much under half its
+budget, which is 1,024 rows there. Below 8 output columns the argument
+fails: at 4, 135 to 150 of 150 lengths differed, because OpenBLAS rounds
+such a GEMM differently on either side of ``_SMALL_GEMM``. No bundled
+config or benchmark workload has a product that narrow above the limit
+(the only horizon below 8 is ``configs/gradcheck_tiny.json``'s 4, whose
+products stay far below it); such a head can differ from the whole GEMM in
+the last bit, within the README's relative 1e-10. The forecaster's first
+part is a whole number of ``ROW_TILE`` windows for the same reason:
+splitting at ``len // 2`` changed the last bit of ETTh1-shaped forecasts
+(7 channels x 31 patches a window) at most sizes. With these blocks the
+forecasts of the benchmark's wide evaluation and of ETT-like shapes (7
+channels, contexts 96 to 512, batches of 1 to 80 windows, whole or split
+over two threads) keep the bits of whole products.
 
 ``gelu`` is computed in the logistic form ``x / (1 + exp(-2u))`` with
 ``u = sqrt(2/pi) * (x + 0.044715 x^3)``, equal to the tanh form
@@ -146,25 +172,23 @@ last bit.
 Cubes and squares are written as products (``x * x * x``): numpy sends a float
 power such as ``x**3`` down a general ``pow`` path that is about fifty times
 slower on the model's activations, while the products differ from it by at
-most one unit in the last place. Only ``mlp`` runs the GELU in blocks
-(below): its eight forward passes run over one block of rows (512 KiB) at a
-time, so the block stays in cache from the first pass to the last, and its
-backward's ten passes run over the same blocks. ``gelu`` runs the same
-per-block forward and derivative once over the whole array; the arithmetic
-is elementwise, so the bits are those of the blocked passes.
+most one unit in the last place. ``mlp`` runs the GELU's eight forward
+passes and its backward's ten over one row block at a time (below);
+``gelu`` runs the same forward and derivative once over the whole array,
+and since the arithmetic is elementwise the bits are the same.
 
 The feed-forward is the model's widest layer: its hidden size is four times
 the block's width, so at the benchmark's wide no-grad evaluation (batch 64, 32
 variates) the hidden activation is a (10240, 64) array of 5.2 MB, and a chain
 ``affine -> gelu -> affine`` held two of them at once. ``mlp`` walks the input
-rows in blocks of ``_GELU_BLOCK // hidden``, or fewer where that keeps both of
-a block's GEMMs within ``_SMALL_GEMM`` (976 rows at width 16 and hidden 64):
-per block it runs the first GEMM into a block buffer, adds the bias, runs the
-GELU passes and writes the second GEMM into that block's rows of the output;
-the second bias is added once at the end. Without a tape two block buffers
-serve every block and no hidden-size array is allocated: the ``tracemalloc``
-peak of the cvpe block's no-grad forward at those shapes fell from 14.6 to 8.3
-MB, and the benchmark's peak resident memory with it. With a tape the
+in row blocks (at most 976 rows at width 16 and hidden 64): per block it runs
+the first GEMM into a block buffer, adds the bias, runs the GELU passes and
+writes the second GEMM into that block's rows of the output; the second bias
+is added once at the end. Without a tape two block buffers of the longest
+block's rows serve every block and no hidden-size array is allocated: the
+``tracemalloc`` peak of the cvpe block's no-grad forward at those shapes fell
+from 14.6 to 8.3 MB, and the benchmark's peak resident memory with it. With a
+tape the
 pre-activation, the GELU's ``den`` and the activation are written into full
 arrays for the backward, which computes the second layer's gradients as whole
 GEMMs, then per block ``g @ w2.T`` and the GELU derivative applied to it in
@@ -594,12 +618,6 @@ def _gelu_grad_block(
     out *= s
 
 
-def _blocks(size: int, step: int):
-    """``(lo, hi)`` bounds of consecutive blocks of ``step`` over ``size``."""
-    for lo in range(0, size, step):
-        yield lo, min(lo + step, size)
-
-
 def gelu(a) -> Tensor:
     """Smooth GELU, ``x * sigmoid(2u)`` in the logistic form (see the module
     docstring), in whole-array passes."""
@@ -710,22 +728,30 @@ def _centring(d: int) -> np.ndarray:
 _SMALL_GEMM = 1_000_000
 
 
-def _block_rows(k: int, n: int) -> int:
-    """Rows per block of a (rows, k) @ (k, n) product that keeps each block's
-    GEMM within ``_SMALL_GEMM``: a multiple of 8, so every block starts on a
-    BLAS row tile of the whole product."""
-    return max(8, _SMALL_GEMM // (k * n) // 8 * 8)
+# rows of a BLAS row tile: every row block starts on a whole number of them
+# (see the module docstring)
+ROW_TILE = 8
+
+
+def _row_blocks(n: int, most: int, tile: int = ROW_TILE) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds of the fewest blocks that cover ``n`` rows with at
+    most ``most`` rows each, ``most`` first rounded down to whole tiles and
+    at least one tile.  Every block starts on a tile, and no two differ by
+    more than one tile (see the module docstring)."""
+    tiles = -(-n // tile)
+    count = -(-tiles // max(1, most // tile))
+    bounds = [tile * (i * tiles // count) for i in range(count)] + [n]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for a 2-D ``a`` and ``b``, as consecutive blocks of
-    ``_block_rows`` rows when the whole product would exceed
-    ``_SMALL_GEMM``."""
+    """``a @ b`` for a 2-D ``a`` and ``b``, in row blocks within
+    ``_SMALL_GEMM`` when the whole product would exceed it."""
     (m, k), n = a.shape, b.shape[1]
     if m * k * n <= _SMALL_GEMM:
         return a @ b
     out = np.empty((m, n))
-    for lo, hi in _blocks(m, _block_rows(k, n)):
+    for lo, hi in _row_blocks(m, _SMALL_GEMM // (k * n)):
         np.matmul(a[lo:hi], b, out=out[lo:hi])
     return out
 
@@ -770,13 +796,13 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     """The feed-forward ``gelu(x @ w1 + b1) @ w2 + b2`` as one node: ``w1`` is
     (k, hidden), ``w2`` is (hidden, n), ``x`` is (..., k).
 
-    The rows of ``x`` run in blocks of ``_GELU_BLOCK // hidden`` rows, or fewer
-    where that keeps both GEMMs of a block within ``_SMALL_GEMM``: each
-    block's first GEMM, bias, GELU passes and second GEMM run while its
-    hidden-size slice is still in cache. Without a tape two block buffers
-    serve every block, so no hidden-size array is allocated; with one, the
-    pre-activation, the GELU's ``den`` and the activation are written into
-    full arrays that the backward keeps (see the module docstring)."""
+    The rows of ``x`` run in row blocks within ``_GELU_BLOCK`` and
+    ``_SMALL_GEMM``: each block's first GEMM, bias, GELU passes and second
+    GEMM run while its hidden-size slice is still in cache. Without a tape
+    two block buffers serve every block, so no hidden-size array is
+    allocated; with one, the pre-activation, the GELU's ``den`` and the
+    activation are written into full arrays that the backward keeps (see
+    the module docstring)."""
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     if (
         w1.ndim != 2 or w2.ndim != 2 or b1.shape != w1.shape[-1:] or b2.shape != w2.shape[-1:]
@@ -790,16 +816,17 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     (k, hidden), n = w1.shape, w2.shape[1]
     rows = x.data.reshape(-1, k)
     m = len(rows)
-    step = min(max(1, _GELU_BLOCK // hidden), _block_rows(k, hidden), _block_rows(hidden, n))
+    blocks = _row_blocks(m, min(_GELU_BLOCK // hidden, _SMALL_GEMM // (max(k, n) * hidden)))
+    longest = max((hi - lo for lo, hi in blocks), default=0)
     taped = _taped(parents)
     if taped:
         pre, den, act = np.empty((m, hidden)), np.empty((m, hidden)), np.empty((m, hidden))
     else:
         # no backward reads den, so the activation overwrites it
-        pre, den = np.empty((min(m, step), hidden)), np.empty((min(m, step), hidden))
+        pre, den = np.empty((longest, hidden)), np.empty((longest, hidden))
         act = den
     out_data = np.empty((m, n))
-    for lo, hi in _blocks(m, step):
+    for lo, hi in blocks:
         # a taped block is its slice of the full arrays, an untaped one the
         # head of the block buffers
         at = slice(lo, hi) if taped else slice(0, hi - lo)
@@ -821,8 +848,8 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
         # per block, the activation gradient's GEMM, then the GELU derivative
         # multiplies it in place
         g_pre = np.empty((m, hidden))
-        d, s, t = (np.empty((min(m, step), hidden)) for _ in range(3))
-        for lo, hi in _blocks(m, step):
+        d, s, t = (np.empty((longest, hidden)) for _ in range(3))
+        for lo, hi in blocks:
             at = slice(0, hi - lo)
             np.matmul(g_rows[lo:hi], w2.data.T, out=g_pre[lo:hi])
             _gelu_grad_block(pre[lo:hi], den[lo:hi], d[at], s[at], t[at])
@@ -932,28 +959,6 @@ def _attend(q, k, v, heads: int, scale: float, scale_q: bool, shared: bool, out:
     return probs, rows, qh, kh, vh
 
 
-def _attend_in_blocks(q, k, v, heads: int, scale: float, scale_q: bool, shared: bool, out: np.ndarray):
-    """``_attend`` over consecutive blocks of ``out``'s first axis, each
-    within about ``_ATTENTION_BLOCK`` bytes of scores: query rows against
-    shared keys, else slices of the first broadcast axis, which an operand
-    that broadcasts on it enters whole.  The blocks are as many as the
-    budget needs and split the axis evenly in tiles of 8 query rows against
-    shared keys (else of 1 index): every block starts on a tile, and no two
-    differ by more than 8 rows, so no shared-key block is a short GEMM that
-    OpenBLAS runs in another kernel (see the module docstring)."""
-    n = len(out)
-    tile = 8 if shared else 1
-    tiles = -(-n // tile)
-    # score bytes per index of the first axis; an empty axis runs no block
-    unit = k.shape[-2] * heads * math.prod(out.shape[1:-1]) * 8
-    count = min(tiles, -(-n // max(1, _ATTENTION_BLOCK // max(1, unit))))
-    bounds = [tile * (i * tiles // count) for i in range(count)] + [n]
-    cut = (True, False, False) if shared else [a.ndim == out.ndim and len(a) > 1 for a in (q, k, v)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        qb, kb, vb = (a[lo:hi] if c else a for a, c in zip((q, k, v), cut))
-        _attend(qb, kb, vb, heads, scale, scale_q, shared, _split_heads(out[lo:hi], heads))
-
-
 def attention(q, k, v, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over the last two axes.
 
@@ -989,7 +994,15 @@ def attention(q, k, v, heads: int) -> Tensor:
     out_data = np.empty((*lead, n_q, d))
     parents = (q, k, v)
     if not _taped(parents):
-        _attend_in_blocks(qd, k.data, v.data, heads, scale, scale_q, shared, out_data)
+        # row blocks of the output's first axis: query rows against shared
+        # keys, else slices of the first broadcast axis, which an operand
+        # that broadcasts on it enters whole
+        operands = (qd, k.data, v.data)
+        cut = (True, False, False) if shared else [a.ndim == out_data.ndim and len(a) > 1 for a in operands]
+        unit = n_k * heads * math.prod(out_data.shape[1:-1]) * 8  # score bytes per index
+        for lo, hi in _row_blocks(len(out_data), _ATTENTION_BLOCK // max(1, unit), ROW_TILE if shared else 1):
+            qb, kb, vb = (a[lo:hi] if c else a for a, c in zip(operands, cut))
+            _attend(qb, kb, vb, heads, scale, scale_q, shared, _split_heads(out_data[lo:hi], heads))
         return Tensor(out_data.reshape(out_shape))
     probs, rows, qh, kh, vh = _attend(
         qd, k.data, v.data, heads, scale, scale_q, shared, _split_heads(out_data, heads)

@@ -196,6 +196,12 @@ def run_cell(
     return row
 
 
+def _grid_cells(config: RunConfig) -> list[tuple[str, int, int]]:
+    """The grid's ``(variant, horizon, seed)`` cells in run and report order:
+    horizon, then seed, then variant."""
+    return [(v, h, s) for h in config.horizons for s in config.seeds for v in config.variants]
+
+
 def run_experiment(config: RunConfig, jobs: int = 1) -> ExperimentReport:
     """Run the full grid and aggregate across seeds.
 
@@ -206,12 +212,7 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> ExperimentReport:
     if jobs < 1:
         raise ValueError("jobs must be positive")
     segments = prepare_segments(config)
-    grid = [
-        (variant, horizon, seed)
-        for horizon in config.horizons
-        for seed in config.seeds
-        for variant in config.variants
-    ]
+    grid = _grid_cells(config)
     variants, horizons, seeds = zip(*grid)
     cells = ([segments] * len(grid), [config] * len(grid), variants, horizons, seeds)
     if jobs == 1:
@@ -297,8 +298,7 @@ def loss_curve_name(variant: str, horizon: int, seed: int) -> str:
 def experiment_files(config: RunConfig) -> list[str]:
     """The names of every file ``write_experiment`` may write for the grid of
     ``config``."""
-    cells = ((v, h, s) for h in config.horizons for s in config.seeds for v in config.variants)
-    return [*REPORT_FILES, *(loss_curve_name(*cell) for cell in cells)]
+    return [*REPORT_FILES, *(loss_curve_name(*cell) for cell in _grid_cells(config))]
 
 
 def write_loss_curve(outdir: Path, variant: str, horizon: int, seed: int, history: list[EpochRecord]) -> None:

@@ -9,13 +9,12 @@ The no-grad forecaster (:func:`model_forecast_fn`) uses both cores: windows
 never interact, so a batch splits into two parts, and one persistent helper
 thread forecasts the second while the caller forecasts the first (numpy
 releases the GIL in BLAS and ufunc loops).  The first part is a whole number
-of ``SPLIT_BLOCK`` windows, and the dense nodes' GEMM blocks start on
-multiples of 8 rows, so that the parts give the whole batch's bits at the
-bundled and benchmark shapes, and hold to the README's relative 1e-10
-elsewhere (see ``SPLIT_BLOCK``).  The helper's thread starts on first use,
-and a forked child makes a new helper, since its copy has no thread behind
-it.  Training stays on one thread: summing the gradients of two halves would
-change their rounding.
+of ``autodiff.ROW_TILE`` windows, so every row keeps its BLAS row tile and
+the parts give the whole batch's bits wherever the row blocks do (see "Row
+blocks" in the ``autodiff`` module docstring).  The helper's thread starts
+on first use, and a forked child makes a new helper, since its copy has no
+thread behind it.  Training stays on one thread: summing the gradients of
+two halves would change their rounding.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .autodiff import NumericError, Tensor, add, as_tensor, no_grad, tmean
+from .autodiff import ROW_TILE, NumericError, Tensor, add, as_tensor, no_grad, tmean
 from .layers import rng_from
 from .model import ModelParams, forecast_batch
 
@@ -309,23 +308,6 @@ def evaluate(
     return MetricPair(mse=sq_sum / count, mae=abs_sum / count)
 
 
-# A split batch's first part is a whole number of these windows.  A BLAS
-# GEMM tiles its rows from the first one, and a row's last bit can depend on
-# whether it falls in a full tile or the edge tile; starting the second part
-# on a multiple of 8 rows of every GEMM keeps each row in the tile it had in
-# the whole batch.  Splitting at ``len // 2`` instead changed the last bit of
-# ETTh1-shaped forecasts (7 channels x 31 patches a window) at most sizes.
-# The dense nodes run a GEMM above OpenBLAS's small-matrix limit (M*N*K =
-# 1e6) in blocks of rows that are multiples of 8 too (``autodiff._gemm``), so
-# a row keeps its tile in a block of the whole batch and of either part, and
-# every block runs in the same kernel.  With OpenBLAS's AVX-512 kernels a
-# GEMM of fewer than 8 output columns rounds differently on either side of
-# that limit; before the blocks, a head of horizon 4 over 32 channels crossed
-# it between the whole batch of 64 and its parts and differed in the last
-# bit, by about 1e-15 of the batch's largest forecast.
-SPLIT_BLOCK = 8
-
-
 # The one helper thread of this process.  One persistent thread rather than
 # one per call: a new thread can land in a new malloc arena, and per-call
 # threads raised the peak RSS of a long evaluation by up to 18%.  The
@@ -348,10 +330,11 @@ os.register_at_fork(after_in_child=_new_helper)
 def model_forecast_fn(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
     """Wrap trained parameters as a plain array-to-array forecaster.
 
-    A batch of ``2 * SPLIT_BLOCK`` windows or more is forecast in two parts
-    of about half the batch, the second on the helper thread, and the parts
-    are joined.  An error in either part is raised unchanged once both parts
-    are done, the first part's if both fail.
+    A batch of ``2 * ROW_TILE`` windows or more is forecast in two parts of
+    about half the batch, the first a whole number of ``ROW_TILE`` windows
+    and the second on the helper thread, and the parts are joined.  An
+    error in either part is raised unchanged once both parts are done, the
+    first part's if both fail.
     """
 
     def forecast(windows: np.ndarray) -> np.ndarray:
@@ -360,7 +343,9 @@ def model_forecast_fn(params: ModelParams) -> Callable[[np.ndarray], np.ndarray]
 
     def fn(windows: np.ndarray) -> np.ndarray:
         windows = np.asarray(windows, dtype=np.float64)
-        mid = SPLIT_BLOCK * (len(windows) // (2 * SPLIT_BLOCK)) if windows.ndim == 3 else 0
+        # the second part starts on a row tile of every GEMM (see "Row
+        # blocks" in the autodiff module docstring)
+        mid = ROW_TILE * (len(windows) // (2 * ROW_TILE)) if windows.ndim == 3 else 0
         if mid == 0:
             return forecast(windows)
         second = _helper.submit(forecast, windows[mid:])

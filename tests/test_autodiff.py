@@ -112,11 +112,10 @@ def _gelu_unblocked(x):
 
 
 @pytest.mark.parametrize("transposed", [False, True])
-def test_gelu_in_blocks_returns_the_unblocked_bits(transposed):
-    # two full blocks and a partial one, with and without a tape; the
+def test_gelu_gives_the_bits_of_the_stepwise_formula(transposed):
+    # the same passes in the same order, with and without a tape; the
     # transposed input is not contiguous
-    rows = 2 * autodiff._GELU_BLOCK // 16 + 37
-    x = np.random.default_rng(7).normal(scale=4.0, size=(rows, 16))
+    x = np.random.default_rng(7).normal(scale=4.0, size=(301, 16))
     if transposed:
         x = x.T
     want = _gelu_unblocked(x)
@@ -140,11 +139,10 @@ def _gelu_grad_unblocked(x, g):
 
 
 @pytest.mark.parametrize("transposed", [False, True])
-def test_gelu_backward_in_blocks_returns_the_unblocked_bits(transposed):
-    rows = 2 * autodiff._GELU_BLOCK // 16 + 37
+def test_gelu_backward_gives_the_bits_of_the_stepwise_formula(transposed):
     rng = np.random.default_rng(8)
-    x0 = rng.normal(scale=4.0, size=(rows, 16))
-    g = rng.normal(size=(16, rows) if transposed else (rows, 16))
+    x0 = rng.normal(scale=4.0, size=(301, 16))
+    g = rng.normal(size=(16, 301) if transposed else (301, 16))
     if transposed:
         x0 = x0.T
     x = parameter(x0, "x")
@@ -757,15 +755,36 @@ def test_untaped_attention_at_backbone_shapes_allocates_less_than_one_score_buff
     assert peak < whole, f"peak {peak / 1e6:.2f} MB, one score buffer {whole / 1e6:.2f} MB"
 
 
+@pytest.mark.parametrize("tile", [1, 8])
+def test_row_blocks_are_the_fewest_even_tiled_blocks_within_the_budget(tile):
+    for n in range(301):
+        for most in (1, 7, 8, 40, 976, n + 1):
+            blocks = autodiff._row_blocks(n, most, tile)
+            if n == 0:
+                assert blocks == [], most
+                continue
+            # the budget rounded down to whole tiles, and at least one tile
+            cap = max(1, most // tile) * tile
+            starts, ends = zip(*blocks)
+            assert starts[0] == 0 and ends[-1] == n and starts[1:] == ends[:-1], (n, most)
+            assert all(lo % tile == 0 for lo in starts), (n, most)
+            lengths = [hi - lo for lo, hi in blocks]
+            assert 0 < min(lengths) and max(lengths) <= cap, (n, most, lengths)
+            assert len(blocks) == -(-n // cap), (n, most, lengths)
+            assert max(lengths) - min(lengths) <= tile, (n, most, lengths)
+
+
 def _mlp_chain(x, w1, b1, w2, b2):
     return affine(gelu(affine(x, w1, b1)), w2, b2)
 
 
 # leaf shape and the view of it the feed-forward node sees, at the model's
-# width 16 and hidden size 64: a block is _GELU_BLOCK // 64 rows, or fewer
-# where that keeps both of its GEMMs within OpenBLAS's small-matrix kernel
-_MLP_BLOCK_ROWS = min(
-    autodiff._GELU_BLOCK // 64, autodiff._block_rows(16, 64), autodiff._block_rows(64, 16)
+# width 16 and hidden size 64, whose block budget keeps a block within
+# _GELU_BLOCK and both of its GEMMs within OpenBLAS's small-matrix kernel;
+# _MLP_BLOCK_ROWS is the most rows that run as one block
+_MLP_BUDGET = min(autodiff._GELU_BLOCK // 64, autodiff._SMALL_GEMM // (16 * 64))
+_MLP_BLOCK_ROWS = next(
+    n for n in range(_MLP_BUDGET, 0, -1) if len(autodiff._row_blocks(n, _MLP_BUDGET)) == 1
 )
 _MLP_LAYOUTS = {
     "one-row": ((1, 16), lambda t: t),

@@ -264,7 +264,9 @@ def test_a_walk_frees_the_tape_while_the_loss_is_still_held():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    grad_bytes = sum(g.nbytes for g in grads)
+    # each gradient owns its data, so its whole size counts its header too
+    assert all(g.flags.owndata for g in grads)
+    grad_bytes = sum(sys.getsizeof(g) for g in grads)
     assert held - grad_bytes < 8192 < taped / 20, (held, grad_bytes, taped)
     with pytest.raises(RuntimeError, match="consumed"):
         loss.backward()
@@ -446,8 +448,8 @@ class TestSplitForecaster:
     def test_a_narrow_head_holds_to_the_stated_bar(self, variant, batch):
         # 32 channels, horizon 4: a GEMM of 4 output columns rounds
         # differently on either side of OpenBLAS's small-matrix limit (see
-        # SPLIT_BLOCK), so the parts are held to the grid's relative 1e-10,
-        # not to its bits.
+        # "Row blocks" in the autodiff module docstring), so the parts are
+        # held to the grid's relative 1e-10, not to its bits.
         # The gap is taken against the batch's largest forecast: an entry near
         # zero takes its gap from the terms it sums, and one of about 2e-7
         # here differs by 4e-10 of itself.  The test metrics are held to it too.
