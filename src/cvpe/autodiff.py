@@ -337,14 +337,7 @@ _GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
 
 
 class NumericError(ArithmeticError):
-    """A non-finite value appeared; ``stage`` names where."""
-
-    def __init__(self, stage: str, detail: str = ""):
-        self.stage = stage
-        msg = f"non-finite value in stage '{stage}'"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+    """A non-finite value appeared; the message names the stage."""
 
 
 @contextlib.contextmanager
@@ -1044,4 +1037,4 @@ def check_finite(t: Tensor | np.ndarray, stage: str) -> None:
     """Raise :class:`NumericError` naming ``stage`` if ``t`` has NaN/Inf."""
     data = t.data if isinstance(t, Tensor) else np.asarray(t)
     if not np.isfinite(data).all():
-        raise NumericError(stage)
+        raise NumericError(f"non-finite value in stage '{stage}'")

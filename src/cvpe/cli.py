@@ -8,7 +8,8 @@ Subcommands::
     gradcheck   verify analytic gradients against finite differences
     experiment  run the full paired A/B grid and write reports
 
-Exit codes: 0 success, 1 configuration or input problem, 2 runtime failure
+Exit codes: 0 success, 1 configuration or input problem (a size the config
+asks for that cannot be allocated among them), 2 runtime failure
 (divergence, non-finite numbers or a dead ``--jobs`` worker), 3 gradient
 check failure.  The ``CVPE_OUTPUT_DIR`` environment variable overrides the
 configured output directory; an explicit ``--out`` flag overrides both.
@@ -295,8 +296,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    # OSError: any file a command reads or writes, an existing output too
-    except (OSError, ValueError) as exc:
+    # OSError: any file a command reads or writes, an existing output too;
+    # MemoryError: a size the config asks for that cannot be allocated
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # BrokenExecutor is the base of the process pool's BrokenProcessPool

@@ -24,11 +24,10 @@ _UNSET = object()  # the default of a key whose absence the section tells apart
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration; ``errors`` lists every problem found."""
+    """Invalid run configuration; the message lists every problem found."""
 
     def __init__(self, errors: list[str]):
         super().__init__("invalid configuration: " + "; ".join(errors))
-        self.errors = errors
 
 
 @dataclass(frozen=True)
@@ -276,6 +275,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError([f"no such config file: {path}"])
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    # RecursionError: nesting too deep for the parser
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from None
     return parse_config(raw)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,21 +18,6 @@ AR_COEF = 0.9
 SEASON_PERIOD = 24.0
 SEASON_AMPLITUDE = 0.5
 TARGET_CHANNEL = "OT"
-
-
-class CsvFormatError(ValueError):
-    """Malformed CSV input; carries the offending row/column when known."""
-
-    def __init__(self, message: str, row: int | None = None, column: str | None = None):
-        where = []
-        if row is not None:
-            where.append(f"row {row}")
-        if column is not None:
-            where.append(f"column {column!r}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(message + suffix)
-        self.row = row
-        self.column = column
 
 
 @dataclass
@@ -136,48 +122,63 @@ class CsvSpec:
 
 
 def load_csv(path: str | Path, date_column: str = "date") -> MultivariateSeries:
-    """Load an ETT-style CSV: timestamp column first, one column per channel."""
+    """Load an ETT-style CSV: timestamp column first, one column per channel.
+
+    A malformed file raises ``ValueError`` naming the row (the header is row
+    0) and, for a bad value, the column.
+    """
     with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
+        records = _records(csv.reader(fh))
         try:
-            header = next(reader)
+            _, header = next(records)
         except StopIteration:
-            raise CsvFormatError("empty file", row=0) from None
+            raise ValueError("empty file (row 0)") from None
         if len(header) < 2:
-            raise CsvFormatError("need a timestamp column plus at least one channel", row=0)
+            raise ValueError("need a timestamp column plus at least one channel (row 0)")
         if header[0] != date_column:
-            raise CsvFormatError(
-                f"first column must be the timestamp column {date_column!r}, got {header[0]!r}",
-                row=0,
-                column=header[0],
+            raise ValueError(
+                f"first column must be the timestamp column {date_column!r}, got {header[0]!r} "
+                f"(row 0, column {header[0]!r})"
             )
         names = [h.strip() for h in header[1:]]
         rows: list[list[float]] = []
-        for lineno, record in enumerate(reader, start=1):
+        for lineno, record in records:
             if not record:
                 continue
             if len(record) != len(header):
-                raise CsvFormatError(
-                    f"expected {len(header)} fields, got {len(record)}", row=lineno
-                )
+                raise ValueError(f"expected {len(header)} fields, got {len(record)} (row {lineno})")
             parsed = []
             for name, cell in zip(names, record[1:]):
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise CsvFormatError(
-                        f"non-numeric value {cell!r}", row=lineno, column=name
+                    raise ValueError(
+                        f"non-numeric value {cell!r} (row {lineno}, column {name!r})"
                     ) from None
                 if not math.isfinite(value):
-                    raise CsvFormatError(
-                        f"non-finite value {cell!r}", row=lineno, column=name
-                    )
+                    raise ValueError(f"non-finite value {cell!r} (row {lineno}, column {name!r})")
                 parsed.append(value)
             rows.append(parsed)
     if not rows:
-        raise CsvFormatError("no data rows", row=1)
+        raise ValueError("no data rows (row 1)")
     values = np.asarray(rows, dtype=np.float64).T
     return MultivariateSeries(values, names)
+
+
+def _records(reader) -> Iterator[tuple[int, list[str]]]:
+    """Each record of a ``csv.reader`` with its row number.  A record the
+    reader refuses (a field over csv's size limit) raises ``ValueError``
+    naming its row."""
+    row = 0
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"{exc} (row {row})") from None
+        yield row, record
+        row += 1
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

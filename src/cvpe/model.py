@@ -370,6 +370,16 @@ def forecast_batch(
     return x
 
 
+# What reading a corrupt checkpoint raises: ValueError (UnicodeDecodeError
+# and JSONDecodeError among them) and EOFError for cut or garbled bytes,
+# BadZipFile for a broken archive, NotImplementedError for a flipped flag or
+# method that names a zip feature zipfile lacks, tokenize.TokenError for a
+# garbled .npy header, and RecursionError for nesting too deep to parse.
+_UNREADABLE = (
+    ValueError, EOFError, zipfile.BadZipFile, NotImplementedError, tokenize.TokenError, RecursionError
+)
+
+
 def save_checkpoint(path: str | Path, params: ModelParams):
     """Persist structure plus every parameter array, bit-exactly."""
     path = Path(path)
@@ -389,9 +399,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise ValueError(f"checkpoint {path} is a directory, not a saved .npz file")
     try:
         bundle = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile, NotImplementedError):
-        # empty, a broken zip (a flipped version field names a zip feature
-        # zipfile lacks), or no numpy format (numpy refuses it as a pickle)
+    except _UNREADABLE:
+        # empty, a broken zip, or no numpy format (numpy refuses it as a pickle)
         bundle = None
     if not isinstance(bundle, np.lib.npyio.NpzFile):
         raise ValueError(f"checkpoint {path} is not a saved .npz archive")
@@ -401,8 +410,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         stored = _member(bundle, path, "__structure__")
         try:
             struct = json.loads(stored.tobytes().decode())
-        except ValueError as exc:
-            # UnicodeDecodeError and JSONDecodeError are both ValueErrors
+        except _UNREADABLE as exc:
             raise ValueError(f"checkpoint {path}: unreadable __structure__ entry: {exc}") from None
         try:
             params = ModelParams.from_structure(struct)
@@ -424,10 +432,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 def _member(bundle: np.lib.npyio.NpzFile, path: Path, name: str) -> np.ndarray:
     """One array of an open checkpoint.  ``np.load`` reads only the zip
     directory; a member's CRC is checked, and its ``.npy`` header parsed, as
-    it is read here, so a corrupt member raises ``ValueError`` naming it.
-    ``NotImplementedError`` is zipfile's answer to a flipped flag or method
-    that names a zip feature it lacks."""
+    it is read here, so a corrupt member raises ``ValueError`` naming it."""
     try:
         return bundle[name]
-    except (zipfile.BadZipFile, tokenize.TokenError, ValueError, EOFError, NotImplementedError) as exc:
+    except _UNREADABLE as exc:
         raise ValueError(f"checkpoint {path}: unreadable entry {name!r}: {exc}") from None

@@ -44,16 +44,8 @@ _SHUFFLE_STREAM = 100
 
 
 class TrainingDiverged(ArithmeticError):
-    """Raised when a training loss, or with ``batch`` -1 the epoch's
-    validation loss, stops being finite."""
-
-    def __init__(self, epoch: int, batch: int):
-        where = f"training loss at epoch {epoch}, batch {batch}"
-        if batch == -1:
-            where = f"validation loss at epoch {epoch}"
-        super().__init__(f"non-finite {where}")
-        self.epoch = epoch
-        self.batch = batch
+    """Raised when a training loss, or an epoch's validation loss, stops
+    being finite; the message names the epoch and batch."""
 
 
 def mse_loss(pred, target) -> Tensor:
@@ -80,7 +72,7 @@ def backward(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
     for p in params:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
-            raise NumericError("backward", f"non-finite gradient for {p.name}")
+            raise NumericError(f"non-finite value in stage 'backward': non-finite gradient for {p.name}")
         grads.append(g)
     return grads
 
@@ -396,14 +388,14 @@ def train_loop(
             loss = mse_loss(forecast_batch(train_windows[sel], params), train_targets[sel])
             value = loss.item()
             if not np.isfinite(value):
-                raise TrainingDiverged(epoch, b)
+                raise TrainingDiverged(f"non-finite training loss at epoch {epoch}, batch {b}")
             grads = backward(loss, leaves)
             adam_step(state, leaves, grads)
             sq_sum += value * sel.size * np.prod(train_targets.shape[1:])
         train_mse = float(sq_sum / np.prod(train_targets.shape))
         val_mse = evaluate(model_forecast_fn(params), val_windows, val_targets).mse
         if not np.isfinite(val_mse):
-            raise TrainingDiverged(epoch, -1)
+            raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
         history.append(EpochRecord(epoch, train_mse, val_mse))
         if val_mse < best_val:
             best_val = val_mse

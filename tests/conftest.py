@@ -1,5 +1,5 @@
-"""Shared test plumbing: the acceptance verdict summary and the identity
-configuration of the cross-variate block.
+"""Shared test plumbing: the acceptance verdict summary, the tiny run
+config and the identity configuration of the cross-variate block.
 
 Acceptance tests record one verdict line each; the terminal-summary hook
 replays them after the run so every criterion's PASS/FAIL/SKIP line is
@@ -25,6 +25,37 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_VERDICTS:
         terminalreporter.write_line(line)
+
+
+def tiny_raw_config(**overrides) -> dict:
+    """The tiny run config, unparsed: 3 synthetic channels of 400 steps,
+    context 24, one horizon, one seed and a 4-wide model.  Each of
+    ``overrides`` replaces a whole top-level section."""
+    raw = {
+        "dataset": {
+            "kind": "synthetic",
+            "n_channels": 3,
+            "length": 400,
+            "coupling": 0.8,
+            "lag": 2,
+            "noise_std": 0.05,
+            "seed": 0,
+        },
+        "context": 24,
+        "horizons": [3],
+        "patch": {"length": 6, "stride": 3},
+        "model": {
+            "dim": 4,
+            "heads": 2,
+            "prototypes": 5,
+            "routers": 2,
+            "backbone": {"layers": 1, "width": 4, "heads": 2, "hidden": 8},
+        },
+        "train": {"epochs": 2, "batch_size": 16, "lr": 0.01, "patience": 5},
+        "seeds": [0],
+    }
+    raw.update(overrides)
+    return raw
 
 
 class PassThrough:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import identity_block, record_verdict
+from conftest import identity_block, record_verdict, tiny_raw_config
 
 from cvpe.autodiff import as_tensor
 from cvpe.cli import main
@@ -285,22 +285,7 @@ def test_preprocessing_round_trips():
 
 
 def test_experiment_reports_are_bit_identical(tmp_path, capsys):
-    config = {
-        "dataset": {
-            "kind": "synthetic", "n_channels": 3, "length": 400,
-            "coupling": 0.8, "lag": 2, "noise_std": 0.05, "seed": 0,
-        },
-        "context": 24,
-        "horizons": [3],
-        "patch": {"length": 6, "stride": 3},
-        "model": {
-            "dim": 4, "heads": 2, "prototypes": 5, "routers": 2,
-            "backbone": {"layers": 1, "width": 4, "heads": 2, "hidden": 8},
-        },
-        "train": {"epochs": 2, "batch_size": 16, "lr": 0.01, "patience": 5},
-        "seeds": [0],
-        "output_dir": str(tmp_path / "unused"),
-    }
+    config = tiny_raw_config(output_dir=str(tmp_path / "unused"))
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))
     contents = []

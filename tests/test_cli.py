@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import tiny_raw_config
 
 from cvpe import cli, evaluation
 from cvpe.cli import OUTPUT_DIR_ENV, main
 from cvpe.config import parse_config
-from cvpe.data import CsvFormatError
 from cvpe.model import build_model, save_checkpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -30,38 +30,10 @@ def _src_env():
     return env
 
 
-def base_config(**overrides):
-    raw = {
-        "dataset": {
-            "kind": "synthetic",
-            "n_channels": 3,
-            "length": 400,
-            "coupling": 0.8,
-            "lag": 2,
-            "noise_std": 0.05,
-            "seed": 0,
-        },
-        "context": 24,
-        "horizons": [3],
-        "patch": {"length": 6, "stride": 3},
-        "model": {
-            "dim": 4,
-            "heads": 2,
-            "prototypes": 5,
-            "routers": 2,
-            "backbone": {"layers": 1, "width": 4, "heads": 2, "hidden": 8},
-        },
-        "train": {"epochs": 2, "batch_size": 16, "lr": 0.01, "patience": 5},
-        "seeds": [0],
-    }
-    raw.update(overrides)
-    return raw
-
-
 @pytest.fixture
 def config_file(tmp_path):
     def write(**overrides):
-        raw = base_config(**overrides)
+        raw = tiny_raw_config(**overrides)
         raw.setdefault("output_dir", str(tmp_path / "out"))
         path = tmp_path / "run.json"
         path.write_text(json.dumps(raw))
@@ -85,7 +57,7 @@ class TestArgumentHandling:
         assert "no such config" in capsys.readouterr().err
 
     def test_invalid_config_lists_every_field(self, tmp_path, capsys):
-        raw = base_config()
+        raw = tiny_raw_config()
         raw["model"]["dim"] = 30  # not divisible by heads=2? it is; force both errors
         raw["model"]["heads"] = 7
         raw["horizons"] = []
@@ -119,7 +91,7 @@ class TestPrepare:
         csv = tmp_path / "data.csv"
         rows = "".join(f"t{i},{i % 5},{target(i)}\n" for i in range(300))
         csv.write_text(f"date,{header}\n{rows}")
-        raw = base_config(dataset={"kind": "csv", "path": str(csv)}, variants=["cvpe"])
+        raw = tiny_raw_config(dataset={"kind": "csv", "path": str(csv)}, variants=["cvpe"])
         path = tmp_path / "run.json"
         path.write_text(json.dumps(raw))
         assert main(["prepare", "--config", str(path)]) == 0
@@ -134,7 +106,7 @@ class TestPrepare:
         rows = "".join(f"t{i},1.0,{i % 7}\n" for i in range(200))
         csv.write_text(f"date,a,OT\n{rows}")
         path = tmp_path / "run.json"
-        path.write_text(json.dumps(base_config(dataset={"kind": "csv", "path": str(csv)})))
+        path.write_text(json.dumps(tiny_raw_config(dataset={"kind": "csv", "path": str(csv)})))
         # a fresh interpreter, so a warning would reach stderr as a user sees it
         done = subprocess.run([sys.executable, "-m", "cvpe", "prepare", "--config", str(path)],
                               capture_output=True, text=True, env=_src_env(), timeout=120)
@@ -388,7 +360,7 @@ def pool_sizes(monkeypatch):
 
 
 def test_pool_never_starts_more_workers_than_cells(pool_sizes):
-    config = parse_config(base_config())  # one horizon, one seed, two variants
+    config = parse_config(tiny_raw_config())  # one horizon, one seed, two variants
     report = evaluation.run_experiment(config, jobs=500)
     assert [r.status for r in report.rows] == ["ok", "ok"]
     assert pool_sizes == [2]
@@ -396,7 +368,7 @@ def test_pool_never_starts_more_workers_than_cells(pool_sizes):
 
 def test_a_data_error_in_a_parallel_grid_starts_no_pool(tmp_path, pool_sizes):
     config = parse_config(json.loads(_csv_config(tmp_path, "oops")))
-    with pytest.raises(CsvFormatError, match="non-numeric value 'oops'"):
+    with pytest.raises(ValueError, match="non-numeric value 'oops'"):
         evaluation.run_experiment(config, jobs=2)
     assert pool_sizes == []
 
@@ -429,7 +401,7 @@ def _checkpoint(tmp_path, entry=None, edit=None, raw=None):
     structure that ``edit`` returns for the saved one, or with the bytes
     ``raw`` as its structure."""
     path = tmp_path / "model.npz"
-    save_checkpoint(path, build_model(parse_config(base_config()), "vanilla", 3, 0))
+    save_checkpoint(path, build_model(parse_config(tiny_raw_config()), "vanilla", 3, 0))
     with np.load(path) as bundle:
         arrays = {k: bundle[k] for k in bundle.files if k != entry}
     if edit:
@@ -475,7 +447,7 @@ def _csv_config(tmp_path, cell):
     csv = tmp_path / "data.csv"
     rows = "".join(f"t{i},{i},1\n" for i in range(50))
     csv.write_text(f"date,a,OT\n{rows}t50,{cell},1\n")
-    return json.dumps(base_config(dataset={"kind": "csv", "path": str(csv)}))
+    return json.dumps(tiny_raw_config(dataset={"kind": "csv", "path": str(csv)}))
 
 
 def _not_an_archive(tmp_path, content):
@@ -495,20 +467,20 @@ def _gradcheck_tiny():
 
 
 def _with_hidden(hidden):
-    raw = base_config()
+    raw = tiny_raw_config()
     raw["model"]["backbone"]["hidden"] = hidden
     return json.dumps(raw)
 
 
-def _with_number(section, key, word):
+def _with(section, key, value):
     # json.dumps writes a non-finite float as NaN or Infinity, as json reads them
-    raw = base_config()
-    raw[section][key] = float(word)
+    raw = tiny_raw_config()
+    raw[section][key] = value
     return json.dumps(raw)
 
 
 def _with_protocol(protocol):
-    return json.dumps(base_config(split={"protocol": protocol}))
+    return json.dumps(tiny_raw_config(split={"protocol": protocol}))
 
 
 def _out_holding(tmp_path, name):
@@ -522,7 +494,7 @@ def _never(*args, **kwargs):
     raise AssertionError("trained although an output file is a directory")
 
 
-# every file ``cvpe experiment`` writes for base_config's grid
+# every file ``cvpe experiment`` writes for tiny_raw_config's grid
 _EXPERIMENT_FILES = [
     "config.json", "report.json", "report.txt", "loss_vanilla_h3_seed0.csv", "loss_cvpe_h3_seed0.csv",
 ]
@@ -556,12 +528,23 @@ def _under_a_file(tmp_path):
 
 # case: (builder of (config text or bytes, subcommand and flags), text stderr
 # must show)
-_GOOD = json.dumps(base_config())
+_GOOD = json.dumps(tiny_raw_config())
 _INPUT_FAILURES = {
     "bad_json": (lambda t: ("{not json", ["prepare"]), "not valid JSON"),
     "binary_config": (lambda t: (b"\xff\xfe\x00{", ["prepare"]), "can't decode"),
     "nan_csv_cell": (lambda t: (_csv_config(t, "nan"), ["prepare"]), "non-finite value 'nan'"),
     "text_csv_cell": (lambda t: (_csv_config(t, "oops"), ["prepare"]), "'oops'"),
+    "csv_field_over_the_size_limit": (
+        lambda t: (_csv_config(t, "1" * 200_000), ["prepare"]),
+        "error: field larger than field limit (131072) (row 51)"),
+    # nesting too deep for the JSON parser
+    "config_nested_too_deep": (
+        lambda t: ("[" * 10_000, ["prepare"]), "config is not valid JSON: maximum recursion depth"),
+    # sizes over a 47-bit address space, which numpy refuses up front
+    "dataset_length_unallocatable": (
+        lambda t: (_with("dataset", "length", 10**15), ["prepare"]), "error: Unable to allocate"),
+    "model_dim_unallocatable": (
+        lambda t: (_with("model", "dim", 2 * 10**13), ["gradcheck"]), "error: Unable to allocate"),
     "jobs_zero": (lambda t: (_GOOD, ["experiment", "--jobs", "0"]), "jobs must be positive"),
     "gradcheck_batch_zero": (
         lambda t: (_GOOD, ["gradcheck", "--batch", "0"]), "unrecognized arguments: --batch 0"),
@@ -574,13 +557,13 @@ _INPUT_FAILURES = {
     "gradcheck_tolerance_negative": (
         lambda t: (_GOOD, ["gradcheck", "--tolerance", "-1"]), "argument --tolerance"),
     "lr_nan": (
-        lambda t: (_with_number("train", "lr", "nan"), ["experiment", "--out", "new/out"]),
+        lambda t: (_with("train", "lr", float("nan")), ["experiment", "--out", "new/out"]),
         "train.lr must be finite"),
     "lr_infinity": (
-        lambda t: (_with_number("train", "lr", "inf"), ["experiment", "--out", "new/out"]),
+        lambda t: (_with("train", "lr", float("inf")), ["experiment", "--out", "new/out"]),
         "train.lr must be finite"),
     "noise_std_infinity": (
-        lambda t: (_with_number("dataset", "noise_std", "inf"), ["experiment", "--out", "new/out"]),
+        lambda t: (_with("dataset", "noise_std", float("inf")), ["experiment", "--out", "new/out"]),
         "dataset.noise_std must be finite"),
     # a protocol that is not a string, which a set cannot look up
     "split_protocol_is_a_list": (
@@ -616,6 +599,9 @@ _INPUT_FAILURES = {
     "checkpoint_structure_is_not_json": (
         lambda t: (_GOOD, ["evaluate", "--checkpoint", _checkpoint(t, raw=b"{oops")]),
         "model.npz: unreadable __structure__"),
+    "checkpoint_structure_nested_too_deep": (
+        lambda t: (_GOOD, ["evaluate", "--checkpoint", _checkpoint(t, raw=b"[" * 100_000)]),
+        "model.npz: unreadable __structure__ entry: maximum recursion depth"),
     "checkpoint_structure_is_not_utf8": (
         lambda t: (_GOOD, ["evaluate", "--checkpoint", _checkpoint(t, raw=b"\xff\xfe")]),
         "model.npz: unreadable __structure__"),
@@ -663,7 +649,7 @@ _INPUT_FAILURES = {
     "config_is_a_directory": (
         lambda t: (_GOOD, ["prepare", "--config", str(t)]), "error: [Errno 21] Is a directory"),
     "csv_path_is_a_directory": (
-        lambda t: (json.dumps(base_config(dataset={"kind": "csv", "path": str(t)})), ["prepare"]),
+        lambda t: (json.dumps(tiny_raw_config(dataset={"kind": "csv", "path": str(t)})), ["prepare"]),
         "error: [Errno 21] Is a directory"),
     "train_overwrite_checkpoint_is_a_directory": (
         lambda t: (_GOOD, ["train", "--variant", "vanilla", "--overwrite",

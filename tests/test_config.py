@@ -65,7 +65,7 @@ class TestParsing:
         assert "model.dim 30 must be divisible by model.heads 8" in text
         assert "horizons must be non-empty" in text
         assert "unknown field 'bogus'" in text
-        assert len(err.value.errors) >= 3
+        assert text.count("; ") >= 2
 
     def test_unknown_keys_inside_sections_are_named(self):
         raw = minimal(
@@ -77,14 +77,14 @@ class TestParsing:
         raw["dataset"]["frequency"] = "hourly"
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
-        assert err.value.errors == [
+        assert str(err.value) == "invalid configuration: " + "; ".join([
             "unknown field 'dataset.frequency'",
             "unknown field 'split.boundary'",
             "unknown field 'patch.len'",
             "unknown field 'model.router'",
             "unknown field 'model.backbone.hiden'",
             "unknown field 'train.patiense'",
-        ]
+        ])
 
     def test_dataset_keys_depend_on_the_kind(self):
         raw = minimal()
@@ -174,10 +174,10 @@ class TestParsing:
         raw["dataset"]["noise_std"] = number
         with pytest.raises(ConfigError) as info:
             parse_config(raw)
-        assert info.value.errors == [
-            f"dataset.noise_std must be finite, got {number}",
-            f"train.lr must be finite, got {number}",
-        ]
+        assert str(info.value) == (
+            f"invalid configuration: dataset.noise_std must be finite, got {number}; "
+            f"train.lr must be finite, got {number}"
+        )
 
     def test_csv_dataset_fields(self):
         raw = minimal()
@@ -199,7 +199,7 @@ class TestParsing:
     def test_dataset_problems_are_named(self, dataset, errors):
         with pytest.raises(ConfigError) as info:
             parse_config(minimal(dataset=dataset))
-        assert info.value.errors == errors
+        assert str(info.value) == "invalid configuration: " + "; ".join(errors)
 
     def test_backbone_hidden_defaults_to_twice_the_width(self):
         cfg = parse_config(minimal(model={"backbone": {"width": 8, "heads": 2}}))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cvpe.data import (
-    CsvFormatError,
     MultivariateSeries,
     SplitSpec,
     SyntheticSpec,
@@ -41,33 +40,33 @@ class TestLoadCsv:
 
     def test_wrong_timestamp_column(self, tmp_path):
         p = write_csv(tmp_path / "bad.csv", "time,a\n1,2\n")
-        with pytest.raises(CsvFormatError) as err:
+        with pytest.raises(ValueError) as err:
             load_csv(p)
-        assert err.value.row == 0
-        assert "date" in str(err.value)
+        assert str(err.value) == (
+            "first column must be the timestamp column 'date', got 'time' (row 0, column 'time')"
+        )
 
     def test_ragged_row_reports_row_number(self, tmp_path):
         p = write_csv(tmp_path / "ragged.csv", "date,a,b\nx,1,2\ny,3\n")
-        with pytest.raises(CsvFormatError) as err:
+        with pytest.raises(ValueError) as err:
             load_csv(p)
-        assert err.value.row == 2
+        assert str(err.value) == "expected 3 fields, got 2 (row 2)"
 
     def test_non_numeric_reports_row_and_column(self, tmp_path):
         p = write_csv(tmp_path / "alpha.csv", "date,a,b\nx,1,2\ny,oops,4\n")
-        with pytest.raises(CsvFormatError) as err:
+        with pytest.raises(ValueError) as err:
             load_csv(p)
-        assert err.value.row == 2
-        assert err.value.column == "a"
+        assert str(err.value) == "non-numeric value 'oops' (row 2, column 'a')"
 
     def test_non_finite_rejected(self, tmp_path):
         p = write_csv(tmp_path / "inf.csv", "date,a\nx,inf\n")
-        with pytest.raises(CsvFormatError):
+        with pytest.raises(ValueError, match=r"^non-finite value 'inf' \(row 1, column 'a'\)$"):
             load_csv(p)
 
     def test_empty_and_headers_only(self, tmp_path):
-        with pytest.raises(CsvFormatError):
+        with pytest.raises(ValueError, match=r"^empty file \(row 0\)$"):
             load_csv(write_csv(tmp_path / "empty.csv", ""))
-        with pytest.raises(CsvFormatError):
+        with pytest.raises(ValueError, match=r"^no data rows \(row 1\)$"):
             load_csv(write_csv(tmp_path / "bare.csv", "date,a\n"))
 
 

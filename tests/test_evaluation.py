@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import tiny_raw_config
 
 from cvpe import autodiff
 from cvpe.config import parse_config
@@ -32,32 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(**overrides):
-    raw = {
-        "dataset": {
-            "kind": "synthetic",
-            "n_channels": 3,
-            "length": 400,
-            "coupling": 0.8,
-            "lag": 2,
-            "noise_std": 0.05,
-            "seed": 0,
-        },
-        "context": 24,
-        "horizons": [3],
-        "patch": {"length": 6, "stride": 3},
-        "model": {
-            "dim": 4,
-            "heads": 2,
-            "prototypes": 5,
-            "routers": 2,
-            "backbone": {"layers": 1, "width": 4, "heads": 2, "hidden": 8},
-        },
-        "train": {"epochs": 2, "batch_size": 16, "lr": 0.01, "patience": 5},
-        "seeds": [0],
-        "output_dir": "runs/test",
-    }
-    raw.update(overrides)
-    return parse_config(raw)
+    return parse_config(tiny_raw_config(output_dir="runs/test", **overrides))
 
 
 class TestMetrics:

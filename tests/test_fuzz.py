@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import tiny_raw_config
 
 from cvpe.cli import main
 from cvpe.config import parse_config
@@ -20,18 +21,9 @@ from cvpe.model import build_model, save_checkpoint
 
 JUNK = (None, -1, 0, 2.5, "x", "", [], [1], {}, {"x": 1}, True, float("nan"), float("inf"), 1e308)
 
-# the tiny config: 3 synthetic channels, one horizon, one seed
-TINY = {
-    "dataset": {"kind": "synthetic", "n_channels": 3, "length": 200, "coupling": 0.8,
-                "lag": 2, "noise_std": 0.05, "seed": 0},
-    "context": 24,
-    "horizons": [3],
-    "patch": {"length": 6, "stride": 3},
-    "model": {"dim": 4, "heads": 2, "prototypes": 5, "routers": 2,
-              "backbone": {"layers": 1, "width": 4, "heads": 2, "hidden": 8}},
-    "train": {"epochs": 2, "batch_size": 16, "lr": 0.01, "patience": 5},
-    "seeds": [0],
-}
+# the tiny config on a shorter series
+TINY = tiny_raw_config()
+TINY["dataset"]["length"] = 200
 
 
 def corruptions(data: bytes, n: int, seed: int):

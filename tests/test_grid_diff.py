@@ -56,6 +56,18 @@ def test_a_flipped_best_epoch_fails():
     assert problems == ["cell ('vanilla', 8, 0): best_epoch 3 -> 4"]
 
 
+def test_a_changed_error_text_fails():
+    def fail(stage):
+        return lambda cells: cells[1].update(
+            status="failed", error=f"NumericError: non-finite value in stage '{stage}'")
+    parent = _changed(fail("reprogramming"))
+    _, problems = grid_diff.compare_reports(parent, _changed(fail("backbone")))
+    assert problems == ["cell ('cvpe', 8, 0): error "
+                        "\"NumericError: non-finite value in stage 'reprogramming'\" -> "
+                        "\"NumericError: non-finite value in stage 'backbone'\""]
+    assert grid_diff.compare_reports(parent, copy.deepcopy(parent))[1] == []
+
+
 def test_a_missing_cell_fails():
     change = _changed(lambda cells: cells.pop(3))
     diffs, problems = grid_diff.compare_reports(REPORT, change)

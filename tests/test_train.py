@@ -102,8 +102,7 @@ class TestLossAndGradients:
             loss = tsum(power(p, 0.5))
             with pytest.raises(NumericError) as err:
                 backward(loss, [p])
-        assert err.value.stage == "backward"
-        assert "non-finite gradient for p" in str(err.value)
+        assert str(err.value) == "non-finite value in stage 'backward': non-finite gradient for p"
 
     @pytest.mark.parametrize("variant", ["vanilla", "cvpe"])
     def test_model_gradients_are_separate_writeable_arrays(self, variant):
@@ -368,7 +367,6 @@ class TestTrainLoop:
         vt[-1, :, -1] = 1e200
         with np.errstate(over="ignore"), pytest.raises(TrainingDiverged) as err:
             train_loop(params, tw, tt, vw, vt, train_config(epochs=2), 7)
-        assert (err.value.epoch, err.value.batch) == (0, -1)
         assert str(err.value) == "non-finite validation loss at epoch 0"
 
     def test_empty_window_sets_are_rejected(self):
@@ -503,7 +501,7 @@ class TestSplitForecaster:
             forecast_batch(windows, params)
         with pytest.raises(NumericError) as split:
             model_forecast_fn(params)(windows)
-        assert (split.value.stage, str(split.value)) == (whole.value.stage, str(whole.value))
+        assert str(split.value) == str(whole.value)
 
     @pytest.mark.parametrize("windows", [np.zeros((32, 3, 20)), np.zeros((32, 3, 24)) + np.nan])
     def test_malformed_batch_raises_the_one_thread_error(self, windows):

@@ -10,9 +10,10 @@ the two ``report.json`` files are compared.  Both runs read the same config
 file from the repository root, so only the code differs.
 
 The bar is met when both reports hold the same cells, each cell has the same
-``status``, ``window_order_digest``, ``best_epoch`` and ``epochs_run``, and
-its ``mse`` and ``mae``, and the ``train_mse`` and ``val_mse`` of each epoch
-of its ``history``, agree within a relative 1e-10.  A flipped
+``status``, ``error`` (a failed cell's message), ``window_order_digest``,
+``best_epoch`` and ``epochs_run``, and its ``mse`` and ``mae``, and the
+``train_mse`` and ``val_mse`` of each epoch of its ``history``, agree within
+a relative 1e-10.  A flipped
 early-stopping decision is a result change, not rounding.  Moving every
 parameter of an initial model by one unit in the last place moved the test
 MSE of two ``synthetic_ab`` cells by a relative 3.7e-15 and 8.1e-15, so the
@@ -34,7 +35,7 @@ from pathlib import Path
 from ab_bench import ROOT, export_tree, relative_difference, resolve_commit
 
 RTOL = 1e-10
-EXACT_FIELDS = ("status", "window_order_digest", "best_epoch", "epochs_run")
+EXACT_FIELDS = ("status", "error", "window_order_digest", "best_epoch", "epochs_run")
 METRIC_FIELDS = ("mse", "mae")
 HISTORY_FIELDS = ("train_mse", "val_mse")
 
