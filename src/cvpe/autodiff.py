@@ -122,11 +122,12 @@ tile, and block ``i`` of ``count`` starts at row ``tile * (i * tiles //
 count)``. So every block starts on a tile, and no two blocks differ by more
 than one tile: none is a short remainder. The tile is ``ROW_TILE``, 8 rows,
 except for untaped attention's batched blocks, which cut a broadcast axis
-one index at a time. Each loop has its own budget, measured for its own
+one index at a time. There are two budgets, each measured for its own
 reason:
 
-* ``_SMALL_GEMM``, an M*N*K of 1e6, for ``_gemm``: the dense forward and
-  input gradient and both centring products of ``layer_norm``. OpenBLAS
+* ``_SMALL_GEMM``, an M*N*K of 1e6, for ``_gemm`` (the dense forward and
+  input gradient and both centring products of ``layer_norm``) and for
+  ``mlp``, whose blocks keep both of their GEMMs within it. OpenBLAS
   0.3.31 on x86-64 hands a GEMM up to that size to its small-matrix kernel,
   and a larger one to its general kernel, which at the model's narrow
   shapes runs at half the speed: on the same machine (960, 16) @ (16, 64)
@@ -134,12 +135,9 @@ reason:
   at 25.5 GFLOP/s against 52.5 at 2,048 rows (45-55 GFLOP/s below the
   limit, 25-34 above it). Half of the benchmark's wide evaluation batch is
   5,120 rows, so every product of the model crossed the limit there. The
-  weight gradients contract over the rows and stay whole.
-* ``_GELU_BLOCK``, 65,536 elements (512 KiB), for ``mlp``: a block's GELU
-  passes run while its hidden-size slice is still in a core's cache, and the
-  block is smaller still where that keeps both of its GEMMs within
-  ``_SMALL_GEMM``. With ``_SMALL_GEMM`` alone, ``mlp`` ran 2-7% slower at
-  width 8 and 61,440 rows.
+  weight gradients contract over the rows and stay whole. An ``mlp`` block
+  at width 16 and hidden 64 is at most 976 rows, whose hidden-size slice
+  (488 KiB) stays in a core's cache through the GELU passes.
 * ``_ATTENTION_BLOCK``, 1 MiB of scores, for untaped ``attention``: it
   bounds the no-grad forward's working memory (above).
 
@@ -569,9 +567,6 @@ def matmul(a, b) -> Tensor:
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
-# elements per block of ``mlp``'s GELU work: 512 KiB, which stays in a
-# core's cache through the passes over it
-_GELU_BLOCK = 1 << 16
 
 
 def _gelu_block(x: np.ndarray, den: np.ndarray, out: np.ndarray) -> None:
@@ -789,7 +784,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     """The feed-forward ``gelu(x @ w1 + b1) @ w2 + b2`` as one node: ``w1`` is
     (k, hidden), ``w2`` is (hidden, n), ``x`` is (..., k).
 
-    The rows of ``x`` run in row blocks within ``_GELU_BLOCK`` and
+    The rows of ``x`` run in row blocks that keep both GEMMs within
     ``_SMALL_GEMM``: each block's first GEMM, bias, GELU passes and second
     GEMM run while its hidden-size slice is still in cache. Without a tape
     two block buffers serve every block, so no hidden-size array is
@@ -809,7 +804,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     (k, hidden), n = w1.shape, w2.shape[1]
     rows = x.data.reshape(-1, k)
     m = len(rows)
-    blocks = _row_blocks(m, min(_GELU_BLOCK // hidden, _SMALL_GEMM // (max(k, n) * hidden)))
+    blocks = _row_blocks(m, _SMALL_GEMM // (max(k, n) * hidden))
     longest = max((hi - lo for lo, hi in blocks), default=0)
     taped = _taped(parents)
     if taped:

@@ -13,13 +13,16 @@ asks for that cannot be allocated among them), 2 runtime failure
 (divergence, non-finite numbers or a dead ``--jobs`` worker), 3 gradient
 check failure.  The ``CVPE_OUTPUT_DIR`` environment variable overrides the
 configured output directory; an explicit ``--out`` flag overrides both.
+
+Before any training, ``train`` and ``experiment`` refuse a file they will
+write that is a directory, or that exists unless ``--overwrite`` is given
+(``evaluation.claim_outputs``); other files beside them do not matter.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import math
 import os
 import sys
@@ -33,6 +36,7 @@ from .config import ConfigError, RunConfig, load_config
 from .data import SyntheticSpec, lagged_driver_mean, pearson, rank_channels
 from .evaluation import (
     _windows,
+    claim_outputs,
     dataset_label,
     experiment_files,
     loss_curve_name,
@@ -79,14 +83,6 @@ def _output_directory(outdir: Path):
                 path.rmdir()  # refused unless empty
             except OSError:
                 break
-
-
-def _refuse_directories(paths) -> None:
-    """Fail before any training when a file the command will write is an
-    existing directory, which the write at the end would meet."""
-    for path in paths:
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _cell_args(config: RunConfig, args) -> tuple[str, int, int]:
@@ -145,9 +141,7 @@ def cmd_train(args) -> int:
     outdir = _outdir(config, args.out)
     with _output_directory(outdir):
         ckpt = outdir / f"model_{variant}_h{horizon}_seed{seed}.npz"
-        if ckpt.exists() and not args.overwrite:
-            raise FileExistsError(f"{ckpt} already exists; pass --overwrite to replace")
-        _refuse_directories((ckpt, outdir / loss_curve_name(variant, horizon, seed)))
+        claim_outputs((ckpt, outdir / loss_curve_name(variant, horizon, seed)), args.overwrite)
         params, result = train_cell(segments, config, variant, horizon, seed)
         save_checkpoint(ckpt, params)
         write_loss_curve(outdir, variant, horizon, seed, result.history)
@@ -205,25 +199,16 @@ def cmd_experiment(args) -> int:
     config = load_config(args.config)
     outdir = _outdir(config, args.out)
     with _output_directory(outdir):
-        if any(outdir.iterdir()) and not args.overwrite:
-            # refuse before burning compute on the grid
-            raise FileExistsError(
-                f"output directory {outdir} already has contents; pass --overwrite to replace"
-            )
-        _refuse_directories(outdir / name for name in experiment_files(config))
+        # claimed before burning compute on the grid, so the write may replace
+        claim_outputs((outdir / name for name in experiment_files(config)), args.overwrite)
         report = run_experiment(config, jobs=args.jobs)
         write_experiment(report, outdir, overwrite=True)
         sys.stdout.write(report.to_text())
         print(f"report written to {outdir}")
-        if report.any_failed:
-            failed = [r for r in report.rows if r.status != "ok"]
-            for r in failed:
-                print(
-                    f"cell failed: {r.variant} h={r.horizon} seed={r.seed}: {r.error}",
-                    file=sys.stderr,
-                )
-            return 2
-        return 0
+        for r in report.rows:
+            if r.status != "ok":
+                print(f"cell failed: {r.variant} h={r.horizon} seed={r.seed}: {r.error}", file=sys.stderr)
+        return 2 if report.any_failed else 0
 
 
 def _tolerance(text: str) -> float:
@@ -296,10 +281,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    # OSError: any file a command reads or writes, an existing output too;
-    # MemoryError: a size the config asks for that cannot be allocated
-    except (OSError, ValueError, MemoryError) as exc:
+    # OSError: any file a command reads or writes, an existing output too
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    # a size the config asks for that cannot be allocated; Python's own has no message
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     # BrokenExecutor is the base of the process pool's BrokenProcessPool
     except (TrainingDiverged, NumericError, BrokenExecutor) as exc:

@@ -10,7 +10,9 @@ floats round-trip.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -272,18 +274,26 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> ExperimentReport:
 REPORT_FILES = ("config.json", "report.json", "report.txt")
 
 
+def claim_outputs(paths, overwrite: bool) -> None:
+    """The one rule for which files a command may write, checked before any is
+    written: a directory is refused, and an existing file unless ``overwrite``."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if path.exists() and not overwrite:
+            raise FileExistsError(f"{path} already exists; pass --overwrite to replace")
+
+
 def write_experiment(report: ExperimentReport, outdir: str | Path, overwrite: bool = False):
     """Emit per-cell loss curves, then the config echo and the JSON and text
     reports, so a failed write leaves no report naming a missing curve."""
     outdir = Path(outdir)
-    if outdir.exists() and any(outdir.iterdir()) and not overwrite:
-        raise FileExistsError(
-            f"output directory {outdir} already has contents; pass overwrite to replace"
-        )
+    curves = [row for row in report.rows if row.history]
+    names = [*(loss_curve_name(r.variant, r.horizon, r.seed) for r in curves), *REPORT_FILES]
+    claim_outputs((outdir / name for name in names), overwrite)
     outdir.mkdir(parents=True, exist_ok=True)
-    for row in report.rows:
-        if row.history:
-            write_loss_curve(outdir, row.variant, row.horizon, row.seed, row.history)
+    for row in curves:
+        write_loss_curve(outdir, row.variant, row.horizon, row.seed, row.history)
     config, as_json, as_text = REPORT_FILES
     (outdir / config).write_text(json.dumps(report.config_echo, indent=2, sort_keys=True) + "\n")
     (outdir / as_json).write_text(report.to_json())

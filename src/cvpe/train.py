@@ -250,9 +250,13 @@ class TrainResult:
 
 
 def plan_schedule(n_windows: int, epochs: int, seed: int) -> np.ndarray:
-    """Shuffled window indices for every epoch, drawn up front: (epochs, W)."""
+    """Shuffled window indices for every epoch, drawn up front: (epochs, W),
+    allocated before the first draw, so too many epochs fail at once."""
     rng = rng_from(seed, _SHUFFLE_STREAM)
-    return np.stack([rng.permutation(n_windows) for _ in range(epochs)])
+    schedule = np.empty((epochs, n_windows), dtype=np.int64)
+    for row in schedule:
+        row[:] = rng.permutation(n_windows)
+    return schedule
 
 
 def schedule_digest(schedule: np.ndarray) -> str:

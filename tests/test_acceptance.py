@@ -30,7 +30,7 @@ from cvpe.embedding import (
 )
 from cvpe.evaluation import run_experiment
 from cvpe.layers import Affine
-from cvpe.model import BackboneConfig, ModelParams, ReprogramParams, forecast_batch, reprogram
+from cvpe.model import BackboneConfig, ModelParams, ReprogramParams, build_model, forecast_batch, reprogram
 from cvpe.preprocess import PatchConfig, patch, revin_denormalize, revin_normalize
 from cvpe.train import evaluate
 from oracles import (
@@ -316,18 +316,7 @@ def test_hourly_benchmark_smoke():
     )
     tw, tt = make_windows(train_s.values, 256, 96)
     vw, vt = make_windows(val_s.values, 256, 96)
-    params = ModelParams.build(
-        "vanilla",
-        context=256,
-        horizon=96,
-        patch_cfg=config.patch,
-        model_dim=config.model_dim,
-        heads=config.heads,
-        n_prototypes=config.n_prototypes,
-        n_routers=config.n_routers,
-        backbone_cfg=config.backbone,
-        seed=0,
-    )
+    params = build_model(config, "vanilla", 96, 0)
     result = train_loop(params, tw, tt, vw, vt, replace(config, epochs=5, patience=5), 0)
     vals = [r.val_mse for r in result.history]
     train_ok = all(np.isfinite(vals)) and min(vals[1:]) < vals[0]

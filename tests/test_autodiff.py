@@ -779,10 +779,10 @@ def _mlp_chain(x, w1, b1, w2, b2):
 
 
 # leaf shape and the view of it the feed-forward node sees, at the model's
-# width 16 and hidden size 64, whose block budget keeps a block within
-# _GELU_BLOCK and both of its GEMMs within OpenBLAS's small-matrix kernel;
-# _MLP_BLOCK_ROWS is the most rows that run as one block
-_MLP_BUDGET = min(autodiff._GELU_BLOCK // 64, autodiff._SMALL_GEMM // (16 * 64))
+# width 16 and hidden size 64, whose block budget keeps both of a block's
+# GEMMs within OpenBLAS's small-matrix kernel; _MLP_BLOCK_ROWS is the most
+# rows that run as one block
+_MLP_BUDGET = autodiff._SMALL_GEMM // (16 * 64)
 _MLP_BLOCK_ROWS = next(
     n for n in range(_MLP_BUDGET, 0, -1) if len(autodiff._row_blocks(n, _MLP_BUDGET)) == 1
 )

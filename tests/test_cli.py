@@ -268,7 +268,9 @@ class TestExperiment:
         assert main(["experiment", "--config", config_file(), "--out", str(outdir)]) == 0
         capsys.readouterr()
         assert main(["experiment", "--config", config_file(), "--out", str(outdir)]) == 1
-        assert "already has contents" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {outdir / 'config.json'} already exists; pass --overwrite to replace\n"
+        )
         assert (
             main(
                 [
@@ -510,6 +512,53 @@ def test_experiment_checks_its_output_files_before_training(name, config_file, t
     assert [p.name for p in Path(out).iterdir()] == [name]
 
 
+@pytest.mark.parametrize("name", _EXPERIMENT_FILES)
+def test_experiment_refuses_any_one_of_its_files_without_overwrite(name, config_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", _never)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_text("kept")
+    assert main(["experiment", "--config", config_file(), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out / name} already exists; pass --overwrite to replace\n"
+    assert [p.name for p in out.iterdir()] == [name]
+    assert (out / name).read_text() == "kept"
+
+
+def test_experiment_runs_beside_files_it_does_not_write(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    others = ["model_vanilla_h3_seed0.npz", "loss_vanilla_h3_seed1.csv", "notes.txt"]
+    for name in others:
+        (out / name).write_text("kept")
+    assert main(["experiment", "--config", config_file(), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*_EXPERIMENT_FILES, *others])
+    assert all((out / name).read_text() == "kept" for name in others)
+
+
+def test_train_refuses_an_existing_loss_curve_without_overwrite(config_file, tmp_path, capsys, monkeypatch):
+    # an experiment's curve of the same cell, which a 1-epoch cell would replace
+    monkeypatch.setattr(cli, "train_cell", _never)
+    out = tmp_path / "out"
+    out.mkdir()
+    curve = out / "loss_vanilla_h3_seed0.csv"
+    curve.write_text("kept")
+    argv = ["train", "--config", config_file(), "--variant", "vanilla", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {curve} already exists; pass --overwrite to replace\n"
+    assert [p.name for p in out.iterdir()] == [curve.name]
+    assert curve.read_text() == "kept"
+
+
+def test_an_empty_memory_error_is_reported_as_out_of_memory(config_file, capsys, monkeypatch):
+    # Python's own MemoryError, as a huge layer count meets it, has no message
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build_model", exhausted)
+    assert main(["gradcheck", "--config", config_file()]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("name", ["model_vanilla_h3_seed0.npz", "loss_vanilla_h3_seed0.csv"])
 def test_train_checks_its_output_files_before_training(name, config_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "train_cell", _never)
@@ -545,6 +594,10 @@ _INPUT_FAILURES = {
         lambda t: (_with("dataset", "length", 10**15), ["prepare"]), "error: Unable to allocate"),
     "model_dim_unallocatable": (
         lambda t: (_with("model", "dim", 2 * 10**13), ["gradcheck"]), "error: Unable to allocate"),
+    # the whole (epochs, windows) schedule is allocated before the first draw
+    "train_epochs_unallocatable": (
+        lambda t: (_with("train", "epochs", 10**12), ["train", "--out", "new/out"]),
+        "error: Unable to allocate 1.80 PiB for an array with shape (1000000000000, 254)"),
     "jobs_zero": (lambda t: (_GOOD, ["experiment", "--jobs", "0"]), "jobs must be positive"),
     "gradcheck_batch_zero": (
         lambda t: (_GOOD, ["gradcheck", "--batch", "0"]), "unrecognized arguments: --batch 0"),

@@ -25,8 +25,7 @@ from cvpe.evaluation import (
     run_experiment,
     write_experiment,
 )
-from cvpe.model import BackboneConfig, ModelParams
-from cvpe.preprocess import PatchConfig
+from cvpe.model import build_model
 from oracles import mae_oracle, mse_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,18 +109,7 @@ class TestEvaluate:
             evaluate(lambda x: x[..., :2], w, t)
 
     def test_evaluation_does_not_touch_gradients(self):
-        params = ModelParams.build(
-            "vanilla",
-            context=24,
-            horizon=3,
-            patch_cfg=PatchConfig(6, 3),
-            model_dim=4,
-            heads=2,
-            n_prototypes=5,
-            n_routers=2,
-            backbone_cfg=BackboneConfig(1, 4, 2, 8),
-            seed=0,
-        )
+        params = build_model(tiny_config(), "vanilla", 3, 0)
         fn = model_forecast_fn(params)
         rng = np.random.default_rng(5)
         out = fn(rng.normal(size=(2, 3, 24)))
@@ -287,7 +275,7 @@ class TestWriting:
         report = run_experiment(tiny_config())
         outdir = tmp_path / "run"
         write_experiment(report, outdir)
-        with pytest.raises(FileExistsError, match="already has contents; pass overwrite to replace"):
+        with pytest.raises(FileExistsError, match="already exists; pass --overwrite to replace"):
             write_experiment(report, outdir)
         write_experiment(report, outdir, overwrite=True)
 

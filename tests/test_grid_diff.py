@@ -91,3 +91,13 @@ def test_a_history_move_below_the_bar_passes_and_is_reported():
     diffs, problems = grid_diff.compare_reports(REPORT, change)
     assert problems == []
     assert 0.0 < diffs[("vanilla", 8, 0)] < 1e-13
+
+
+def test_a_file_only_one_run_wrote_fails():
+    parent = ["config.json", "loss_cvpe_h8_seed0.csv", "report.json", "report.txt"]
+    change = ["report.txt", "report.json", "config.json", "loss_cvpe_h8_seed1.csv"]
+    assert grid_diff.compare_file_names(parent, change) == [
+        "file loss_cvpe_h8_seed0.csv only in the parent run",
+        "file loss_cvpe_h8_seed1.csv only in the change run",
+    ]
+    assert grid_diff.compare_file_names(parent, parent[::-1]) == []

@@ -8,12 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import tiny_raw_config
 
 from cvpe.autodiff import NumericError, as_tensor, no_grad, parameter, power, tsum
-from cvpe.config import load_config
+from cvpe.config import load_config, parse_config
 from cvpe.data import SyntheticSpec, generate_synthetic
-from cvpe.model import BackboneConfig, ModelParams, forecast_batch
-from cvpe.preprocess import PatchConfig
+from cvpe.model import build_model, forecast_batch
 from cvpe.train import (
     AdamState,
     TrainingDiverged,
@@ -29,23 +29,16 @@ from cvpe.train import (
     train_loop,
 )
 
-
-def tiny_model(variant, seed=0, context=24, horizon=3):
-    return ModelParams.build(
-        variant,
-        context=context,
-        horizon=horizon,
-        patch_cfg=PatchConfig(6, 3),
-        model_dim=4,
-        heads=2,
-        n_prototypes=5,
-        n_routers=2,
-        backbone_cfg=BackboneConfig(n_layers=1, width=4, heads=2, hidden=8),
-        seed=seed,
-    )
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_TINY = parse_config(tiny_raw_config())
+_RUN = load_config(CONFIGS / "gradcheck_tiny.json")
+_ETTH1 = load_config(CONFIGS / "etth1_smoke.json")
+_SYNTHETIC_AB = load_config(CONFIGS / "synthetic_ab.json")
 
 
-_RUN = load_config(Path(__file__).resolve().parent.parent / "configs" / "gradcheck_tiny.json")
+def tiny_model(variant, seed=0):
+    """The tiny run config's model: 3 channels, context 24, horizon 3."""
+    return build_model(_TINY, variant, 3, seed)
 
 
 def train_config(epochs, batch_size=16, lr=1e-2, patience=10):
@@ -404,9 +397,7 @@ class TestSplitForecaster:
     def test_etth1_shapes_give_the_whole_batch_bits(self, variant):
         # 7 channels x 31 patches a window: a split at len // 2 moves rows
         # between BLAS tiles and changes their last bit
-        params = ModelParams.build(
-            variant, 256, 96, PatchConfig(16, 8), 16, 4, 32, 4, BackboneConfig(2, 16, 4, 32), 0
-        )
+        params = build_model(_ETTH1, variant, 96, 0)
         windows = np.random.default_rng(0).normal(size=(37, 7, 256))
         with no_grad():
             whole = forecast_batch(windows, params).data
@@ -419,9 +410,7 @@ class TestSplitForecaster:
         # rows evenly: blocks of at most 1,024 rows left the second part a
         # last block of 26 rows, whose score GEMM OpenBLAS runs in another
         # kernel, and its forecasts moved in the last bit
-        params = ModelParams.build(
-            variant, 96, 24, PatchConfig(16, 8), 16, 4, 32, 4, BackboneConfig(2, 16, 4, 32), 0
-        )
+        params = build_model(replace(_ETTH1, context=96), variant, 24, 0)
         windows = np.random.default_rng(0).normal(size=(37, 5, 96)).cumsum(axis=-1)
         with no_grad():
             whole = forecast_batch(windows, params).data
@@ -433,9 +422,7 @@ class TestSplitForecaster:
         # synthetic_ab model.  Each half's GEMMs cross OpenBLAS's small-matrix
         # limit and run in row blocks, and the whole batch's blocks fall
         # differently from the halves'
-        params = ModelParams.build(
-            variant, 64, 8, PatchConfig(24, 8), 16, 4, 16, 4, BackboneConfig(1, 16, 4, 32), 0
-        )
+        params = build_model(_SYNTHETIC_AB, variant, 8, 0)
         windows = np.random.default_rng(0).normal(size=(64, 32, 64))
         with no_grad():
             whole = forecast_batch(windows, params).data
@@ -451,9 +438,7 @@ class TestSplitForecaster:
         # The gap is taken against the batch's largest forecast: an entry near
         # zero takes its gap from the terms it sums, and one of about 2e-7
         # here differs by 4e-10 of itself.  The test metrics are held to it too.
-        params = ModelParams.build(
-            variant, 96, 4, PatchConfig(16, 8), 16, 4, 32, 4, BackboneConfig(2, 16, 4, 32), 0
-        )
+        params = build_model(replace(_ETTH1, context=96), variant, 4, 0)
         rng = np.random.default_rng(batch)
         windows, targets = rng.normal(size=(batch, 32, 96)), rng.normal(size=(batch, 32, 4))
         with no_grad():

@@ -6,8 +6,9 @@ The committed files of ``--parent`` are exported (``git archive``) into a
 temporary directory, so the repository's own state is left untouched.  Then
 ``cvpe experiment --jobs 2`` runs the config once with the parent's code and
 once with the working tree's, each into a temporary output directory, and
-the two ``report.json`` files are compared.  Both runs read the same config
-file from the repository root, so only the code differs.
+the two ``report.json`` files are compared, as are the names of the files
+each run wrote: a file only one run wrote breaks the bar.  Both runs read
+the same config file from the repository root, so only the code differs.
 
 The bar is met when both reports hold the same cells, each cell has the same
 ``status``, ``error`` (a failed cell's message), ``window_order_digest``,
@@ -72,9 +73,18 @@ def compare_reports(parent: dict, change: dict) -> tuple[dict[tuple, float], lis
     return dict(sorted(diffs.items())), problems
 
 
-def run_grid(tree: Path, config: Path, out: Path) -> dict:
+def compare_file_names(parent: list[str], change: list[str]) -> list[str]:
+    """One problem line for each file name only one of the two runs wrote."""
+    old, new = set(parent), set(change)
+    return [f"file {name} only in the {side} run"
+            for side, mine, other in (("parent", old, new), ("change", new, old))
+            for name in sorted(mine - other)]
+
+
+def run_grid(tree: Path, config: Path, out: Path) -> tuple[dict, list[str]]:
     """``cvpe experiment --jobs 2`` on ``config`` with the code under ``tree``,
-    run from the repository root; its ``report.json``."""
+    run from the repository root; its ``report.json`` and the names of the
+    files it wrote."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop("CVPE_OUTPUT_DIR", None)
     done = subprocess.run(
@@ -85,7 +95,7 @@ def run_grid(tree: Path, config: Path, out: Path) -> dict:
     if done.returncode not in (0, 2):  # 2: a failed cell, which the report records
         raise RuntimeError(f"cvpe experiment in {tree} exited {done.returncode}: "
                            f"{done.stderr.strip()}")
-    return json.loads((out / "report.json").read_text())
+    return json.loads((out / "report.json").read_text()), [p.name for p in out.iterdir()]
 
 
 def main(argv=None) -> int:
@@ -100,9 +110,10 @@ def main(argv=None) -> int:
         (tmp / "parent").mkdir()
         export_tree(commit, tmp / "parent")
         print(f"parent {commit[:12]}, config {args.config}", flush=True)
-        parent = run_grid(tmp / "parent", config, tmp / "out_parent")
-        change = run_grid(ROOT, config, tmp / "out_change")
+        parent, parent_files = run_grid(tmp / "parent", config, tmp / "out_parent")
+        change, change_files = run_grid(ROOT, config, tmp / "out_change")
     diffs, problems = compare_reports(parent, change)
+    problems += compare_file_names(parent_files, change_files)
     for (variant, horizon, seed), diff in diffs.items():
         print(f"  {variant:<10} h={horizon:<4} seed={seed:<4} largest relative difference {diff:.3g}")
     for line in problems:
