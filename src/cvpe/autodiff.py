@@ -52,16 +52,11 @@ into a C-contiguous array of that shape first. The copies are locals, not
 saved on the tape. On a 2-vCPU x86-64 machine (numpy 2.4, OpenBLAS 0.3.31),
 the backbone's score product at a wide evaluation (batch 64, 32 variates:
 8,192 products of (5, 4) @ (4, 5)) took 1.5 ms on the view against 0.47 ms
-on the copy plus 0.22 ms to copy, and in earlier timings 3.6 to 3.9 ms
-against 0.9 plus 0.35 ms. No-grad calls of ``attention`` at those shapes
-went from 1.85 to 1.41 ms (router collect hop), 1.23 to 1.09 ms (dispatch
-hop) and 4.07 to 2.62 ms (backbone self-attention); forward plus backward
-at training shapes from 0.73 to 0.56 ms (collect) and 0.91 to 0.71 ms
-(self-attention). The products' bits are the same. The 2-D shared keys keep
-the view: there each head is one GEMM, which BLAS reads transposed at no
-cost, and the copy measured slower (1.0 against 0.54 ms). The other
-products (probabilities by values, and the query, key and value gradients)
-measured no faster with copied operands.
+on the copy plus 0.22 ms to copy. The products' bits are the same. The
+2-D shared keys keep the view: there each head is one GEMM, which BLAS
+reads transposed at no cost, and the copy measured slower (1.0 against
+0.54 ms). The other products (probabilities by values, and the query, key
+and value gradients) measured no faster with copied operands.
 
 The softmax makes one pass fewer over the scores than a textbook one. The
 ``1/sqrt(hd)`` scale multiplies the smaller of ``q`` and ``k`` before the
@@ -70,9 +65,9 @@ in the dispatch hop, the prototype keys in reprogramming), and the gradient
 of the other operand takes it in the backward; at the model's head size 4
 the scale is 1/2, a power of two, so the scores keep their bits. The sums
 are inverted once per row and the probabilities multiplied by the
-reciprocal instead of divided, which moves last bits: forecasts of the wide
-evaluation moved by at most 3.2e-16 of the largest, well inside the
-README's relative 1e-10.
+reciprocal instead of divided, which changes last bits: the forecasts of
+the wide evaluation differ from those of a division by at most 3.2e-16 of
+the largest, well inside the README's relative 1e-10.
 
 Without a tape, attention runs in row blocks (below). The backward needs
 the whole probabilities, but an untaped call needs each score only until
@@ -85,9 +80,9 @@ hop's ``(P, c, d)`` router table) enters every block whole. The taped call
 runs the same kernel once over the whole input. At
 ``configs/etth1_smoke.json``'s model with a 512-step context and 64
 windows (62 patches), the backbone's whole score buffer is 55 MB and the
-reprogramming layer's 28 MB; the blocks took the ``tracemalloc`` peak of a
-no-grad forecast from 92.5 to 37.5 MB, and at context 256 from 31.0 to
-18.2 MB. At the wide evaluation no batched score buffer reaches 1 MiB and
+reprogramming layer's 28 MB; with the blocks the ``tracemalloc`` peak of a
+no-grad forecast was 37.5 MB, against 92.5 MB for whole score buffers. At
+the wide evaluation no batched score buffer reaches 1 MiB and
 only the prototype attention runs in blocks, three of about 1,700 rows per
 half batch.
 
@@ -105,12 +100,13 @@ row by row, so it runs through BLAS as well: ``rows @ (I - 1/d)`` centres
 every row in a GEMM (the centring matrix is cached per ``d``), the variance
 is an ``einsum`` row dot, the gain and bias gradients are GEMVs, and the input
 gradient is centred by a GEMM whose matrix has the gain folded into its
-rows. On the same machine at (32, 8, 5, 16) that took the forward from 271
-to 147 us and the backward from 307 to 170 us; outputs and gradients agree
-with the reductions to about 1e-14. Without a tape no backward reads the
-normalised rows, so the gain and bias are applied in place over them; that
-took the no-grad cvpe forecast's ``tracemalloc`` peak at an ETT-like
-context of 512 (above) from 27.4 to 25.0 MB.
+rows. On the same machine at (32, 8, 5, 16) the forward took 147 us and
+the backward 170 us, against 271 and 307 us with numpy's reductions, and
+outputs and gradients agree with the reductions to about 1e-14. Without a
+tape no backward reads the normalised rows, so the gain and bias are
+applied in place over them, which keeps 2.4 MB out of the no-grad cvpe
+forecast's 25.0 MB ``tracemalloc`` peak at an ETT-like context of 512
+(above).
 
 Row blocks. Four loops cut an array's rows into blocks: ``_gemm``,
 ``mlp``, untaped ``attention`` and, over windows, the no-grad forecaster's
@@ -134,7 +130,8 @@ reason:
   took 41 us and (1024, 16) @ (16, 64) 62 us, and (5120, 16) @ (16, 16) ran
   at 25.5 GFLOP/s against 52.5 at 2,048 rows (45-55 GFLOP/s below the
   limit, 25-34 above it). Half of the benchmark's wide evaluation batch is
-  5,120 rows, so every product of the model crossed the limit there. The
+  5,120 rows, so unblocked, every product of the model would cross the
+  limit there. The
   weight gradients contract over the rows and stay whole. An ``mlp`` block
   at width 16 and hidden 64 is at most 976 rows, whose hidden-size slice
   (488 KiB) stays in a core's cache through the GELU passes.
@@ -146,10 +143,10 @@ can depend on the tile it falls in, so a block that starts on a tile keeps
 every row in the tile it had in the whole product. A row block of a GEMM
 with 8 or more output columns then gives the whole product's bits at any
 length above one row (a 1-row block is a GEMV): a probe found 0 of 150
-lengths that differed at k and n of 16, 32 and 64. Short blocks were still
-a hazard on one AVX-512 machine, where shared-key score blocks of up to
-about 190 rows against 32 prototypes ran in another OpenBLAS kernel than
-the whole product; an even split gives no block much under half its
+lengths that differed at k and n of 16, 32 and 64. Short blocks are a
+hazard of their own: on one AVX-512 machine, shared-key score blocks of up
+to about 190 rows against 32 prototypes ran in another OpenBLAS kernel than
+the whole product, and an even split gives no block much under half its
 budget, which is 1,024 rows there. Below 8 output columns the argument
 fails: at 4, 135 to 150 of 150 lengths differed, because OpenBLAS rounds
 such a GEMM differently on either side of ``_SMALL_GEMM``. No bundled
@@ -158,7 +155,7 @@ config or benchmark workload has a product that narrow above the limit
 products stay far below it); such a head can differ from the whole GEMM in
 the last bit, within the README's relative 1e-10. The forecaster's first
 part is a whole number of ``ROW_TILE`` windows for the same reason:
-splitting at ``len // 2`` changed the last bit of ETTh1-shaped forecasts
+splitting at ``len // 2`` changes the last bit of ETTh1-shaped forecasts
 (7 channels x 31 patches a window) at most sizes. With these blocks the
 forecasts of the benchmark's wide evaluation and of ETT-like shapes (7
 channels, contexts 96 to 512, batches of 1 to 80 windows, whole or split
@@ -176,25 +173,24 @@ passes and its backward's ten over one row block at a time (below);
 and since the arithmetic is elementwise the bits are the same.
 
 The feed-forward is the model's widest layer: its hidden size is four times
-the block's width, so at the benchmark's wide no-grad evaluation (batch 64, 32
-variates) the hidden activation is a (10240, 64) array of 5.2 MB, and a chain
-``affine -> gelu -> affine`` held two of them at once. ``mlp`` walks the input
-in row blocks (at most 976 rows at width 16 and hidden 64): per block it runs
-the first GEMM into a block buffer, adds the bias, runs the GELU passes and
-writes the second GEMM into that block's rows of the output; the second bias
-is added once at the end. Without a tape two block buffers of the longest
-block's rows serve every block and no hidden-size array is allocated: the
-``tracemalloc`` peak of the cvpe block's no-grad forward at those shapes fell
-from 14.6 to 8.3 MB, and the benchmark's peak resident memory with it. With a
-tape the
-pre-activation, the GELU's ``den`` and the activation are written into full
-arrays for the backward, which computes the second layer's gradients as whole
-GEMMs, then per block ``g @ w2.T`` and the GELU derivative applied to it in
-place, and then the first layer's gradients, the input gradient in ``_gemm``'s
-blocks. At the model's shapes (hidden 32 and 64) the blocked GEMMs give the
-bits of whole ones, so the node equals the chain bit for bit; at hidden sizes
-of 512 and more OpenBLAS may round a block of rows differently from the whole
-matrix in the last digits.
+the block's width, so at the benchmark's wide no-grad evaluation (batch 64,
+32 variates) the hidden activation is a (10240, 64) array of 5.2 MB, and a
+chain ``affine -> gelu -> affine`` would hold two of them at once. ``mlp``
+walks the input in row blocks (at most 976 rows at width 16 and hidden 64):
+per block it runs the first GEMM into a block buffer, adds the bias, runs
+the GELU passes and writes the second GEMM into that block's rows of the
+output; the second bias is added once at the end. Without a tape two block
+buffers of the longest block's rows serve every block and no hidden-size
+array is allocated: the ``tracemalloc`` peak of the cvpe block's no-grad
+forward at those shapes was 8.3 MB, against 14.6 MB through the chain. With
+a tape the pre-activation, the GELU's ``den`` and the activation are written
+into full arrays for the backward, which computes the second layer's
+gradients as whole GEMMs, then per block ``g @ w2.T`` and the GELU
+derivative applied to it in place, and then the first layer's gradients, the
+input gradient in ``_gemm``'s blocks. At the model's shapes (hidden 32 and
+64) the blocked GEMMs give the bits of whole ones, so the node equals the
+chain bit for bit; at hidden sizes of 512 and more OpenBLAS may round a
+block of rows differently from the whole matrix in the last digits.
 
 ``_accumulate`` copies a first gradient, because the array may be the
 upstream gradient itself, or a view of it, that another input receives as
@@ -203,8 +199,8 @@ pass views), and later gradients are added into it in place.
 The fused nodes' input gradients are fresh arrays that nothing else holds,
 so ``_hand_over`` gives an intermediate tensor (one with a backward) its
 first such gradient as is; leaf and parameter gradients still go through
-``_accumulate``. A cvpe training step at ``synthetic_ab`` shapes made 77
-first-gradient copies (6.1 MB) before.
+``_accumulate``. A cvpe training step at ``synthetic_ab`` shapes (batch 32)
+hands 17 first gradients (2.3 MB) over without a copy.
 
 A walk consumes its graph. Each node drops its backward closure, and with it
 the arrays the closure saved (a dense layer's input rows, the MLP's
@@ -216,33 +212,32 @@ holds, and a caller that keeps the loss, as the train loop does until its
 next step, keeps a scalar rather than the last step's tape. A second walk
 through a consumed node raises ``RuntimeError`` before any gradient moves.
 The arithmetic is that of a walk that keeps its graph. For a cvpe training
-step at ``synthetic_ab`` shapes (batch 32) the forward's tape held 9.3 MB
-(``tracemalloc``): 3.9 MB of node outputs and 5.2 MB saved by closures
-(``mlp`` 3.0, ``attention`` 1.2, ``layer_norm`` 0.7, dense input rows
-0.4). After a walk that kept its graph, 13.7 MB stayed allocated while the
-loss was held; now 0.08 MB does (the leaf gradients and cached vectors of
-ones), and the walk's own peak fell from 14.9 to 10.8 MB above the
+step at ``synthetic_ab`` shapes (batch 32) the forward's tape holds 9.5 MB
+(``tracemalloc``), about 5 MB of it saved by closures (``mlp`` 3.0,
+``attention`` 1.2, ``layer_norm`` 0.7, dense input rows 0.4). While the
+loss is held after the walk, 0.07 MB stays allocated (the leaf gradients
+and cached vectors of ones), and the walk's own peak is 11.1 MB above the
 pre-forward level.
 
 Importing this module pins two of glibc's malloc thresholds for the whole
 process: ``M_MMAP_THRESHOLD`` at glibc's maximum (32 MiB on 64-bit) and
-``M_TRIM_THRESHOLD`` at 1 GiB. Left at their defaults, every block above
-128 KiB, which is most activations, gradients and temporaries of a step, is
+``M_TRIM_THRESHOLD`` at 1 GiB. Left at their defaults, every block above 128
+KiB, which is most activations, gradients and temporaries of a step, is
 mapped with ``mmap`` and unmapped on ``free``, and glibc raises that
 threshold only after the process once frees a large mapped block. Whether a
 process ever does depends on what it happened to allocate before: a fresh
-training process at ``synthetic_ab`` shapes (batch 32, 8 variates) took
-1,000 to 3,000 minor page faults and 26 to 30 ms per step, against 0 faults
-and 18 to 24 ms once the thresholds were pinned. Both are needed: with the
-mmap threshold alone ``free`` still trims the top of the heap back to the
-kernel, and the trim threshold alone freezes the mmap threshold at 128 KiB;
-either faulted more per step than the defaults (1,500 and 4,900 against
-960 in one such process). They are set at import, before the model
-allocates anything, so every process that loads the model (the CLI, the
-benchmark, and the ``--jobs`` workers, which inherit the settings or import
-the package themselves) allocates the same way. Allocation addresses never
-enter a computation, so results are unchanged. On other platforms, or a libc
-without ``mallopt``, nothing is set.
+training process at ``synthetic_ab`` shapes (batch 32, 8 variates) took 0
+minor page faults and 18 to 24 ms per step with the thresholds pinned,
+against 1,000 to 3,000 faults and 26 to 30 ms at the defaults. Both are
+needed: with the mmap threshold alone ``free`` still trims the top of the
+heap back to the kernel, and the trim threshold alone freezes the mmap
+threshold at 128 KiB; either faulted more per step than the defaults (1,500
+and 4,900 against 960 in one such process). They are set at import, before
+the model allocates anything, so every process that loads the model (the
+CLI, the benchmark, and the ``--jobs`` workers, which inherit the settings
+or import the package themselves) allocates the same way. Allocation
+addresses never enter a computation, so results are unchanged. On other
+platforms, or a libc without ``mallopt``, nothing is set.
 
 Importing this module also runs numpy's OpenBLAS on one thread: it finds the
 OpenBLAS mapped into the process and calls its ``set_num_threads`` (the
@@ -252,7 +247,7 @@ touches about 6 MB more packing buffer: the benchmark's wide no-grad
 evaluation peaked at 81.8 MB on two threads against 75.5 MB on one, while
 training speed on two threads stayed within run-to-run noise of one. The
 ``--jobs`` workers, forked after the import, inherit the setting, so two
-workers no longer compete with each other's BLAS threads for the same cores.
+workers do not compete with each other's BLAS threads for the same cores.
 When no OpenBLAS or no such symbol is found, nothing is set.
 """
 

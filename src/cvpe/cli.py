@@ -11,8 +11,7 @@ Subcommands::
 Exit codes: 0 success, 1 configuration or input problem (a size the config
 asks for that cannot be allocated among them), 2 runtime failure
 (divergence, non-finite numbers or a dead ``--jobs`` worker), 3 gradient
-check failure.  The ``CVPE_OUTPUT_DIR`` environment variable overrides the
-configured output directory; an explicit ``--out`` flag overrides both.
+check failure.  ``--out`` overrides the configured output directory.
 
 Before any training, ``train`` and ``experiment`` refuse a file they will
 write that is a directory, or that exists unless ``--overwrite`` is given
@@ -24,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
-import os
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -33,7 +31,7 @@ import numpy as np
 
 from .autodiff import NumericError
 from .config import ConfigError, RunConfig, load_config
-from .data import SyntheticSpec, lagged_driver_mean, pearson, rank_channels
+from .data import TARGET_CHANNEL, SyntheticSpec, lagged_driver_mean, pearson, rank_channels
 from .evaluation import (
     _windows,
     claim_outputs,
@@ -49,19 +47,13 @@ from .evaluation import (
 from .model import VARIANTS, build_model, load_checkpoint, save_checkpoint
 from .train import TrainingDiverged, evaluate, grad_check, model_forecast_fn
 
-OUTPUT_DIR_ENV = "CVPE_OUTPUT_DIR"
 DEFAULT_FAULT_TARGET = "head.b"
 # training windows in the gradient check's probe batch
 GRADCHECK_WINDOWS = 4
 
 
 def _outdir(config: RunConfig, flag: str | None) -> Path:
-    if flag:
-        return Path(flag)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path(config.output_dir)
+    return Path(flag or config.output_dir)
 
 
 @contextlib.contextmanager
@@ -113,24 +105,24 @@ def cmd_prepare(args) -> int:
     # the correlations need a target that varies on the training segment;
     # the model does not, so without one they are skipped, not an error
     try:
-        ranked = rank_channels(train_s, config.target)
+        ranked = rank_channels(train_s, TARGET_CHANNEL)
     except ValueError as exc:
-        print(f"correlations with {config.target} skipped: {exc}")
+        print(f"correlations with {TARGET_CHANNEL} skipped: {exc}")
         return 0
     ranked_names = {name for name, _ in ranked}
-    constant = [n for n in train_s.channel_names if n != config.target and n not in ranked_names]
+    constant = [n for n in train_s.channel_names if n != TARGET_CHANNEL and n not in ranked_names]
     if ranked or constant:
-        print(f"train-segment correlation with {config.target}:")
+        print(f"train-segment correlation with {TARGET_CHANNEL}:")
     for name, r in ranked:
         print(f"  {name:<12} r={r:+.4f}")
     for name in constant:
         print(f"  {name:<12} constant on the training segment, not ranked")
     if isinstance(config.dataset, SyntheticSpec) and train_s.n_channels > 1:
         lag = config.dataset.lag
-        t_idx = train_s.channel_names.index(config.target)
+        t_idx = train_s.channel_names.index(TARGET_CHANNEL)
         drivers = np.delete(train_s.values, t_idx, axis=0)
         r = pearson(lagged_driver_mean(drivers, lag), train_s.values[t_idx])
-        print(f"lagged driver mean vs {config.target} (lag {lag}): r={r:+.4f}")
+        print(f"lagged driver mean vs {TARGET_CHANNEL} (lag {lag}): r={r:+.4f}")
     return 0
 
 

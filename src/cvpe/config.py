@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
-from .data import CsvSpec, SplitSpec, SyntheticSpec, TARGET_CHANNEL
+from .data import CsvSpec, SplitSpec, SyntheticSpec
 from .model import BackboneConfig, VARIANTS
 from .preprocess import PatchConfig
 
@@ -36,8 +36,6 @@ class RunConfig:
 
     dataset: SyntheticSpec | CsvSpec
     split: SplitSpec
-    target: str
-    select_top_k: int | None
     context: int
     horizons: tuple[int, ...]
     patch: PatchConfig
@@ -174,18 +172,13 @@ _DATASETS = {
                                   "lag": POSITIVE, "noise_std": float, "seed": (int, 0)}),
     "csv": (CsvSpec, {"path": str, "date_column": (str, "date")}),
 }
-_SPLIT = {"protocol": (object, _UNSET), "boundaries": (object, _UNSET)}
 
 
-def _split_spec(protocol, boundaries=_UNSET) -> SplitSpec:
-    """The split a protocol name, or else 2 or 3 boundaries, describe."""
-    if protocol is not _UNSET:
-        return SplitSpec(protocol=protocol)
-    if boundaries is _UNSET:
-        raise ValueError("split needs 'protocol' or 'boundaries'")
-    if not (isinstance(boundaries, list) and len(boundaries) in (2, 3)
+def _boundaries(boundaries, label) -> SplitSpec:
+    """A then-step: the split 2 or 3 integer boundaries describe."""
+    if not (len(boundaries) in (2, 3)
             and all(isinstance(b, int) and not isinstance(b, bool) for b in boundaries)):
-        raise ValueError("boundaries must be a list of 2 or 3 integers")
+        raise ValueError(f"{label} must be a list of 2 or 3 integers")
     return SplitSpec(boundaries=tuple(boundaries))
 
 
@@ -209,9 +202,10 @@ def parse_config(raw: dict) -> RunConfig:
         return f.build(where, spec, *values)
 
     def split(value, where):
-        args = [value] if isinstance(value, str) else f.read(value, _SPLIT, where).values()
-        # a null protocol goes to SplitSpec, which names the problem
-        return f.build(where, lambda: _split_spec(*args))
+        if isinstance(value, str):
+            return f.build(where, SplitSpec, value)
+        (spec,) = f.read(value, {"boundaries": (list, _REQUIRED, _boundaries)}, where).values()
+        return spec
 
     def patch(value, where):
         length, stride = f.read(value, {"length": POSITIVE, "stride": POSITIVE}, where).values()
@@ -237,8 +231,6 @@ def parse_config(raw: dict) -> RunConfig:
     f.read(raw, {
         "dataset": (dict, _REQUIRED, dataset),
         "split": ((dict, str), "ratio_70_10_20", split),
-        "target": (str, TARGET_CHANNEL),
-        "select_top_k": (int, None, _at_least(0, "must be non-negative")),
         "context": POSITIVE,
         "horizons": (list, _REQUIRED, _ints(1)),
         "patch": (dict, _REQUIRED, patch),

@@ -1,4 +1,4 @@
-"""Dataset ingestion, chronological splitting, channel selection, synthesis.
+"""Dataset ingestion, chronological splitting, channel ranking, synthesis.
 
 Series are stored channel-major as float64 arrays of shape (n_channels,
 length); the last channel of ETT-style files is the target "OT".
@@ -74,10 +74,7 @@ class SplitSpec:
     def __post_init__(self):
         if (self.protocol is None) == (self.boundaries is None):
             raise ValueError("exactly one of protocol or boundaries must be given")
-        # a list or an object cannot be looked up, so the type is checked first
-        if self.protocol is not None and (
-            not isinstance(self.protocol, str) or self.protocol not in self._PROTOCOLS
-        ):
+        if self.protocol is not None and self.protocol not in self._PROTOCOLS:
             raise ValueError(
                 f"unknown split protocol {self.protocol!r}; "
                 f"known: {sorted(self._PROTOCOLS)}"
@@ -200,19 +197,14 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(xc, yc) / np.sqrt(np.dot(xc, xc) * np.dot(yc, yc)))
 
 
-def rank_channels(
-    series: MultivariateSeries, target: str, train_len: int | None = None
-) -> list[tuple[str, float]]:
+def rank_channels(series: MultivariateSeries, target: str) -> list[tuple[str, float]]:
     """Rank non-target channels by |correlation| with the target.
 
-    Correlations are computed on the first ``train_len`` steps only (full
-    series when None) so selection never peeks past the training segment.
     Constant candidates are left out; a constant target is an error.
     """
     if target not in series.channel_names:
         raise ValueError(f"no channel named {target!r}")
-    sl = slice(None) if train_len is None else slice(0, int(train_len))
-    values = series.values[:, sl]
+    values = series.values
     if values.shape[1] < 2:
         raise ValueError("need at least two training steps to correlate")
     t_idx = series.channel_names.index(target)
@@ -227,23 +219,6 @@ def rank_channels(
     # strongest first; ties broken by original channel order
     ranked.sort(key=lambda item: (-abs(item[2]), item[0]))
     return [(name, r) for _, name, r in ranked]
-
-
-def select_top_k(
-    series: MultivariateSeries, target: str, k: int, train_len: int | None = None
-) -> MultivariateSeries:
-    """Keep the k channels most correlated with the target, plus the target.
-
-    Channel order of the original series is preserved; the target always
-    survives selection.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    ranked = rank_channels(series, target, train_len)
-    keep = {name for name, _ in ranked[:k]}
-    keep.add(target)
-    idx = [i for i, name in enumerate(series.channel_names) if name in keep]
-    return MultivariateSeries(series.values[idx].copy(), [series.channel_names[i] for i in idx])
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .data import (
     chronological_split,
     generate_synthetic,
     load_csv,
-    select_top_k,
 )
 from .model import ModelParams, build_model
 from .train import (
@@ -128,15 +127,12 @@ class ExperimentReport:
 def prepare_segments(
     config: RunConfig,
 ) -> tuple[MultivariateSeries, MultivariateSeries, MultivariateSeries]:
-    """Draw or load the dataset, optionally select channels (on training statistics), and split."""
+    """Draw or load the dataset and split it."""
     spec = config.dataset
     if isinstance(spec, SyntheticSpec):
         series = generate_synthetic(spec)
     else:
         series = load_csv(spec.path, spec.date_column)
-    train_end, _, _ = config.split.resolve(series.length)
-    if config.select_top_k is not None:
-        series = select_top_k(series, config.target, config.select_top_k, train_len=train_end)
     return chronological_split(series, config.split)
 
 

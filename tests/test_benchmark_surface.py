@@ -3,8 +3,8 @@
 The benchmark imports names from ``cvpe``, some of them inside functions,
 and reads attributes of the model's parameter objects.  A change under
 ``src/`` that drops one would otherwise fail only when the benchmark runs;
-this finds the names in the benchmark's source and walks the model at the
-benchmark's tiny sizes.
+this finds the names in the benchmark's source, walks the model at the
+benchmark's tiny sizes and parses every config the benchmark generates.
 """
 
 import ast
@@ -67,3 +67,13 @@ def test_the_benchmark_finds_every_name_it_reads():
     assert {"embedding.cvpe.fwd_ms", "embedding.cvpe.bwd_ms", "autodiff.gelu.fwd_ms"} <= set(times)
     total, block, analytic = layer_times.score_counts(params, windows)
     assert 0 < block == analytic <= total
+
+
+def test_every_config_the_benchmark_generates_parses():
+    from perfbench import specs
+
+    raws = [specs.raw_config(w, specs.DEFAULT_SEED, size) for w in specs.WORKLOADS for size in ("full", "tiny")]
+    raws += [specs.grid_config(specs.DEFAULT_SEED, size) for size in ("full", "tiny")]
+    assert len(raws) == 8
+    for raw in raws:
+        parse_config(raw)

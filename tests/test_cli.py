@@ -15,7 +15,7 @@ import pytest
 from conftest import tiny_raw_config
 
 from cvpe import cli, evaluation
-from cvpe.cli import OUTPUT_DIR_ENV, main
+from cvpe.cli import main
 from cvpe.config import parse_config
 from cvpe.model import build_model, save_checkpoint
 
@@ -288,14 +288,17 @@ class TestExperiment:
     def test_output_dir_env_override_and_flag_priority(
         self, config_file, tmp_path, monkeypatch, capsys
     ):
+        # the outputs go to --out, else to output_dir; no environment
+        # variable chooses the directory
         cfg = config_file(variants=["vanilla"], train={"epochs": 1, "batch_size": 16})
         envdir = tmp_path / "envout"
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(envdir))
+        monkeypatch.setenv("CVPE_OUTPUT_DIR", str(envdir))
         assert main(["experiment", "--config", cfg]) == 0
-        assert (envdir / "report.json").exists()
+        assert (tmp_path / "out" / "report.json").exists()
         flagdir = tmp_path / "flagout"
         assert main(["experiment", "--config", cfg, "--out", str(flagdir)]) == 0
         assert (flagdir / "report.json").exists()
+        assert not envdir.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_grid_exits_two(self, config_file, tmp_path, capsys):
@@ -618,11 +621,17 @@ _INPUT_FAILURES = {
     "noise_std_infinity": (
         lambda t: (_with("dataset", "noise_std", float("inf")), ["experiment", "--out", "new/out"]),
         "dataset.noise_std must be finite"),
-    # a protocol that is not a string, which a set cannot look up
+    # a split is a protocol name or {"boundaries": [...]}, whatever a
+    # "protocol" key holds
     "split_protocol_is_a_list": (
-        lambda t: (_with_protocol(["x"]), ["prepare"]), "split: unknown split protocol ['x']"),
+        lambda t: (_with_protocol(["x"]), ["prepare"]), "unknown field 'split.protocol'"),
     "split_protocol_is_an_object": (
-        lambda t: (_with_protocol({"x": 1}), ["prepare"]), "split: unknown split protocol {'x': 1}"),
+        lambda t: (_with_protocol({"x": 1}), ["prepare"]), "unknown field 'split.protocol'"),
+    "target_select_top_k_and_split_protocol_keys": (
+        lambda t: (json.dumps(tiny_raw_config(
+            target="OT", select_top_k=1, split={"protocol": "ratio_70_10_20"})), ["prepare"]),
+        "invalid configuration: unknown field 'target'; unknown field 'select_top_k'; "
+        "unknown field 'split.protocol'; missing required field 'split.boundaries'\n"),
     "backbone_hidden_zero": (
         lambda t: (_with_hidden(0), ["gradcheck"]), "model.backbone.hidden must be positive"),
     "backbone_hidden_negative": (

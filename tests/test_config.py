@@ -1,13 +1,13 @@
 """Run-configuration parsing and exhaustive validation."""
 
-import importlib.util
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from cvpe.config import ConfigError, load_config, parse_config
+from cvpe.config import ConfigError, RunConfig, load_config, parse_config
 from cvpe.data import CsvSpec, SyntheticSpec
 from cvpe.model import BackboneConfig
 
@@ -36,8 +36,6 @@ class TestParsing:
     def test_minimal_config_fills_documented_defaults(self):
         cfg = parse_config(minimal())
         assert isinstance(cfg.dataset, SyntheticSpec)
-        assert cfg.target == "OT"
-        assert cfg.select_top_k is None
         assert cfg.split.protocol == "ratio_70_10_20"
         assert (cfg.model_dim, cfg.heads) == (32, 8)
         assert (cfg.n_prototypes, cfg.n_routers) == (100, 4)
@@ -47,6 +45,12 @@ class TestParsing:
         assert cfg.seeds == (0,)
         assert cfg.output_dir == "runs/experiment"
         assert cfg.echo == minimal()
+        # the fields are those above and the ones read from required keys
+        assert [f.name for f in fields(RunConfig)] == [
+            "dataset", "split", "context", "horizons", "patch", "model_dim", "heads", "n_prototypes",
+            "n_routers", "backbone", "variants", "epochs", "batch_size", "lr", "patience", "seeds",
+            "output_dir", "echo",
+        ]
 
     def test_split_accepts_string_and_boundaries(self):
         cfg = parse_config(minimal(split="ratio_70_10_20"))
@@ -79,7 +83,9 @@ class TestParsing:
             parse_config(raw)
         assert str(err.value) == "invalid configuration: " + "; ".join([
             "unknown field 'dataset.frequency'",
+            "unknown field 'split.protocol'",
             "unknown field 'split.boundary'",
+            "missing required field 'split.boundaries'",
             "unknown field 'patch.len'",
             "unknown field 'model.router'",
             "unknown field 'model.backbone.hiden'",
@@ -93,20 +99,11 @@ class TestParsing:
             parse_config(raw)
 
     def test_every_bundled_config_parses(self):
-        # the configs/ files, and the benchmark's configs as perfbench/specs.py builds them
-        root = Path(__file__).resolve().parent.parent
-        configs = sorted((root / "configs").glob("*.json"))
+        # the benchmark's configs are parsed in test_benchmark_surface
+        configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
         assert configs
         for path in configs:
             load_config(path)
-        spec = importlib.util.spec_from_file_location("perfbench_specs", root / "perfbench" / "specs.py")
-        specs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(specs)
-        raws = [specs.raw_config(w, specs.DEFAULT_SEED, size) for w in specs.WORKLOADS for size in ("full", "tiny")]
-        raws += [specs.grid_config(specs.DEFAULT_SEED, size) for size in ("full", "tiny")]
-        assert len(raws) == 8
-        for raw in raws:
-            parse_config(raw)
 
     def test_missing_required_fields_are_named(self):
         with pytest.raises(ConfigError) as err:
@@ -206,11 +203,6 @@ class TestParsing:
         assert cfg.backbone.hidden == 16
         cfg = parse_config(minimal(model={"backbone": {"width": 8, "heads": 2, "hidden": 5}}))
         assert cfg.backbone.hidden == 5
-
-    def test_select_top_k_bounds(self):
-        assert parse_config(minimal(select_top_k=0)).select_top_k == 0
-        with pytest.raises(ConfigError, match="select_top_k"):
-            parse_config(minimal(select_top_k=-1))
 
 
 class TestLoading:

@@ -13,7 +13,6 @@ from cvpe.data import (
     load_csv,
     pearson,
     rank_channels,
-    select_top_k,
 )
 from oracles import pearson_oracle
 
@@ -175,19 +174,6 @@ class TestRanking:
         ranked = rank_channels(series, "OT")
         assert [n for n, _ in ranked] == ["mirror", "copy"]
 
-    def test_restricting_to_train_prefix_changes_the_answer(self):
-        t = np.arange(100.0)
-        rng = np.random.default_rng(4)
-        # tracks the target everywhere, but imperfectly
-        late = t + 0.01 * rng.normal(size=100)
-        # perfect on the first half, useless afterwards
-        early = np.concatenate([t[:50], 50.0 - t[50:]])
-        series = MultivariateSeries(np.stack([late, early, t]), ["late", "early", "OT"])
-        full = rank_channels(series, "OT", train_len=None)
-        prefix = rank_channels(series, "OT", train_len=50)
-        assert [n for n, _ in prefix][0] == "early"
-        assert [n for n, _ in full][0] == "late"
-
     # the mean of twenty 0.3s is not exactly 0.3, so a test on the centred
     # sum of squares would not find that channel constant
     @pytest.mark.filterwarnings("error")
@@ -213,34 +199,6 @@ class TestRanking:
         series = MultivariateSeries(np.ones((2, 10)) * np.arange(10), ["a", "b"])
         with pytest.raises(ValueError):
             rank_channels(series, "OT")
-
-
-class TestSelection:
-    def test_keeps_target_and_preserves_order(self):
-        rng = np.random.default_rng(6)
-        t = rng.normal(size=100)
-        chans = [0.8 * t + 0.2 * rng.normal(size=100) for _ in range(3)]
-        series = MultivariateSeries(
-            np.stack([*chans, t]), ["c0", "c1", "c2", "OT"]
-        )
-        kept = select_top_k(series, "OT", 2)
-        assert kept.channel_names[-1] == "OT"
-        assert kept.n_channels == 3
-        assert kept.channel_names == sorted(
-            kept.channel_names, key=series.channel_names.index
-        )
-
-    def test_k_zero_keeps_only_target(self):
-        rng = np.random.default_rng(7)
-        series = MultivariateSeries(rng.normal(size=(3, 50)), ["a", "b", "OT"])
-        kept = select_top_k(series, "OT", 0)
-        assert kept.channel_names == ["OT"]
-
-    def test_k_larger_than_available_keeps_everything(self):
-        rng = np.random.default_rng(8)
-        series = MultivariateSeries(rng.normal(size=(3, 50)), ["a", "b", "OT"])
-        kept = select_top_k(series, "OT", 99)
-        assert kept.channel_names == ["a", "b", "OT"]
 
 
 class TestSynthetic:

@@ -213,14 +213,6 @@ class TestExperiment:
         label = dataset_label(tiny_config())
         assert label == "synthetic(n=3, T=400, coupling=0.8, lag=2, noise=0.05, seed=0)"
 
-    def test_prepare_segments_applies_channel_selection(self):
-        config = tiny_config(select_top_k=1)
-        train_s, val_s, test_s = prepare_segments(config)
-        assert train_s.n_channels == 2
-        assert train_s.channel_names[-1] == "OT"
-        assert val_s.channel_names == train_s.channel_names
-        assert test_s.channel_names == train_s.channel_names
-
     def test_run_cell_reports_training_metadata(self):
         config = tiny_config()
         cell = run_cell(prepare_segments(config), config, "vanilla", 3, 0)

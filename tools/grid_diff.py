@@ -86,7 +86,6 @@ def run_grid(tree: Path, config: Path, out: Path) -> tuple[dict, list[str]]:
     run from the repository root; its ``report.json`` and the names of the
     files it wrote."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    env.pop("CVPE_OUTPUT_DIR", None)
     done = subprocess.run(
         [sys.executable, "-m", "cvpe", "experiment", "--config", str(config),
          "--jobs", "2", "--out", str(out)],
