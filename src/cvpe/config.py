@@ -170,7 +170,7 @@ _DATASET_KIND = {"kind": str}
 _DATASETS = {
     "synthetic": (SyntheticSpec, {"n_channels": POSITIVE, "length": POSITIVE, "coupling": float,
                                   "lag": POSITIVE, "noise_std": float, "seed": (int, 0)}),
-    "csv": (CsvSpec, {"path": str, "date_column": (str, "date")}),
+    "csv": (CsvSpec, {"path": str}),
 }
 
 

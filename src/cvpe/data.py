@@ -18,6 +18,7 @@ AR_COEF = 0.9
 SEASON_PERIOD = 24.0
 SEASON_AMPLITUDE = 0.5
 TARGET_CHANNEL = "OT"
+DATE_COLUMN = "date"  # the first column of an ETT-style CSV
 
 
 @dataclass
@@ -112,14 +113,14 @@ def chronological_split(
 
 @dataclass(frozen=True)
 class CsvSpec:
-    """A CSV dataset: the file :func:`load_csv` reads and its timestamp column."""
+    """A CSV dataset: the file :func:`load_csv` reads."""
 
     path: str
-    date_column: str
 
 
-def load_csv(path: str | Path, date_column: str = "date") -> MultivariateSeries:
-    """Load an ETT-style CSV: timestamp column first, one column per channel.
+def load_csv(path: str | Path) -> MultivariateSeries:
+    """Load an ETT-style CSV: timestamp column ``DATE_COLUMN`` first, one
+    column per channel.
 
     A malformed file raises ``ValueError`` naming the row (the header is row
     0) and, for a bad value, the column.
@@ -132,9 +133,9 @@ def load_csv(path: str | Path, date_column: str = "date") -> MultivariateSeries:
             raise ValueError("empty file (row 0)") from None
         if len(header) < 2:
             raise ValueError("need a timestamp column plus at least one channel (row 0)")
-        if header[0] != date_column:
+        if header[0] != DATE_COLUMN:
             raise ValueError(
-                f"first column must be the timestamp column {date_column!r}, got {header[0]!r} "
+                f"first column must be the timestamp column {DATE_COLUMN!r}, got {header[0]!r} "
                 f"(row 0, column {header[0]!r})"
             )
         names = [h.strip() for h in header[1:]]
@@ -197,20 +198,20 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(xc, yc) / np.sqrt(np.dot(xc, xc) * np.dot(yc, yc)))
 
 
-def rank_channels(series: MultivariateSeries, target: str) -> list[tuple[str, float]]:
-    """Rank non-target channels by |correlation| with the target.
+def rank_channels(series: MultivariateSeries) -> list[tuple[str, float]]:
+    """Rank the other channels by |correlation| with ``TARGET_CHANNEL``.
 
     Constant candidates are left out; a constant target is an error.
     """
-    if target not in series.channel_names:
-        raise ValueError(f"no channel named {target!r}")
+    if TARGET_CHANNEL not in series.channel_names:
+        raise ValueError(f"no channel named {TARGET_CHANNEL!r}")
     values = series.values
     if values.shape[1] < 2:
         raise ValueError("need at least two training steps to correlate")
-    t_idx = series.channel_names.index(target)
+    t_idx = series.channel_names.index(TARGET_CHANNEL)
     t_vals = values[t_idx]
     if np.ptp(t_vals) == 0.0:
-        raise ValueError(f"target channel {target!r} is constant")
+        raise ValueError(f"target channel {TARGET_CHANNEL!r} is constant")
     ranked = [
         (i, name, pearson(values[i], t_vals))
         for i, name in enumerate(series.channel_names)

@@ -132,7 +132,7 @@ def prepare_segments(
     if isinstance(spec, SyntheticSpec):
         series = generate_synthetic(spec)
     else:
-        series = load_csv(spec.path, spec.date_column)
+        series = load_csv(spec.path)
     return chronological_split(series, config.split)
 
 

@@ -131,25 +131,17 @@ def grad_check(
     tolerance: float,
     samples_per_tensor: int = GRAD_CHECK_SAMPLES,
     seed: int = 0,
-    corrupt: str | None = None,
 ) -> GradCheckReport:
     """Compare reverse-mode gradients against central finite differences.
 
     For each parameter tensor a random sample of coordinates (all of them
     for small tensors) is perturbed by ``GRAD_CHECK_STEP`` in both directions
     and the quotient is compared to the recorded gradient via
-    ``|g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|)``.  ``corrupt`` flips the
-    sign of one named tensor's gradients, for exercising the failure path.
+    ``|g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|)``.
     """
     leaves = params.parameters()
     loss = mse_loss(forecast_batch(windows, params), targets)
     grads = backward(loss, leaves)
-    if corrupt is not None:
-        names = [p.name for p in leaves]
-        if corrupt not in names:
-            raise ValueError(f"no parameter named {corrupt!r}")
-        idx = names.index(corrupt)
-        grads[idx] = -grads[idx]
 
     def loss_at() -> float:
         with no_grad():

@@ -1,5 +1,6 @@
 """Shared test plumbing: the acceptance verdict summary, the tiny run
-config and the identity configuration of the cross-variate block.
+config, the identity configuration of the cross-variate block and a
+gradient with its sign flipped.
 
 Acceptance tests record one verdict line each; the terminal-summary hook
 replays them after the run so every criterion's PASS/FAIL/SKIP line is
@@ -8,6 +9,7 @@ visible even though pytest captures per-test output.
 
 import numpy as np
 
+from cvpe import train
 from cvpe.autodiff import parameter
 from cvpe.embedding import MLP_RATIO, CvpeParams, RouterBank
 from cvpe.layers import Affine, Mlp
@@ -56,6 +58,18 @@ def tiny_raw_config(**overrides) -> dict:
     }
     raw.update(overrides)
     return raw
+
+
+def flip_gradient(monkeypatch, name: str):
+    """Make ``train.backward``, which ``train.grad_check`` calls, return the
+    gradient of the parameter called ``name`` with its sign flipped, so the
+    check's failure path can be driven."""
+    real = train.backward
+
+    def flipped(loss, params):
+        return [-g if p.name == name else g for p, g in zip(params, real(loss, params))]
+
+    monkeypatch.setattr(train, "backward", flipped)
 
 
 class PassThrough:

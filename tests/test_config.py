@@ -180,7 +180,7 @@ class TestParsing:
         raw = minimal()
         raw["dataset"] = {"kind": "csv", "path": "data/x.csv"}
         cfg = parse_config(raw)
-        assert cfg.dataset == CsvSpec("data/x.csv", "date")
+        assert cfg.dataset == CsvSpec("data/x.csv")
         raw["dataset"] = {"kind": "tape"}
         with pytest.raises(ConfigError, match="kind"):
             parse_config(raw)
@@ -189,9 +189,10 @@ class TestParsing:
         ({"path": "data/x.csv"}, ["missing required field 'dataset.kind'"]),
         ({"kind": "tape", "path": "x"}, ["dataset.kind must be 'synthetic' or 'csv', got 'tape'"]),
         ({"kind": 3}, ["dataset.kind must be str, got int"]),
-        ({"kind": "csv", "path": "data/x.csv", "date_column": 5}, ["dataset.date_column must be str, got int"]),
+        # the timestamp column is fixed, so the key is unknown even holding its old default
+        ({"kind": "csv", "path": "data/x.csv", "date_column": "date"}, ["unknown field 'dataset.date_column'"]),
         ({"kind": "csv", "date_column": None},
-         ["missing required field 'dataset.path'", "dataset.date_column must be str, got NoneType"]),
+         ["unknown field 'dataset.date_column'", "missing required field 'dataset.path'"]),
     ])
     def test_dataset_problems_are_named(self, dataset, errors):
         with pytest.raises(ConfigError) as info:

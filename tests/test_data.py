@@ -160,7 +160,7 @@ class TestRanking:
         )
 
     def test_orders_by_absolute_correlation(self):
-        ranked = rank_channels(self.build(), "OT")
+        ranked = rank_channels(self.build())
         names = [n for n, _ in ranked]
         assert names[0] == "anti"
         assert names[1] == "strong"
@@ -171,7 +171,7 @@ class TestRanking:
         series = MultivariateSeries(
             np.stack([-t, t.copy(), t]), ["mirror", "copy", "OT"]
         )
-        ranked = rank_channels(series, "OT")
+        ranked = rank_channels(series)
         assert [n for n, _ in ranked] == ["mirror", "copy"]
 
     # the mean of twenty 0.3s is not exactly 0.3, so a test on the centred
@@ -183,7 +183,7 @@ class TestRanking:
             np.stack([np.full(20, level), np.arange(20.0), np.arange(20.0) * 2]),
             ["flat", "ok", "OT"],
         )
-        ranked = rank_channels(series, "OT")
+        ranked = rank_channels(series)
         assert [n for n, _ in ranked] == ["ok"]
         with pytest.raises(ValueError, match="correlation undefined for a constant sequence"):
             pearson(series.values[0], series.values[2])
@@ -193,12 +193,12 @@ class TestRanking:
             np.stack([np.arange(20.0), np.ones(20)]), ["a", "OT"]
         )
         with pytest.raises(ValueError, match="target channel 'OT' is constant"):
-            rank_channels(series, "OT")
+            rank_channels(series)
 
     def test_unknown_target(self):
         series = MultivariateSeries(np.ones((2, 10)) * np.arange(10), ["a", "b"])
-        with pytest.raises(ValueError):
-            rank_channels(series, "OT")
+        with pytest.raises(ValueError, match="no channel named 'OT'"):
+            rank_channels(series)
 
 
 class TestSynthetic:
