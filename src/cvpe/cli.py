@@ -11,7 +11,8 @@ Subcommands::
 Exit codes: 0 success, 1 configuration or input problem (a size the config
 asks for that cannot be allocated among them), 2 runtime failure
 (divergence, non-finite numbers or a dead ``--jobs`` worker), 3 gradient
-check failure.  ``--out`` overrides the configured output directory.
+check failure.  Outputs go to ``--out``, else to ``runs/<config file name>``
+(``runs/synthetic_ab`` for ``configs/synthetic_ab.json``).
 
 Before any training, ``train`` and ``experiment`` refuse a file they will
 write that is a directory, or that exists unless ``--overwrite`` is given
@@ -30,7 +31,7 @@ import numpy as np
 
 from .autodiff import NumericError
 from .config import ConfigError, RunConfig, load_config
-from .data import TARGET_CHANNEL, SyntheticSpec, lagged_driver_mean, pearson, rank_channels
+from .data import TARGET_CHANNEL, SyntheticSpec, lagged_driver_mean, pearson, rank_channels, window_count
 from .evaluation import (
     _windows,
     claim_outputs,
@@ -52,8 +53,8 @@ GRADCHECK_WINDOWS = 4
 GRADCHECK_TOLERANCE = 1e-4
 
 
-def _outdir(config: RunConfig, flag: str | None) -> Path:
-    return Path(flag or config.output_dir)
+def _outdir(args) -> Path:
+    return Path(args.out) if args.out else Path("runs", Path(args.config).stem)
 
 
 @contextlib.contextmanager
@@ -99,10 +100,8 @@ def cmd_prepare(args) -> int:
         f"split lengths: train={train_s.length} val={val_s.length} test={test_s.length}"
     )
     for horizon in config.horizons:
-        counts = []
-        for name, seg in (("train", train_s), ("val", val_s), ("test", test_s)):
-            n = seg.length - (config.context + horizon) + 1
-            counts.append(f"{name}={max(n, 0)}")
+        counts = [f"{name}={window_count(seg.length, config.context, horizon)}"
+                  for name, seg in (("train", train_s), ("val", val_s), ("test", test_s))]
         print(f"windows @ horizon {horizon}: {' '.join(counts)}")
     # the correlations need a target that varies on the training segment;
     # the model does not, so without one they are skipped, not an error
@@ -132,7 +131,7 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     variant, horizon, seed = _cell_args(config, args)
     segments = prepare_segments(config)
-    outdir = _outdir(config, args.out)
+    outdir = _outdir(args)
     with _output_directory(outdir):
         ckpt = outdir / f"model_{variant}_h{horizon}_seed{seed}.npz"
         claim_outputs((ckpt, outdir / loss_curve_name(variant, horizon, seed)), args.overwrite)
@@ -185,7 +184,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = load_config(args.config)
-    outdir = _outdir(config, args.out)
+    outdir = _outdir(args)
     with _output_directory(outdir):
         # claimed before burning compute on the grid, so the write may replace
         claim_outputs((outdir / name for name in experiment_files(config)), args.overwrite)
@@ -215,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     cell.add_argument("--horizon", type=int, help="forecast horizon (default: first configured)")
     cell.add_argument("--seed", type=int, help="run seed (default: first configured)")
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="output directory override")
+    out.add_argument("--out", help="output directory (default: runs/<config file name>)")
     out.add_argument("--overwrite", action="store_true", help="replace existing outputs")
 
     p = sub.add_parser("prepare", parents=[config], help="inspect the dataset, split and channel ranking")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
-from .data import CsvSpec, SplitSpec, SyntheticSpec
+from .data import SPLIT_PROTOCOLS, SyntheticSpec, split_bounds, window_count
 from .model import BackboneConfig, VARIANTS
 from .preprocess import PatchConfig
 
@@ -34,8 +34,8 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated experiment description."""
 
-    dataset: SyntheticSpec | CsvSpec
-    split: SplitSpec
+    dataset: SyntheticSpec | str  # a CSV dataset is the path load_csv reads
+    split: str | tuple[int, int, int]  # a protocol name or (train_end, val_end, test_end)
     context: int
     horizons: tuple[int, ...]
     patch: PatchConfig
@@ -50,7 +50,6 @@ class RunConfig:
     lr: float
     patience: int
     seeds: tuple[int, ...]
-    output_dir: str
     echo: dict = field(compare=False, repr=False, default_factory=dict)
 
 
@@ -170,16 +169,16 @@ _DATASET_KIND = {"kind": str}
 _DATASETS = {
     "synthetic": (SyntheticSpec, {"n_channels": POSITIVE, "length": POSITIVE, "coupling": float,
                                   "lag": POSITIVE, "noise_std": float, "seed": (int, 0)}),
-    "csv": (CsvSpec, {"path": str}),
+    "csv": (str, {"path": str}),
 }
 
 
-def _boundaries(boundaries, label) -> SplitSpec:
-    """A then-step: the split 2 or 3 integer boundaries describe."""
-    if not (len(boundaries) in (2, 3)
+def _boundaries(boundaries, label) -> tuple[int, int, int]:
+    """A then-step: the split's (train_end, val_end, test_end)."""
+    if not (len(boundaries) == 3
             and all(isinstance(b, int) and not isinstance(b, bool) for b in boundaries)):
-        raise ValueError(f"{label} must be a list of 2 or 3 integers")
-    return SplitSpec(boundaries=tuple(boundaries))
+        raise ValueError(f"{label} must be a list of 3 integers")
+    return tuple(boundaries)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -203,9 +202,12 @@ def parse_config(raw: dict) -> RunConfig:
 
     def split(value, where):
         if isinstance(value, str):
-            return f.build(where, SplitSpec, value)
-        (spec,) = f.read(value, {"boundaries": (list, _REQUIRED, _boundaries)}, where).values()
-        return spec
+            if value not in SPLIT_PROTOCOLS:
+                f.fail(f"{where}: unknown split protocol {value!r}; known: {sorted(SPLIT_PROTOCOLS)}")
+                return None
+            return value
+        (bounds,) = f.read(value, {"boundaries": (list, _REQUIRED, _boundaries)}, where).values()
+        return bounds
 
     def patch(value, where):
         length, stride = f.read(value, {"length": POSITIVE, "stride": POSITIVE}, where).values()
@@ -241,17 +243,16 @@ def parse_config(raw: dict) -> RunConfig:
             "lr": (float, 1e-2, _at_least(0, "cannot be negative")),
         }, where)),
         "seeds": (list, [0], _ints(0)),
-        "output_dir": (str, "runs/experiment"),
     }, into=vars(cfg))
 
     # checks that need several valid pieces at once
     if isinstance(cfg.dataset, SyntheticSpec) and cfg.split is not None:
         try:
-            a, _, _ = cfg.split.resolve(cfg.dataset.length)
+            a, _, _ = split_bounds(cfg.split, cfg.dataset.length)
         except ValueError as exc:
             f.fail(f"split: {exc}")
         else:
-            if cfg.context is not None and cfg.horizons and a < cfg.context + max(cfg.horizons):
+            if cfg.context is not None and cfg.horizons and window_count(a, cfg.context, max(cfg.horizons)) == 0:
                 f.fail(f"training segment of {a} steps cannot hold context {cfg.context} "
                        f"plus horizon {max(cfg.horizons)}")
 

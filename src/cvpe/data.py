@@ -52,70 +52,54 @@ class MultivariateSeries:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Chronological split boundaries, explicit or by named protocol.
+# each protocol's (train_end, val_end, test_end); None for a ratio split
+SPLIT_PROTOCOLS = {
+    # 12 / 4 / 4 months of 30 days
+    "ett_hourly": (12 * 30 * 24, 16 * 30 * 24, 20 * 30 * 24),
+    "ett_minute": (12 * 30 * 24 * 4, 16 * 30 * 24 * 4, 20 * 30 * 24 * 4),
+    "ratio_70_10_20": None,
+}
 
-    ``resolve`` returns (train_end, val_end, test_end): train is
-    ``[0, train_end)``, validation ``[train_end, val_end)``, test
+
+def split_bounds(split: str | tuple[int, int, int], length: int) -> tuple[int, int, int]:
+    """The (train_end, val_end, test_end) of a chronological split of
+    ``length`` steps, by protocol name (a key of ``SPLIT_PROTOCOLS``) or
+    given outright.
+
+    Train is ``[0, train_end)``, validation ``[train_end, val_end)``, test
     ``[val_end, test_end)``.  Fixed-calendar protocols cap ``test_end`` and
     discard any remainder, matching the usual ETT evaluation windows.
     """
+    if split == "ratio_70_10_20":
+        bounds = (math.floor(0.7 * length), math.floor(0.8 * length), length)
+    elif isinstance(split, str):
+        bounds = SPLIT_PROTOCOLS[split]
+    else:
+        bounds = split
+    a, b, c = (int(v) for v in bounds)
+    if not (0 < a < b < c):
+        raise ValueError(f"split boundaries must be strictly increasing and positive, got {bounds}")
+    if c > length:
+        raise ValueError(
+            f"split needs {c} time steps but the series has only {length}"
+        )
+    return a, b, c
 
-    protocol: str | None = None
-    boundaries: tuple[int, int] | tuple[int, int, int] | None = None
 
-    _PROTOCOLS = {
-        # 12 / 4 / 4 months of 30 days
-        "ett_hourly": (12 * 30 * 24, 16 * 30 * 24, 20 * 30 * 24),
-        "ett_minute": (12 * 30 * 24 * 4, 16 * 30 * 24 * 4, 20 * 30 * 24 * 4),
-        "ratio_70_10_20": None,
-    }
-
-    def __post_init__(self):
-        if (self.protocol is None) == (self.boundaries is None):
-            raise ValueError("exactly one of protocol or boundaries must be given")
-        if self.protocol is not None and self.protocol not in self._PROTOCOLS:
-            raise ValueError(
-                f"unknown split protocol {self.protocol!r}; "
-                f"known: {sorted(self._PROTOCOLS)}"
-            )
-
-    def resolve(self, length: int) -> tuple[int, int, int]:
-        if self.protocol == "ratio_70_10_20":
-            bounds = (math.floor(0.7 * length), math.floor(0.8 * length), length)
-        elif self.protocol is not None:
-            bounds = self._PROTOCOLS[self.protocol]
-        elif len(self.boundaries) == 2:
-            bounds = (*self.boundaries, length)
-        else:
-            bounds = self.boundaries
-        a, b, c = (int(v) for v in bounds)
-        if not (0 < a < b < c):
-            raise ValueError(f"split boundaries must be strictly increasing and positive, got {bounds}")
-        if c > length:
-            raise ValueError(
-                f"split needs {c} time steps but the series has only {length}"
-            )
-        return a, b, c
+def window_count(length: int, context: int, horizon: int) -> int:
+    """How many (context, horizon) windows a segment of ``length`` steps holds."""
+    return max(length - context - horizon + 1, 0)
 
 
 def chronological_split(
-    series: MultivariateSeries, spec: SplitSpec
+    series: MultivariateSeries, split: str | tuple[int, int, int]
 ) -> tuple[MultivariateSeries, MultivariateSeries, MultivariateSeries]:
     """Cut a series into ordered, disjoint train / validation / test segments."""
-    a, b, c = spec.resolve(series.length)
+    a, b, c = split_bounds(split, series.length)
     make = lambda lo, hi: MultivariateSeries(
         series.values[:, lo:hi].copy(), list(series.channel_names)
     )
     return make(0, a), make(a, b), make(b, c)
-
-
-@dataclass(frozen=True)
-class CsvSpec:
-    """A CSV dataset: the file :func:`load_csv` reads."""
-
-    path: str
 
 
 def load_csv(path: str | Path) -> MultivariateSeries:

@@ -132,7 +132,7 @@ def prepare_segments(
     if isinstance(spec, SyntheticSpec):
         series = generate_synthetic(spec)
     else:
-        series = load_csv(spec.path)
+        series = load_csv(spec)
     return chronological_split(series, config.split)
 
 
@@ -143,7 +143,7 @@ def dataset_label(config: RunConfig) -> str:
             f"synthetic(n={s.n_channels}, T={s.length}, coupling={s.coupling}, "
             f"lag={s.lag}, noise={s.noise_std}, seed={s.seed})"
         )
-    return Path(s.path).name
+    return Path(s).name
 
 
 def _windows(segment: MultivariateSeries, name: str, context: int, horizon: int):

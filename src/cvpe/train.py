@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .autodiff import ROW_TILE, NumericError, Tensor, add, as_tensor, no_grad, tmean
+from .data import window_count
 from .layers import rng_from
 from .model import ModelParams, forecast_batch
 
@@ -92,14 +93,13 @@ def make_windows(values: np.ndarray, context: int, horizon: int) -> tuple[np.nda
         raise ValueError(f"expected (channels, time) values, got {values.shape}")
     if context < 1 or horizon < 1:
         raise ValueError("context and horizon must be positive")
-    total = context + horizon
-    if values.shape[1] < total:
+    if window_count(values.shape[1], context, horizon) == 0:
         raise ValueError(
             f"segment of {values.shape[1]} steps too short for context {context} "
             f"plus horizon {horizon}"
         )
     # (channels, starts, context + horizon), read-only
-    spans = np.lib.stride_tricks.sliding_window_view(values, total, axis=1)
+    spans = np.lib.stride_tricks.sliding_window_view(values, context + horizon, axis=1)
     return spans[:, :, :context].transpose(1, 0, 2), spans[:, :, context:].transpose(1, 0, 2)
 
 

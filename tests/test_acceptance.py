@@ -285,7 +285,7 @@ def test_preprocessing_round_trips():
 
 
 def test_experiment_reports_are_bit_identical(tmp_path, capsys):
-    config = tiny_raw_config(output_dir=str(tmp_path / "unused"))
+    config = tiny_raw_config()
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))
     contents = []

@@ -35,7 +35,6 @@ def _src_env():
 def config_file(tmp_path):
     def write(**overrides):
         raw = tiny_raw_config(**overrides)
-        raw.setdefault("output_dir", str(tmp_path / "out"))
         path = tmp_path / "run.json"
         path.write_text(json.dumps(raw))
         return str(path)
@@ -299,13 +298,14 @@ class TestExperiment:
     def test_output_dir_env_override_and_flag_priority(
         self, config_file, tmp_path, monkeypatch, capsys
     ):
-        # the outputs go to --out, else to output_dir; no environment
-        # variable chooses the directory
+        # the outputs go to --out, else to runs/<config file name>; no
+        # config key or environment variable chooses the directory
         cfg = config_file(variants=["vanilla"], train={"epochs": 1, "batch_size": 16})
         envdir = tmp_path / "envout"
         monkeypatch.setenv("CVPE_OUTPUT_DIR", str(envdir))
+        monkeypatch.chdir(tmp_path)
         assert main(["experiment", "--config", cfg]) == 0
-        assert (tmp_path / "out" / "report.json").exists()
+        assert (tmp_path / "runs" / "run" / "report.json").exists()
         flagdir = tmp_path / "flagout"
         assert main(["experiment", "--config", cfg, "--out", str(flagdir)]) == 0
         assert (flagdir / "report.json").exists()
@@ -373,6 +373,25 @@ def pool_sizes(monkeypatch):
     # run_experiment imports the pool where it starts it
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
+
+
+def test_train_and_experiment_write_into_runs_and_the_config_file_name(tmp_path, monkeypatch, capsys):
+    # as configs/synthetic_ab.json writes into runs/synthetic_ab, under the
+    # working directory
+    cfg = tmp_path / "configs" / "grid.json"
+    cfg.parent.mkdir()
+    cfg.write_text(json.dumps(tiny_raw_config(variants=["vanilla"], train={"epochs": 1, "batch_size": 16})))
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--config", str(cfg)]) == 0
+    # the experiment replaces the cell's loss curve
+    assert main(["experiment", "--config", str(cfg), "--overwrite"]) == 0
+    out = capsys.readouterr().out
+    assert f"checkpoint: {Path('runs', 'grid', 'model_vanilla_h3_seed0.npz')}\n" in out
+    assert out.endswith(f"report written to {Path('runs', 'grid')}\n")
+    assert sorted(p.name for p in (tmp_path / "runs" / "grid").iterdir()) == [
+        "config.json", "loss_vanilla_h3_seed0.csv", "model_vanilla_h3_seed0.npz", "report.json", "report.txt",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["configs", "runs"]
 
 
 def test_pool_never_starts_more_workers_than_cells(pool_sizes):
@@ -634,6 +653,14 @@ _INPUT_FAILURES = {
         lambda t: (_with_protocol(["x"]), ["prepare"]), "unknown field 'split.protocol'"),
     "split_protocol_is_an_object": (
         lambda t: (_with_protocol({"x": 1}), ["prepare"]), "unknown field 'split.protocol'"),
+    # the output directory is --out, else runs/<config file name>
+    "output_dir_key": (
+        lambda t: (json.dumps(tiny_raw_config(output_dir="runs/x")), ["experiment"]),
+        "invalid configuration: unknown field 'output_dir'\n"),
+    # the test segment's end is given, not taken from the series
+    "split_two_boundaries": (
+        lambda t: (json.dumps(tiny_raw_config(split={"boundaries": [280, 320]})), ["prepare"]),
+        "invalid configuration: split.boundaries must be a list of 3 integers\n"),
     "target_select_top_k_and_split_protocol_keys": (
         lambda t: (json.dumps(tiny_raw_config(
             target="OT", select_top_k=1, split={"protocol": "ratio_70_10_20"})), ["prepare"]),

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cvpe.config import ConfigError, RunConfig, load_config, parse_config
-from cvpe.data import CsvSpec, SyntheticSpec
+from cvpe.data import SyntheticSpec
 from cvpe.model import BackboneConfig
 
 
@@ -36,27 +36,37 @@ class TestParsing:
     def test_minimal_config_fills_documented_defaults(self):
         cfg = parse_config(minimal())
         assert isinstance(cfg.dataset, SyntheticSpec)
-        assert cfg.split.protocol == "ratio_70_10_20"
+        assert cfg.split == "ratio_70_10_20"
         assert (cfg.model_dim, cfg.heads) == (32, 8)
         assert (cfg.n_prototypes, cfg.n_routers) == (100, 4)
         assert cfg.backbone == BackboneConfig(2, 32, 4, 64)
         assert cfg.variants == ("vanilla", "cvpe")
         assert (cfg.batch_size, cfg.lr, cfg.patience) == (8, 1e-2, 10)
         assert cfg.seeds == (0,)
-        assert cfg.output_dir == "runs/experiment"
         assert cfg.echo == minimal()
         # the fields are those above and the ones read from required keys
         assert [f.name for f in fields(RunConfig)] == [
             "dataset", "split", "context", "horizons", "patch", "model_dim", "heads", "n_prototypes",
-            "n_routers", "backbone", "variants", "epochs", "batch_size", "lr", "patience", "seeds",
-            "output_dir", "echo",
+            "n_routers", "backbone", "variants", "epochs", "batch_size", "lr", "patience", "seeds", "echo",
         ]
 
     def test_split_accepts_string_and_boundaries(self):
-        cfg = parse_config(minimal(split="ratio_70_10_20"))
-        assert cfg.split.protocol == "ratio_70_10_20"
+        cfg = parse_config(minimal(split="ett_hourly", dataset={"kind": "csv", "path": "data/x.csv"}))
+        assert cfg.split == "ett_hourly"
         cfg = parse_config(minimal(split={"boundaries": [200, 300, 400]}))
-        assert cfg.split.resolve(400) == (200, 300, 400)
+        assert cfg.split == (200, 300, 400)
+
+    @pytest.mark.parametrize("split, error", [
+        ("weekly", "split: unknown split protocol 'weekly'; known: ['ett_hourly', 'ett_minute', 'ratio_70_10_20']"),
+        ({"boundaries": [200, 300]}, "split.boundaries must be a list of 3 integers"),
+        ({"boundaries": [200, 300, True]}, "split.boundaries must be a list of 3 integers"),
+        ({"boundaries": [300, 200, 400]}, "split: split boundaries must be strictly increasing and positive, "
+                                          "got (300, 200, 400)"),
+    ], ids=["unknown_protocol", "two_boundaries", "boolean_boundary", "decreasing"])
+    def test_split_problems_are_named(self, split, error):
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal(split=split))
+        assert str(info.value) == f"invalid configuration: {error}"
 
     def test_every_problem_is_reported_at_once(self):
         raw = minimal()
@@ -180,7 +190,7 @@ class TestParsing:
         raw = minimal()
         raw["dataset"] = {"kind": "csv", "path": "data/x.csv"}
         cfg = parse_config(raw)
-        assert cfg.dataset == CsvSpec("data/x.csv")
+        assert cfg.dataset == "data/x.csv"
         raw["dataset"] = {"kind": "tape"}
         with pytest.raises(ConfigError, match="kind"):
             parse_config(raw)

@@ -5,7 +5,6 @@ import pytest
 
 from cvpe.data import (
     MultivariateSeries,
-    SplitSpec,
     SyntheticSpec,
     chronological_split,
     generate_synthetic,
@@ -13,6 +12,7 @@ from cvpe.data import (
     load_csv,
     pearson,
     rank_channels,
+    split_bounds,
 )
 from oracles import pearson_oracle
 
@@ -82,34 +82,26 @@ class TestSeriesAndSplits:
         with pytest.raises(ValueError):
             MultivariateSeries(bad, ["a", "b"])
 
-    def test_split_spec_needs_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            SplitSpec()
-        with pytest.raises(ValueError):
-            SplitSpec(protocol="ratio_70_10_20", boundaries=(1, 2, 3))
-        with pytest.raises(ValueError):
-            SplitSpec(protocol="weekly")
-
     def test_fixed_calendar_protocol_boundaries(self):
-        assert SplitSpec(protocol="ett_hourly").resolve(17420) == (8640, 11520, 14400)
-        assert SplitSpec(protocol="ett_minute").resolve(69680) == (34560, 46080, 57600)
+        assert split_bounds("ett_hourly", 17420) == (8640, 11520, 14400)
+        assert split_bounds("ett_minute", 69680) == (34560, 46080, 57600)
 
     def test_ratio_protocol_uses_floor(self):
-        assert SplitSpec(protocol="ratio_70_10_20").resolve(1001) == (700, 800, 1001)
+        assert split_bounds("ratio_70_10_20", 1001) == (700, 800, 1001)
 
-    def test_two_part_boundaries_extend_to_length(self):
-        assert SplitSpec(boundaries=(10, 15)).resolve(25) == (10, 15, 25)
+    def test_explicit_boundaries_are_kept(self):
+        assert split_bounds((10, 15, 20), 25) == (10, 15, 20)
 
     def test_boundaries_must_fit_and_increase(self):
-        with pytest.raises(ValueError):
-            SplitSpec(protocol="ett_hourly").resolve(10000)
-        with pytest.raises(ValueError):
-            SplitSpec(boundaries=(5, 5, 9)).resolve(9)
+        with pytest.raises(ValueError, match="^split needs 14400 time steps but the series has only 10000$"):
+            split_bounds("ett_hourly", 10000)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            split_bounds((5, 5, 9), 9)
 
     def test_chronological_split_segments(self):
         rng = np.random.default_rng(0)
         series = MultivariateSeries(rng.normal(size=(3, 100)), ["a", "b", "OT"])
-        tr, va, te = chronological_split(series, SplitSpec(protocol="ratio_70_10_20"))
+        tr, va, te = chronological_split(series, "ratio_70_10_20")
         assert (tr.length, va.length, te.length) == (70, 10, 20)
         rebuilt = np.concatenate([tr.values, va.values, te.values], axis=1)
         np.testing.assert_array_equal(rebuilt, series.values)
@@ -118,7 +110,7 @@ class TestSeriesAndSplits:
     def test_calendar_split_discards_tail(self):
         rng = np.random.default_rng(1)
         series = MultivariateSeries(rng.normal(size=(2, 15000)), ["a", "OT"])
-        tr, va, te = chronological_split(series, SplitSpec(protocol="ett_hourly"))
+        tr, va, te = chronological_split(series, "ett_hourly")
         rebuilt = np.concatenate([tr.values, va.values, te.values], axis=1)
         np.testing.assert_array_equal(rebuilt, series.values[:, :14400])
 

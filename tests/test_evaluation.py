@@ -32,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(**overrides):
-    return parse_config(tiny_raw_config(output_dir="runs/test", **overrides))
+    return parse_config(tiny_raw_config(**overrides))
 
 
 class TestMetrics:

@@ -12,7 +12,7 @@ from conftest import flip_gradient, tiny_raw_config
 
 from cvpe.autodiff import NumericError, as_tensor, no_grad, parameter, power, tsum
 from cvpe.config import load_config, parse_config
-from cvpe.data import SyntheticSpec, generate_synthetic
+from cvpe.data import SyntheticSpec, generate_synthetic, window_count
 from cvpe.model import build_model, forecast_batch
 from cvpe.train import (
     AdamState,
@@ -210,8 +210,19 @@ class TestWindows:
             np.testing.assert_array_equal(got, want)
 
     def test_too_short_segment(self):
+        # window_count is the number of windows cut; at 0 the segment is too short
         with pytest.raises(ValueError):
             make_windows(np.zeros((1, 5)), context=4, horizon=2)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            length, context, horizon = (int(v) for v in rng.integers(1, 12, size=3))
+            count = window_count(length, context, horizon)
+            if count == 0:
+                with pytest.raises(ValueError, match=f"^segment of {length} steps too short"):
+                    make_windows(np.zeros((2, length)), context, horizon)
+            else:
+                windows, targets = make_windows(np.zeros((2, length)), context, horizon)
+                assert len(windows) == len(targets) == count
 
     def test_cuts_windows_without_a_copy_per_window(self):
         # ETTh1-smoke shapes, where a copy of every window held about 163 MB

@@ -18,7 +18,12 @@ a relative 1e-10.  A flipped
 early-stopping decision is a result change, not rounding.  Moving every
 parameter of an initial model by one unit in the last place moved the test
 MSE of two ``synthetic_ab`` cells by a relative 3.7e-15 and 8.1e-15, so the
-bar sits four orders of magnitude above rounding.  Each cell's largest
+bar sits four orders of magnitude above rounding.  A change of BLAS kernel
+alone comes closer: one tree run with ``OPENBLAS_CORETYPE=Haswell`` against
+the ``SkylakeX`` kernel it picks on an AVX-512 host gave a largest relative
+difference per cell of at most 7.5e-13 (vanilla) and 2.6e-11 (cvpe) on
+``synthetic_ab``, and 2.0e-15 and 1.4e-12 on ``synthetic_uncoupled``, a
+quarter of the bar at most (the README lists every cell).  Each cell's largest
 relative difference is printed; the tool exits 0 when the bar is met, and
 otherwise 1, naming each cell and field that broke it.
 """
